@@ -25,8 +25,8 @@ from . import model
 from .cavity import AmplitudeTable
 from .errors import ConfigError, DegenerateFilterError, GridMismatchError
 from .pulse import PulseSpec, default_pulse
-from .sme import (build_table, measurement_diag, simulate_batch,
-                  trajectory_rng, wiener_increments)
+from .sme import (Diagnostics, build_table, measurement_diag,
+                  simulate_batch, trajectory_rng, wiener_increments)
 
 FILTER_KINDS = ("matched", "matched-mean", "uniform")
 
@@ -144,18 +144,6 @@ def state_fidelity(rho, psi):
     return np.sqrt(np.clip(val, 0.0, None))
 
 
-def _merge_worst(acc: dict, new: dict) -> dict:
-    if acc is None:
-        return dict(new)
-    out = dict(acc)
-    for key, value in new.items():
-        if key == "min_eig":
-            out[key] = min(out[key], value)
-        else:
-            out[key] = max(out[key], value)
-    return out
-
-
 @dataclass
 class EnsembleSummary:
     """Aggregated trajectories: signals, assignments, final fidelities.
@@ -172,7 +160,12 @@ class EnsembleSummary:
     assignments: dict
     fidelity_even: np.ndarray
     fidelity_odd: np.ndarray
-    diagnostics_worst: dict
+    diagnostics: Diagnostics
+
+    @property
+    def diagnostics_worst(self) -> dict:
+        """Extremes of the health numbers over every trajectory."""
+        return self.diagnostics.worst()
 
     def odd_fraction(self, kind: str = "matched") -> float:
         return float((self.assignments[kind] == "odd").mean())
@@ -245,7 +238,7 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     signals = {kind: np.empty(n_traj) for kind in filter_kinds}
     fidelity_even = np.empty(n_traj)
     fidelity_odd = np.empty(n_traj)
-    worst = None
+    diagnostics = []
 
     for start in range(0, n_traj, chunk_size):
         stop = min(start + chunk_size, n_traj)
@@ -263,7 +256,7 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
             signals[kind][start:stop] = filt.integrate(records)
         fidelity_even[start:stop] = state_fidelity(rho_final, psi_even)
         fidelity_odd[start:stop] = state_fidelity(rho_final, psi_odd)
-        worst = _merge_worst(worst, diags.worst())
+        diagnostics.append(diags)
 
     assignments = {}
     for kind, filt in filters.items():
@@ -276,7 +269,7 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                            signals=signals, assignments=assignments,
                            fidelity_even=fidelity_even,
                            fidelity_odd=fidelity_odd,
-                           diagnostics_worst=worst)
+                           diagnostics=Diagnostics.join(diagnostics))
 
 
 # Exact expansion of the squared output fidelity of the circuit-based

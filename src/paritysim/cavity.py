@@ -78,35 +78,36 @@ def transfer_matrix(config: model.ReadoutConfig, j: int, s):
     return out
 
 
-def _check_resonance(dtil):
-    if np.any(np.abs(dtil) < 1e-12):
-        raise ResonanceError(
-            "a pulled detuning delta_k + s_{k,j} is zero; the steady state "
-            "has a pole there")
+def _sherman_morrison(config: model.ReadoutConfig, j: int):
+    """Pieces of the closed-form inverse of A_j = -i diag(dtil) - u u^T / 2.
 
+    With u = sqrt(kappa) and r = u / dtil, the Sherman-Morrison identity
+    gives
 
-def inverse_dynamics_matrix(config: model.ReadoutConfig, j: int) -> np.ndarray:
-    """Closed-form inverse of A_j via the Sherman-Morrison identity.
+        (A_j)^{-1} = i diag(1/dtil) - r r^T / (2 denom),
+        denom = 1 - (i/2) sum_k kappa_k / dtil_k.
 
-    A_j = -i diag(dtil) - (1/2) u u^T with u = sqrt(kappa), so
-
-        (A_j)^{-1}_{kk'} = i delta_{kk'} / dtil_k
-            - sqrt(kappa_k kappa_k') /
-              (2 dtil_k dtil_k' (1 - i sum_k'' kappa_k'' / (2 dtil_k''))).
+    denom has real part exactly 1, so it never vanishes; the only poles
+    are zero pulled detunings. Returns (dtil, r, denom).
 
     Raises
     ------
     ResonanceError
-        If any pulled detuning vanishes, or the rank-one denominator does.
+        If any pulled detuning vanishes.
     """
-    u = np.sqrt(config.kappa)
     dtil = effective_detunings(config)[:, j]
-    _check_resonance(dtil)
-    denom = 1.0 - 0.5j * np.sum(config.kappa / dtil)
-    if abs(denom) < 1e-12:
-        raise ResonanceError("Sherman-Morrison denominator vanished")
-    ratio = u / dtil
-    return 1j * np.diag(1.0 / dtil) - np.outer(ratio, ratio) / (2.0 * denom)
+    if np.any(np.abs(dtil) < 1e-12):
+        raise ResonanceError(
+            "a pulled detuning delta_k + s_{k,j} is zero; the steady state "
+            "has a pole there")
+    r = np.sqrt(config.kappa) / dtil
+    return dtil, r, 1.0 - 0.5j * np.sum(config.kappa / dtil)
+
+
+def inverse_dynamics_matrix(config: model.ReadoutConfig, j: int) -> np.ndarray:
+    """Closed-form inverse of A_j (see _sherman_morrison)."""
+    dtil, r, denom = _sherman_morrison(config, j)
+    return 1j * np.diag(1.0 / dtil) - np.outer(r, r) / (2.0 * denom)
 
 
 def steady_state_amplitudes(config: model.ReadoutConfig, j: int,
@@ -116,11 +117,8 @@ def steady_state_amplitudes(config: model.ReadoutConfig, j: int,
     Uses the rank-one closed form: alpha_k =
     -eps (sqrt(kappa_k)/dtil_k) / (1 - (i/2) sum kappa/dtil).
     """
-    u = np.sqrt(config.kappa)
-    dtil = effective_detunings(config)[:, j]
-    _check_resonance(dtil)
-    s_sum = np.sum(config.kappa / dtil)
-    return -eps * (u / dtil) / (1.0 - 0.5j * s_sum)
+    _, r, denom = _sherman_morrison(config, j)
+    return -eps * r / denom
 
 
 def steady_state_output(config: model.ReadoutConfig, j: int,
@@ -129,10 +127,8 @@ def steady_state_output(config: model.ReadoutConfig, j: int,
 
     Equals (-i S) / (i + S/2) * eps with S = sum_k kappa_k / dtil_k.
     """
-    dtil = effective_detunings(config)[:, j]
-    _check_resonance(dtil)
-    s_sum = np.sum(config.kappa / dtil)
-    return complex(-1j * s_sum / (1j + 0.5 * s_sum) * eps)
+    return complex(np.sqrt(config.kappa)
+                   @ steady_state_amplitudes(config, j, eps))
 
 
 def parity_outputs(config: model.ReadoutConfig, eps: float):

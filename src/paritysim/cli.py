@@ -175,10 +175,10 @@ def _cmd_trajectory(args) -> int:
     config, pulse = _load_inputs(args)
     manifest = Manifest("trajectory", config, pulse, args.seed,
                         {"steps": args.steps, "index": args.index})
+    table = sme.build_table(config, pulse, args.steps)
     result = sme.simulate_trajectory(config, pulse, n_steps=args.steps,
                                      base_seed=args.seed,
-                                     trajectory_index=args.index)
-    table = sme.build_table(config, pulse, args.steps)
+                                     trajectory_index=args.index, table=table)
     filt = analysis.build_filter(config, table, args.filter)
     parity, signal = analysis.classify(filt, result.photocurrent)
     out = _out_dir(args)
@@ -207,8 +207,7 @@ def _cmd_ensemble(args) -> int:
     config, pulse = _load_inputs(args)
     manifest = Manifest("ensemble", config, pulse, args.seed,
                         {"trajectories": args.trajectories,
-                         "steps": args.steps, "filter": args.filter,
-                         "threads": args.threads})
+                         "steps": args.steps, "filter": args.filter})
     summary = analysis.ensemble_run(
         config, pulse, n_traj=args.trajectories, n_steps=args.steps,
         base_seed=args.seed, filter_kinds=(args.filter,))
@@ -255,12 +254,7 @@ def _cmd_ensemble(args) -> int:
     manifest.write_json(out, "ensemble_summary.json", payload)
     manifest.finalize(out)
 
-    limits = sme.DIAGNOSTIC_THRESHOLDS
-    worst = summary.diagnostics_worst
-    breaches = [name for name in ("trace_dev", "herm_dev", "purity_excess",
-                                  "diag_drift") if worst[name] > limits[name]]
-    if worst["min_eig"] < limits["min_eig"]:
-        breaches.append("min_eig")
+    breaches = summary.diagnostics.violations()
     if breaches:
         print(f"diagnostics breached: {', '.join(breaches)}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -367,9 +361,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--filter", choices=analysis.FILTER_KINDS,
                    default="matched")
-    p.add_argument("--threads", type=int, default=0,
-                   help="accepted for compatibility; runs vectorized "
-                        "in-process")
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("witness", help="trace-distance witness scan")

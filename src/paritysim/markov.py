@@ -23,7 +23,6 @@ Two tools:
   disjoint-support trace distance is constant at 1.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,9 +232,6 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     ev_p = simulate_deterministic(clean, pulse, n_steps, rho_p, table=table)
     ev_m = simulate_deterministic(clean, pulse, n_steps, rho_m, table=table)
     dist = trace_distance(ev_p.rhos, ev_m.rhos)
-    if dist.ndim != 1:
-        warnings.warn("unexpected distance shape; flattening")
-        dist = dist.ravel()
     intervals = increasing_intervals(ev_p.times, dist, tol=tol)
     window = (pulse.t_off - pulse.sigma / 2.0, pulse.tau)
     return WitnessResult(times=ev_p.times, distance=dist,

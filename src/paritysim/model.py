@@ -56,35 +56,9 @@ class ReadoutConfig:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise ConfigError("n_qubits must be a positive integer")
-        if not isinstance(self.n_modes, int) or self.n_modes < 1:
-            raise ConfigError("n_modes must be a positive integer")
-        chi = _as_real_array("chi", self.chi, (self.n_modes, self.n_qubits))
-        kappa = _as_real_array("kappa", self.kappa, (self.n_modes,))
-        delta = _as_real_array("delta", self.delta, (self.n_modes,))
-        gamma_z = _as_real_array("gamma_z", self.gamma_z, (self.n_qubits,))
-        if np.any(kappa < 0):
-            raise ConfigError("kappa must be non-negative")
-        if np.any(gamma_z < 0):
-            raise ConfigError("gamma_z must be non-negative")
-        eta = float(self.eta)
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError("eta must lie in [0, 1]")
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ConfigError("phi must be finite")
-        for name, arr in (("chi", chi), ("kappa", kappa), ("delta", delta),
-                          ("gamma_z", gamma_z)):
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name} must be finite")
-            arr.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "gamma_z", gamma_z)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "phi", phi)
+        for name, value in _checked(
+                {name: getattr(self, name) for name in _CONFIG_KEYS}).items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -113,36 +87,88 @@ class ReadoutConfig:
 
         Scalars are broadcast: a scalar ``chi`` fills the whole coupling
         matrix, scalar ``kappa``/``delta``/``gamma_z`` fill their vectors.
-        ``phi`` defaults to 0 and ``eta`` to 1 when absent.
+        ``gamma_z`` and ``phi`` default to 0 and ``eta`` to 1 when absent.
+        A ``pulse`` key is tolerated and ignored.
         """
+        return cls(**_checked(data))
+
+
+_CONFIG_KEYS = ("n_qubits", "n_modes", "chi", "kappa", "delta", "gamma_z",
+                "eta", "phi")
+#: values of the optional keys when they are absent
+_DEFAULTS = {"gamma_z": 0.0, "eta": 1.0, "phi": 0.0}
+
+
+def _parse(data):
+    """Coerce JSON-style config data; returns (fields, problems).
+
+    problems lists every violation, each naming its field. When it is
+    empty, fields holds every ReadoutConfig field: integer sizes,
+    read-only float arrays (a scalar fills the whole shape) and float
+    eta and phi.
+    """
+    if not isinstance(data, dict):
+        return {}, ["config: must be an object"]
+    problems = []
+    unknown = sorted(set(data) - set(_CONFIG_KEYS) - {"pulse"})
+    if unknown:
+        problems.append(f"unknown keys: {unknown}")
+
+    fields = {}
+    for name in ("n_qubits", "n_modes"):
+        if name not in data:
+            problems.append(f"{name}: missing")
+            continue
         try:
-            n_qubits = int(data["n_qubits"])
-            n_modes = int(data["n_modes"])
-        except KeyError as exc:
-            raise ConfigError(f"missing required key {exc.args[0]!r}") from None
-        chi = _broadcast("chi", data.get("chi"), (n_modes, n_qubits))
-        kappa = _broadcast("kappa", data.get("kappa"), (n_modes,))
-        delta = _broadcast("delta", data.get("delta"), (n_modes,))
-        gamma_z = _broadcast("gamma_z", data.get("gamma_z", 0.0), (n_qubits,))
-        unknown = set(data) - {"n_qubits", "n_modes", "chi", "kappa", "delta",
-                               "gamma_z", "eta", "phi", "pulse"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(n_qubits=n_qubits, n_modes=n_modes, chi=chi, kappa=kappa,
-                   delta=delta, gamma_z=gamma_z,
-                   eta=float(data.get("eta", 1.0)),
-                   phi=float(data.get("phi", 0.0)))
+            size = int(data[name])
+        except (TypeError, ValueError, OverflowError):
+            size = 0
+        if size < 1 or size != data[name]:
+            problems.append(f"{name}: must be a positive integer")
+        else:
+            fields[name] = size
+
+    shapes = {}
+    if len(fields) == 2:
+        m, n = fields["n_modes"], fields["n_qubits"]
+        shapes = {"chi": (m, n), "kappa": (m,), "delta": (m,),
+                  "gamma_z": (n,)}
+    shapes.update(eta=(), phi=())
+    for name, shape in shapes.items():
+        value = data.get(name, _DEFAULTS.get(name))
+        if value is None:
+            problems.append(f"{name}: not numeric" if name in data
+                            else f"{name}: missing")
+            continue
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            problems.append(f"{name}: not numeric")
+            continue
+        if arr.ndim == 0:
+            arr = np.full(shape, float(arr))
+        if arr.shape != shape:
+            problems.append(f"{name}: shape {arr.shape} != {shape}")
+        elif not np.all(np.isfinite(arr)):
+            problems.append(f"{name}: must be finite")
+        elif name in ("kappa", "gamma_z") and np.any(arr < 0):
+            problems.append(f"{name}: must be non-negative")
+        elif name == "eta" and not 0.0 <= arr <= 1.0:
+            problems.append("eta: must lie in [0, 1]")
+        elif shape:
+            arr.setflags(write=False)
+            fields[name] = arr
+        else:
+            fields[name] = float(arr)
+    return fields, problems
 
 
-def _as_real_array(name, value, shape):
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-_CONFIG_KEYS = {"n_qubits", "n_modes", "chi", "kappa", "delta", "gamma_z",
-                "eta", "phi"}
+def _checked(data) -> dict:
+    """Coerced config fields; raises ConfigError naming every problem."""
+    fields, problems = _parse(data)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return fields
 
 
 def validate(data) -> list:
@@ -154,79 +180,7 @@ def validate(data) -> list:
     """
     if isinstance(data, ReadoutConfig):
         data = data.to_dict()
-    problems = []
-    work = {k: v for k, v in dict(data).items() if k != "pulse"}
-    unknown = sorted(set(work) - _CONFIG_KEYS)
-    if unknown:
-        problems.append(f"unknown keys: {unknown}")
-
-    sizes = {}
-    for name in ("n_qubits", "n_modes"):
-        if name not in work:
-            problems.append(f"{name}: missing")
-            continue
-        try:
-            value = int(work[name])
-        except (TypeError, ValueError):
-            value = 0
-        if value < 1:
-            problems.append(f"{name}: must be a positive integer")
-        else:
-            sizes[name] = value
-
-    arrays = {}
-    if len(sizes) == 2:
-        shapes = {
-            "chi": (sizes["n_modes"], sizes["n_qubits"]),
-            "kappa": (sizes["n_modes"],),
-            "delta": (sizes["n_modes"],),
-            "gamma_z": (sizes["n_qubits"],),
-        }
-        for name, shape in shapes.items():
-            if name not in work:
-                if name == "gamma_z":
-                    arrays[name] = np.zeros(shape)
-                else:
-                    problems.append(f"{name}: missing")
-                continue
-            try:
-                arr = np.asarray(work[name], dtype=float)
-            except (TypeError, ValueError):
-                problems.append(f"{name}: not numeric")
-                continue
-            if arr.ndim == 0:
-                arr = np.full(shape, float(arr))
-            if arr.shape != shape:
-                problems.append(f"{name}: shape {arr.shape} != {shape}")
-            elif not np.all(np.isfinite(arr)):
-                problems.append(f"{name}: must be finite")
-            else:
-                arrays[name] = arr
-
-    if "kappa" in arrays and np.any(arrays["kappa"] < 0):
-        problems.append("kappa: must be non-negative")
-    if "gamma_z" in arrays and np.any(arrays["gamma_z"] < 0):
-        problems.append("gamma_z: must be non-negative")
-    for name, default in (("eta", 1.0), ("phi", 0.0)):
-        try:
-            value = float(work.get(name, default))
-        except (TypeError, ValueError):
-            problems.append(f"{name}: not numeric")
-            continue
-        if not math.isfinite(value):
-            problems.append(f"{name}: must be finite")
-        elif name == "eta" and not 0.0 <= value <= 1.0:
-            problems.append("eta: must lie in [0, 1]")
-    return problems
-
-
-def _broadcast(name, value, shape):
-    if value is None:
-        raise ConfigError(f"missing required key {name!r}")
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    return arr
+    return _parse(data)[1]
 
 
 # -- basis bookkeeping -------------------------------------------------------

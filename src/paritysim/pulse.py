@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_KEYS = ("t_on", "t_off", "sigma", "eps_ss", "tau")
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -29,8 +31,12 @@ class PulseSpec:
     tau: float
 
     def __post_init__(self):
-        for name in ("t_on", "t_off", "sigma", "eps_ss", "tau"):
-            value = float(getattr(self, name))
+        for name in _KEYS:
+            try:
+                value = float(getattr(self, name))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"pulse parameter {name} must be a number") from None
             if not np.isfinite(value):
                 raise ConfigError(f"pulse parameter {name} must be finite")
             object.__setattr__(self, name, value)
@@ -47,19 +53,19 @@ class PulseSpec:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {"t_on": self.t_on, "t_off": self.t_off, "sigma": self.sigma,
-                "eps_ss": self.eps_ss, "tau": self.tau}
+        return {name: getattr(self, name) for name in _KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PulseSpec":
-        unknown = set(data) - {"t_on", "t_off", "sigma", "eps_ss", "tau"}
+        if not isinstance(data, dict):
+            raise ConfigError("pulse must be an object")
+        unknown = set(data) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown pulse keys: {sorted(unknown)}")
-        try:
-            return cls(**{k: float(data[k])
-                          for k in ("t_on", "t_off", "sigma", "eps_ss", "tau")})
-        except KeyError as exc:
-            raise ConfigError(f"missing pulse key {exc.args[0]!r}") from None
+        missing = [name for name in _KEYS if name not in data]
+        if missing:
+            raise ConfigError(f"missing pulse key {missing[0]!r}")
+        return cls(**data)
 
     def evaluate(self, t):
         """Drive amplitude at time(s) t (scalar in, scalar out)."""

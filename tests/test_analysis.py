@@ -187,6 +187,7 @@ class TestEnsembleRun:
         assert np.array_equal(again.signals["uniform"],
                               summary.signals["uniform"])
         assert np.array_equal(again.fidelity_even, summary.fidelity_even)
+        assert again.diagnostics_worst == summary.diagnostics_worst
 
     def test_classes_present_and_fidelities_sane(self, summary):
         frac = summary.odd_fraction("matched")

@@ -98,6 +98,42 @@ class TestValidate:
         capsys.readouterr()
 
 
+#: subcommands that read --config, with arguments that keep a run short
+CONFIG_COMMANDS = {
+    "pulse-preview": ["--steps", "10"],
+    "respond": ["--steps", "10"],
+    "trajectory": ["--steps", "10"],
+    "ensemble": ["--trajectories", "2", "--steps", "10"],
+    "witness": ["--steps", "10"],
+    "validate": [],
+}
+
+BAD_FIELDS = {
+    "eta-null": lambda data: data.update(eta=None),
+    "n_qubits-null": lambda data: data.update(n_qubits=None),
+    "chi-object": lambda data: data.update(chi={}),
+    "sigma-null": lambda data: data["pulse"].update(sigma=None),
+    "pulse-not-object": lambda data: data.update(pulse=[]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FIELDS))
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_null_or_non_numeric_field_is_invalid_input(tmp_path, capsys,
+                                                    command, bad):
+    data = model.default_config().to_dict()
+    data["pulse"] = default_pulse().to_dict()
+    BAD_FIELDS[bad](data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--config", str(path), *CONFIG_COMMANDS[command]]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(("error:", "violation:")) for line in err)
+
+
 class TestGateModel:
 
     def test_table_line_count(self, capsys):

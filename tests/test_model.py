@@ -193,6 +193,11 @@ class TestReadoutConfig:
         assert np.allclose(cfg.chi, 1.0)
         assert np.allclose(cfg.kappa, 2.0)
 
+    def test_constructor_broadcasts_scalars(self):
+        cfg = make_config(chi=1.0, gamma_z=0.0)
+        assert cfg.chi.shape == (2, 3)
+        assert np.array_equal(cfg.gamma_z, np.zeros(3))
+
     def test_from_dict_rejects_unknown_keys(self):
         data = model.default_config().to_dict()
         data["typo"] = 1

@@ -103,6 +103,40 @@ class TestDephasingClosedForm:
         assert np.array_equal(out.rhos[-1], out.rhos[0])
 
 
+@pytest.mark.parametrize("include_coupling", [True, False])
+def test_deterministic_independent_of_block_size(config, monkeypatch,
+                                                 include_coupling):
+    table = sme.build_table(config, default_pulse(), 600, substeps=2)
+    runs = []
+    for block in (sme._BLOCK_STEPS, 7):
+        monkeypatch.setattr(sme, "_BLOCK_STEPS", block)
+        runs.append(sme.simulate_deterministic(
+            config, n_steps=600, table=table,
+            include_coupling=include_coupling).rhos)
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_deterministic_matches_rk4_reference(config):
+    # classical RK4 on the same midpoint table; both are fourth order, and
+    # at this step size they agree to round-off level
+    n_steps = 1000
+    table = sme.build_table(config, default_pulse(), n_steps, substeps=2)
+    ks = [sme.DriftOperator(config).coefficient(a) for a in table.alpha]
+    h = 2.0 * table.dt
+    rho = model.plus_density(3)
+    ref = [rho]
+    for n in range(n_steps):
+        k0, km, k1 = ks[2 * n], ks[2 * n + 1], ks[2 * n + 2]
+        f1 = k0 * rho
+        f2 = km * (rho + 0.5 * h * f1)
+        f3 = km * (rho + 0.5 * h * f2)
+        f4 = k1 * (rho + h * f3)
+        rho = rho + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        ref.append(rho)
+    out = sme.simulate_deterministic(config, n_steps=n_steps, table=table)
+    assert np.abs(out.rhos - np.array(ref)).max() < 1e-12
+
+
 class TestDiffusion:
     def test_traceless(self, rng):
         rho = random_density(rng, 8)
