@@ -21,7 +21,7 @@ from .markov import (CoefficientMatrix, WitnessResult, coefficient_matrix,
                      trace_distance, witness_scan)
 from .analysis import (EnsembleSummary, FilterFunction, assign_parity,
                        build_filter, classify, ensemble_run, gate_fidelity,
-                       integrated_signal, solve_error_rate, state_fidelity)
+                       solve_error_rate, state_fidelity)
 
 __all__ = [
     "__version__",
@@ -40,6 +40,6 @@ __all__ = [
     "CoefficientMatrix", "WitnessResult", "coefficient_matrix",
     "trace_distance", "witness_scan",
     "EnsembleSummary", "FilterFunction", "assign_parity", "build_filter",
-    "classify", "ensemble_run", "gate_fidelity", "integrated_signal",
-    "solve_error_rate", "state_fidelity",
+    "classify", "ensemble_run", "gate_fidelity", "solve_error_rate",
+    "state_fidelity",
 ]

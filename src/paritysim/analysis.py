@@ -24,11 +24,14 @@ from scipy.optimize import brentq
 from . import model
 from .cavity import AmplitudeTable
 from .errors import ConfigError, DegenerateFilterError, GridMismatchError
-from .pulse import PulseSpec, default_pulse
-from .sme import (Diagnostics, build_table, measurement_diag,
-                  simulate_batch, trajectory_rng, wiener_increments)
+from .pulse import PulseSpec
+from .sme import (Diagnostics, measurement_diag, simulate_batch,
+                  trajectory_noise)
 
 FILTER_KINDS = ("matched", "matched-mean", "uniform")
+
+#: trajectories integrated together by ensemble_run
+_CHUNK_SIZE = 100
 
 #: relative floor under which a filter normalization counts as zero
 _FILTER_TOL = 1e-12
@@ -116,24 +119,22 @@ def build_filter(config: model.ReadoutConfig, table: AmplitudeTable,
                           nominal_even=nominal_even)
 
 
-def integrated_signal(filt: FilterFunction, record) -> float:
-    """s = sum f j dt for a single record."""
-    return float(filt.integrate(record))
+def assign_parity(signal):
+    """Sign rule on oriented integrated signal(s): positive means even.
 
-
-def assign_parity(signal: float) -> str:
-    """Sign rule on an oriented integrated signal: positive means even."""
-    if signal > 0.0:
-        return "even"
-    if signal < 0.0:
-        return "odd"
-    warnings.warn("integrated signal is exactly zero; assigning even")
-    return "even"
+    A scalar gives one label, an array an array of labels. A signal that
+    is exactly zero is assigned even, with one warning per call.
+    """
+    signal = np.asarray(signal, dtype=float)
+    if np.any(signal == 0.0):
+        warnings.warn("integrated signal is exactly zero; assigning even")
+    labels = np.where(signal < 0.0, "odd", "even")
+    return str(labels) if labels.ndim == 0 else labels
 
 
 def classify(filt: FilterFunction, record) -> tuple:
     """(assigned parity, raw integrated signal) for one record."""
-    s = integrated_signal(filt, record)
+    s = float(filt.integrate(record))
     return assign_parity(s * filt.orientation), s
 
 
@@ -210,28 +211,17 @@ class EnsembleSummary:
 def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                  n_traj: int = 500, n_steps: int = 10_000,
                  base_seed: int = 0, filter_kinds=("matched",),
-                 rho0: np.ndarray = None, table: AmplitudeTable = None,
-                 chunk_size: int = 100,
-                 checkpoint_every: int = 0) -> EnsembleSummary:
-    """Run a trajectory ensemble and classify every record.
+                 table: AmplitudeTable = None) -> EnsembleSummary:
+    """Run a trajectory ensemble from |+>^n and classify every record.
 
-    Trajectories are integrated in vectorized chunks; each one draws its
-    noise from a stream keyed by (base_seed, index), so results are
-    independent of chunk_size. All requested filters are evaluated on the
-    same records.
+    Trajectories are integrated in vectorized chunks of _CHUNK_SIZE; each
+    one draws its noise from a stream keyed by (base_seed, index), so
+    results are independent of the chunk size. All requested filters are
+    evaluated on the same records.
     """
     if n_traj < 1:
         raise ConfigError("n_traj must be at least 1")
-    if pulse is None:
-        pulse = default_pulse()
-    if table is None:
-        table = build_table(config, pulse, n_steps)
-    elif len(table.times) != n_steps + 1:
-        raise ConfigError("table grid does not match n_steps")
-    if rho0 is None:
-        rho0 = model.plus_density(config.n_qubits)
-    filters = {kind: build_filter(config, table, kind)
-               for kind in filter_kinds}
+    rho0 = model.plus_density(config.n_qubits)
     psi_even = model.psi_plus(config.n_qubits)
     psi_odd = model.psi_minus(config.n_qubits)
 
@@ -240,30 +230,24 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     fidelity_odd = np.empty(n_traj)
     diagnostics = []
 
-    for start in range(0, n_traj, chunk_size):
-        stop = min(start + chunk_size, n_traj)
-        batch = stop - start
-        dws = np.empty((batch, n_steps))
-        dzs = np.empty((batch, n_steps))
-        for row in range(batch):
-            rng = trajectory_rng(base_seed, start + row)
-            dws[row], dzs[row] = wiener_increments(rng, n_steps, table.dt)
-        rho0_batch = np.broadcast_to(rho0, (batch,) + rho0.shape)
-        rho_final, records, diags = simulate_batch(
-            config, table, rho0_batch, dws, dzs,
-            checkpoint_every=checkpoint_every)
+    for start in range(0, n_traj, _CHUNK_SIZE):
+        stop = min(start + _CHUNK_SIZE, n_traj)
+        table, dws, dzs = trajectory_noise(config, pulse, n_steps, base_seed,
+                                           range(start, stop), table)
+        if start == 0:
+            filters = {kind: build_filter(config, table, kind)
+                       for kind in filter_kinds}
+        rho0_batch = np.broadcast_to(rho0, (stop - start,) + rho0.shape)
+        rho_final, records, diags = simulate_batch(config, table, rho0_batch,
+                                                   dws, dzs)
         for kind, filt in filters.items():
             signals[kind][start:stop] = filt.integrate(records)
         fidelity_even[start:stop] = state_fidelity(rho_final, psi_even)
         fidelity_odd[start:stop] = state_fidelity(rho_final, psi_odd)
         diagnostics.append(diags)
 
-    assignments = {}
-    for kind, filt in filters.items():
-        oriented = signals[kind] * filt.orientation
-        if np.any(oriented == 0.0):
-            warnings.warn("integrated signal exactly zero; assigning even")
-        assignments[kind] = np.where(oriented > 0.0, "even", "odd")
+    assignments = {kind: assign_parity(signals[kind] * filt.orientation)
+                   for kind, filt in filters.items()}
     return EnsembleSummary(n_traj=n_traj, n_steps=n_steps,
                            base_seed=base_seed, filters=filters,
                            signals=signals, assignments=assignments,
@@ -309,7 +293,7 @@ def gate_fidelity(p):
     return out
 
 
-def solve_error_rate(fidelity: float, xtol: float = 1e-12) -> float:
+def solve_error_rate(fidelity: float) -> float:
     """Per-operation error rate p with gate_fidelity(p) = fidelity."""
     lo = gate_fidelity(GATE_P_MAX)
     if not lo <= fidelity <= 1.0:
@@ -318,4 +302,4 @@ def solve_error_rate(fidelity: float, xtol: float = 1e-12) -> float:
     if fidelity == 1.0:
         return 0.0
     return float(brentq(lambda q: gate_fidelity(q) - fidelity,
-                        0.0, GATE_P_MAX, xtol=xtol))
+                        0.0, GATE_P_MAX, xtol=1e-12))

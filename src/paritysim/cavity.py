@@ -104,12 +104,6 @@ def _sherman_morrison(config: model.ReadoutConfig, j: int):
     return dtil, r, 1.0 - 0.5j * np.sum(config.kappa / dtil)
 
 
-def inverse_dynamics_matrix(config: model.ReadoutConfig, j: int) -> np.ndarray:
-    """Closed-form inverse of A_j (see _sherman_morrison)."""
-    dtil, r, denom = _sherman_morrison(config, j)
-    return 1j * np.diag(1.0 / dtil) - np.outer(r, r) / (2.0 * denom)
-
-
 def steady_state_amplitudes(config: model.ReadoutConfig, j: int,
                             eps: float) -> np.ndarray:
     """Steady mode amplitudes alpha = -A^{-1} B eps for constant drive eps.
@@ -183,19 +177,9 @@ class AmplitudeTable:
         self.output = output
         self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
 
-    def __len__(self):
-        return len(self.times)
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid node at time t (t must lie on the grid)."""
-        i = int(round((t - self.times[0]) / self.dt)) if self.dt else 0
-        if not 0 <= i < len(self.times) or abs(self.times[i] - t) > 1e-9 * max(self.dt, 1.0):
-            raise ValueError(f"t = {t} is not a node of the amplitude grid")
-        return i
-
-
-def integrate_amplitudes(config: model.ReadoutConfig, drive, times,
-                         rtol: float = RTOL, atol: float = ATOL) -> AmplitudeTable:
+def integrate_amplitudes(config: model.ReadoutConfig, drive,
+                         times) -> AmplitudeTable:
     """Integrate the 2**n pointer systems from vacuum over a time grid.
 
     Parameters
@@ -240,7 +224,7 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive, times,
 
     y0 = np.zeros(n_j * n_m, dtype=complex)
     sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="RK45",
-                    dense_output=True, rtol=rtol, atol=atol)
+                    dense_output=True, rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise StiffnessError(f"amplitude integration failed: {sol.message}")
 

@@ -305,13 +305,16 @@ def _cmd_validate(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
     problems = model.validate(data)
+    if isinstance(data, dict) and "pulse" in data:
+        try:
+            PulseSpec.from_dict(data["pulse"])
+        except ConfigError as exc:
+            problems.append(f"pulse: {exc}")
     if problems:
         for problem in problems:
             print(f"violation: {problem}", file=sys.stderr)
         return EXIT_INVALID
     config = model.ReadoutConfig.from_dict(data)
-    if "pulse" in data:
-        PulseSpec.from_dict(data["pulse"])
     print(f"ok: {config.n_qubits} qubits, {config.n_modes} modes")
     return EXIT_OK
 

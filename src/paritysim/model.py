@@ -20,6 +20,11 @@ from .errors import ConfigError
 _EVEN = "even"
 _ODD = "odd"
 
+#: largest register a config may describe. The witness scan holds a
+#: (steps + 1, 2**n, 2**n) complex evolution: 0.26 GB at 6 qubits and the
+#: default 4000 steps, 1 GB at 7.
+MAX_QUBITS = 6
+
 
 @dataclass(frozen=True)
 class ReadoutConfig:
@@ -125,6 +130,8 @@ def _parse(data):
             size = 0
         if size < 1 or size != data[name]:
             problems.append(f"{name}: must be a positive integer")
+        elif name == "n_qubits" and size > MAX_QUBITS:
+            problems.append(f"n_qubits: must be at most {MAX_QUBITS}")
         else:
             fields[name] = size
 

@@ -109,11 +109,6 @@ def measurement_diag(config: model.ReadoutConfig, output_t: np.ndarray) -> np.nd
     return np.exp(-1j * config.phi) * output_t
 
 
-def drift(rho: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Deterministic generator applied to rho (elementwise K o rho)."""
-    return k * rho
-
-
 def diffusion(rho: np.ndarray, c: np.ndarray, sqrt_eta: float) -> np.ndarray:
     """Measurement superoperator sqrt(eta) M[c] rho for diagonal c.
 
@@ -148,6 +143,27 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
+
+
+def trajectory_noise(config: model.ReadoutConfig, pulse, n_steps: int,
+                     base_seed: int, indices, table: AmplitudeTable):
+    """(table, dws, dzs) for the trajectories `indices` of base_seed.
+
+    Row r of dws and dzs holds the increments of trajectory indices[r],
+    drawn from its own stream, so a row does not depend on which other
+    indices are drawn with it. A table of None is built for pulse (the
+    default pulse when None); a given table must have n_steps steps.
+    """
+    if table is None:
+        table = build_table(config, pulse, n_steps)
+    elif len(table.times) != n_steps + 1:
+        raise ConfigError("table grid does not match n_steps")
+    dws = np.empty((len(indices), n_steps))
+    dzs = np.empty((len(indices), n_steps))
+    for row, index in enumerate(indices):
+        dws[row], dzs[row] = wiener_increments(
+            trajectory_rng(base_seed, index), n_steps, table.dt)
+    return table, dws, dzs
 
 
 def step_sde(y, t, dt, drift_fn, diffusion_fn, dw, dz):
@@ -226,11 +242,9 @@ class Diagnostics:
             "diag_drift": float(self.diag_drift.max()),
         }
 
-    def violations(self, thresholds: dict = None) -> list:
-        """Names of diagnostics that breached their ceiling."""
-        limits = dict(DIAGNOSTIC_THRESHOLDS)
-        if thresholds:
-            limits.update(thresholds)
+    def violations(self) -> list:
+        """Names of diagnostics that breached DIAGNOSTIC_THRESHOLDS."""
+        limits = DIAGNOSTIC_THRESHOLDS
         w = self.worst()
         bad = [name for name in ("trace_dev", "herm_dev", "purity_excess",
                                  "diag_drift") if w[name] > limits[name]]
@@ -263,24 +277,22 @@ class DeterministicResult:
     rhos: np.ndarray            # (n_t, d, d)
 
 
-def _checkpoint(diag_lists, rho, k0, times_list, t):
-    d_rho = np.einsum("...ii->...i", rho)
-    trace = d_rho.sum(axis=-1)
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-1, -2))
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
-    purity = (np.abs(rho) ** 2).sum(axis=(-1, -2))
-    diag_drift = np.abs(np.einsum("...ii->...i", k0 * rho)).max(axis=-1)
-    diag_lists["trace_dev"].append(np.abs(trace - 1.0))
-    diag_lists["herm_dev"].append(herm)
-    diag_lists["min_eig"].append(eigs[..., 0])
-    diag_lists["purity"].append(purity)
-    diag_lists["diag_drift"].append(diag_drift)
-    times_list.append(t)
+def _checkpoint(rho, k0, t) -> dict:
+    """Health values of one checkpoint, keyed by Diagnostics field."""
+    rho_dag = rho.conj().swapaxes(-1, -2)
+    return {
+        "times": t,
+        "trace_dev": np.abs(np.einsum("...ii->...i", rho).sum(axis=-1) - 1.0),
+        "herm_dev": np.abs(rho - rho_dag).max(axis=(-1, -2)),
+        "min_eig": np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0],
+        "purity": (np.abs(rho) ** 2).sum(axis=(-1, -2)),
+        "diag_drift": np.abs(np.einsum("...ii->...i", k0 * rho)).max(-1),
+    }
 
 
 def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    rho0: np.ndarray, dws: np.ndarray, dzs: np.ndarray,
-                   checkpoint_every: int = 0, frame: str = "rotating"):
+                   checkpoint_every: int = 0):
     """Advance a batch of register states through the full record grid.
 
     Parameters
@@ -304,18 +316,15 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     dt = table.dt
     sqrt_eta = math.sqrt(config.eta)
 
-    drift_op = DriftOperator(config, frame=frame)
+    drift_op = DriftOperator(config)
     c_all = measurement_diag(config, table.output)        # (n_t, d)
 
     rho = np.array(rho0, dtype=complex)
     records = np.empty(dws.shape, dtype=float)
-    diag_lists = {name: [] for name in
-                  ("trace_dev", "herm_dev", "min_eig", "purity", "diag_drift")}
-    check_times = []
 
     k0 = drift_op.coefficient(table.alpha[0])
     c0 = c_all[0]
-    _checkpoint(diag_lists, rho, k0, check_times, times[0])
+    checks = [_checkpoint(rho, k0, times[0])]
 
     for n in range(n_steps):
         t = times[n]
@@ -335,16 +344,11 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
         rho = step_sde(rho, t, dt, drift_fn, diffusion_fn, dw, dz)
         k0, c0 = k1, c1
         if (n + 1) % checkpoint_every == 0 or n + 1 == n_steps:
-            _checkpoint(diag_lists, rho, k0, check_times, times[n + 1])
+            checks.append(_checkpoint(rho, k0, times[n + 1]))
 
-    diagnostics = Diagnostics(
-        times=np.asarray(check_times),
-        trace_dev=np.stack(diag_lists["trace_dev"], axis=-1),
-        herm_dev=np.stack(diag_lists["herm_dev"], axis=-1),
-        min_eig=np.stack(diag_lists["min_eig"], axis=-1),
-        purity=np.stack(diag_lists["purity"], axis=-1),
-        diag_drift=np.stack(diag_lists["diag_drift"], axis=-1),
-    )
+    diagnostics = Diagnostics(**{
+        f.name: np.stack([check[f.name] for check in checks], axis=-1)
+        for f in fields(Diagnostics)})
     return rho, records, diagnostics
 
 
@@ -368,28 +372,19 @@ def build_table(config: model.ReadoutConfig, pulse, n_steps: int,
 
 def simulate_trajectory(config: model.ReadoutConfig, pulse: PulseSpec = None,
                         n_steps: int = 10_000, base_seed: int = 0,
-                        trajectory_index: int = 0, rho0: np.ndarray = None,
-                        table: AmplitudeTable = None,
-                        checkpoint_every: int = 0) -> TrajectoryResult:
-    """Integrate one conditioned trajectory from |+>^n (by default).
+                        trajectory_index: int = 0,
+                        table: AmplitudeTable = None) -> TrajectoryResult:
+    """Integrate one conditioned trajectory from |+>^n.
 
     The Wiener stream is derived from (base_seed, trajectory_index), so a
     trajectory is reproduced exactly regardless of which other indices are
     simulated around it.
     """
-    if pulse is None:
-        pulse = default_pulse()
-    if table is None:
-        table = build_table(config, pulse, n_steps)
-    elif len(table.times) != n_steps + 1:
-        raise ConfigError("table grid does not match n_steps")
-    if rho0 is None:
-        rho0 = model.plus_density(config.n_qubits)
-    rng = trajectory_rng(base_seed, trajectory_index)
-    dw, dz = wiener_increments(rng, n_steps, table.dt)
-    rho, records, diagnostics = simulate_batch(
-        config, table, rho0[None, :, :], dw[None, :], dz[None, :],
-        checkpoint_every=checkpoint_every)
+    table, dws, dzs = trajectory_noise(config, pulse, n_steps, base_seed,
+                                       [trajectory_index], table)
+    rho0 = model.plus_density(config.n_qubits)
+    rho, records, diagnostics = simulate_batch(config, table, rho0[None],
+                                               dws, dzs)
     return TrajectoryResult(times=table.times, photocurrent=records[0],
                             rho_final=rho[0], diagnostics=diagnostics,
                             base_seed=base_seed,
@@ -417,8 +412,6 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     drops the measurement-induced Hadamard term, leaving only intrinsic
     dephasing (and the register Hamiltonian in the drive frame).
     """
-    if pulse is None:
-        pulse = default_pulse()
     if table is None:
         table = build_table(config, pulse, n_steps, substeps=2,
                             t_final=t_final)

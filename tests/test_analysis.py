@@ -1,6 +1,8 @@
 """Record filtering, parity classification, ensemble bookkeeping, and the
 circuit-based gate fidelity model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,14 @@ class TestNominalRecord:
     def test_even_plateau_level(self, config, small_table):
         rec = analysis.nominal_record(config, small_table, "even")
         assert rec.shape == (1000,)
-        i = small_table.index_of(6.75)
+        i = round(6.75 / small_table.dt)
         # steady even output is (-1 - i) eps, so the record sits near
         # 2 Re = -2 eps
         assert rec[i] == pytest.approx(-2.0 * 0.4811, abs=2e-2)
 
     def test_odd_plateau_level(self, config, small_table):
         rec = analysis.nominal_record(config, small_table, "odd")
-        i = small_table.index_of(6.75)
+        i = round(6.75 / small_table.dt)
         assert rec[i] == pytest.approx(2.0 * 0.4811, abs=2e-2)
 
     def test_efficiency_scaling(self, config, small_table):
@@ -106,7 +108,7 @@ class TestClassification:
     def test_integrated_signal_matches_quadrature(self, config, small_table):
         filt = analysis.build_filter(config, small_table, "uniform")
         rec = analysis.nominal_record(config, small_table, "even")
-        s = analysis.integrated_signal(filt, rec)
+        s = float(filt.integrate(rec))
         assert s == pytest.approx(np.sum(rec) * filt.dt / 13.5)
 
     def test_batched_integration(self, config, small_table):
@@ -128,6 +130,12 @@ class TestClassification:
         assert analysis.assign_parity(-1e-12) == "odd"
         with pytest.warns(UserWarning):
             assert analysis.assign_parity(0.0) == "even"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            labels = analysis.assign_parity(np.array([0.3, 0.0, -2.0, 0.0]))
+        assert labels.tolist() == ["even", "even", "odd", "even"]
+        assert len(caught) == 1
+        assert "exactly zero" in str(caught[0].message)
 
 
 class TestStateFidelity:
@@ -162,7 +170,7 @@ def summary(config):
     table = sme.build_table(config, default_pulse(), 2000)
     return analysis.ensemble_run(
         config, n_traj=24, n_steps=2000, base_seed=123,
-        filter_kinds=("matched", "uniform"), table=table, chunk_size=16)
+        filter_kinds=("matched", "uniform"), table=table)
 
 
 class TestEnsembleRun:
@@ -177,11 +185,12 @@ class TestEnsembleRun:
             "trace_dev", "herm_dev", "min_eig", "purity_excess",
             "diag_drift"}
 
-    def test_chunk_size_invariance(self, config, summary):
+    def test_chunk_size_invariance(self, config, summary, monkeypatch):
         table = sme.build_table(config, default_pulse(), 2000)
+        monkeypatch.setattr(analysis, "_CHUNK_SIZE", 7)
         again = analysis.ensemble_run(
             config, n_traj=24, n_steps=2000, base_seed=123,
-            filter_kinds=("matched", "uniform"), table=table, chunk_size=7)
+            filter_kinds=("matched", "uniform"), table=table)
         assert np.array_equal(again.signals["matched"],
                               summary.signals["matched"])
         assert np.array_equal(again.signals["uniform"],
@@ -220,6 +229,13 @@ class TestEnsembleRun:
     def test_invalid_sizes_rejected(self, config):
         with pytest.raises(ConfigError):
             analysis.ensemble_run(config, n_traj=0, n_steps=100)
+
+    def test_zero_signal_assigned_even(self, config, monkeypatch):
+        monkeypatch.setattr(analysis.FilterFunction, "integrate",
+                            lambda self, records: np.zeros(len(records)))
+        with pytest.warns(UserWarning, match="exactly zero"):
+            zero = analysis.ensemble_run(config, n_traj=3, n_steps=100)
+        assert zero.assignments["matched"].tolist() == ["even"] * 3
 
 
 class TestGateModel:

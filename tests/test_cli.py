@@ -91,6 +91,19 @@ class TestValidate:
         assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    def test_config_and_pulse_problems_reported_together(self, tmp_path,
+                                                         capsys):
+        data = model.default_config().to_dict()
+        data["eta"] = 2.0
+        data["pulse"] = {**default_pulse().to_dict(), "width": 1.0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("violation: eta") for line in err)
+        assert any(line.startswith("violation: pulse: ") and "width" in line
+                   for line in err)
+
     def test_malformed_json_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -132,6 +145,20 @@ def test_null_or_non_numeric_field_is_invalid_input(tmp_path, capsys,
     assert cli.run(argv) == cli.EXIT_INVALID
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith(("error:", "violation:")) for line in err)
+
+
+@pytest.mark.parametrize("n_qubits", [model.MAX_QUBITS + 1, 40])
+def test_register_above_cap_is_invalid_input(tmp_path, capsys, n_qubits):
+    data = {**model.default_config().to_dict(), "n_qubits": n_qubits,
+            "chi": 1.0, "gamma_z": 0.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+    assert "violation: n_qubits: must be at most" in capsys.readouterr().err
+    assert cli.run(["respond", "--config", str(path), "--steps", "10",
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_qubits") and "Traceback" not in err
 
 
 class TestGateModel:

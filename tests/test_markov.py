@@ -9,7 +9,7 @@ trace-distance witness between the parity reference states.
 import numpy as np
 import pytest
 
-from paritysim import markov, model
+from paritysim import markov, model, sme
 from paritysim.errors import ConfigError, DegenerateBasisError
 from paritysim.pulse import PulseSpec
 
@@ -245,6 +245,22 @@ class TestWitnessScan:
         assert len(hits) >= 1
         assert hits[0].t_start > 7.0    # revival begins during turn-off
         assert res.max_rise() > 1e-3
+
+    @pytest.mark.parametrize("delta", [None, (3.0, -3.0)])
+    def test_single_evolution_matches_two_runs(self, config, delta):
+        # reference: evolve both states and take the distance of the pair
+        cfg = config if delta is None else config.replace(delta=delta)
+        res = markov.witness_scan(cfg, n_steps=1000)
+        clean = cfg.replace(gamma_z=np.zeros(3))
+        psi_p, psi_m = model.psi_plus(3), model.psi_minus(3)
+        evolved = []
+        for psi in ((psi_p + psi_m) / np.sqrt(2.0),
+                    (psi_p - psi_m) / np.sqrt(2.0)):
+            rho0 = np.outer(psi, psi.conj())
+            evolved.append(sme.simulate_deterministic(clean, n_steps=1000,
+                                                      rho0=rho0).rhos)
+        reference = markov.trace_distance(*evolved)
+        assert np.max(np.abs(res.distance - reference)) < 1e-14
 
     def test_dephasing_excluded_from_witness(self, config):
         # the scan zeroes gamma_z internally; a lossy config gives the

@@ -270,12 +270,12 @@ class TestSimulateTrajectory:
 
     def test_result_shapes(self, config):
         table = sme.build_table(config, default_pulse(), 300)
-        out = sme.simulate_trajectory(config, n_steps=300, table=table,
-                                      checkpoint_every=60)
+        out = sme.simulate_trajectory(config, n_steps=300, table=table)
         assert out.photocurrent.shape == (300,)
         assert out.times.shape == (301,)
         assert out.rho_final.shape == (8, 8)
-        assert out.diagnostics.trace_dev.shape == (1, 6)
+        # default cadence: every n_steps // 100 steps, plus t = 0
+        assert out.diagnostics.trace_dev.shape == (1, 101)
 
     def test_zero_drive_zero_rates_state_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
