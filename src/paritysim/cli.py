@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, analysis, cavity, markov, model, sme
 from .errors import ConfigError
-from .pulse import PulseSpec, default_pulse
+from .pulse import PulseSpec, default_pulse, validate as pulse_problems
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -306,10 +306,8 @@ def _cmd_validate(args) -> int:
         data = json.load(fh)
     problems = model.validate(data)
     if isinstance(data, dict) and "pulse" in data:
-        try:
-            PulseSpec.from_dict(data["pulse"])
-        except ConfigError as exc:
-            problems.append(f"pulse: {exc}")
+        problems += [f"pulse: {problem}"
+                     for problem in pulse_problems(data["pulse"])]
     if problems:
         for problem in problems:
             print(f"violation: {problem}", file=sys.stderr)

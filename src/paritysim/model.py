@@ -24,6 +24,11 @@ _ODD = "odd"
 #: (steps + 1, 2**n, 2**n) complex evolution: 0.26 GB at 6 qubits and the
 #: default 4000 steps, 1 GB at 7.
 MAX_QUBITS = 6
+#: most internal modes a config may describe. The amplitude table holds a
+#: (steps + 1, n_modes, 2**n) complex array: 102 MB per mode at 6 qubits
+#: and the CLI's default 10^5 steps, so 0.6 GB at this cap, and its
+#: adaptive build holds about three such arrays at once.
+MAX_MODES = 6
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class ReadoutConfig:
 
 _CONFIG_KEYS = ("n_qubits", "n_modes", "chi", "kappa", "delta", "gamma_z",
                 "eta", "phi")
+_MAX_SIZE = {"n_qubits": MAX_QUBITS, "n_modes": MAX_MODES}
 #: values of the optional keys when they are absent
 _DEFAULTS = {"gamma_z": 0.0, "eta": 1.0, "phi": 0.0}
 
@@ -130,8 +136,8 @@ def _parse(data):
             size = 0
         if size < 1 or size != data[name]:
             problems.append(f"{name}: must be a positive integer")
-        elif name == "n_qubits" and size > MAX_QUBITS:
-            problems.append(f"n_qubits: must be at most {MAX_QUBITS}")
+        elif size > _MAX_SIZE[name]:
+            problems.append(f"{name}: must be at most {_MAX_SIZE[name]}")
         else:
             fields[name] = size
 

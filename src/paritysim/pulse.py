@@ -31,23 +31,8 @@ class PulseSpec:
     tau: float
 
     def __post_init__(self):
-        for name in _KEYS:
-            try:
-                value = float(getattr(self, name))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"pulse parameter {name} must be a number") from None
-            if not np.isfinite(value):
-                raise ConfigError(f"pulse parameter {name} must be finite")
+        for name, value in _checked(self.to_dict()).items():
             object.__setattr__(self, name, value)
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if self.t_on - self.sigma / 2 < 0:
-            raise ConfigError("rise window starts before t = 0")
-        if self.t_on + self.sigma / 2 > self.t_off - self.sigma / 2:
-            raise ConfigError("rise and fall windows overlap")
-        if self.t_off + self.sigma / 2 > self.tau:
-            raise ConfigError("fall window ends after tau")
 
     def replace(self, **changes) -> "PulseSpec":
         return replace(self, **changes)
@@ -57,15 +42,8 @@ class PulseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PulseSpec":
-        if not isinstance(data, dict):
-            raise ConfigError("pulse must be an object")
-        unknown = set(data) - set(_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown pulse keys: {sorted(unknown)}")
-        missing = [name for name in _KEYS if name not in data]
-        if missing:
-            raise ConfigError(f"missing pulse key {missing[0]!r}")
-        return cls(**data)
+        """Build a pulse from JSON-style data; raises naming every problem."""
+        return cls(**_checked(data))
 
     def evaluate(self, t):
         """Drive amplitude at time(s) t (scalar in, scalar out)."""
@@ -77,6 +55,64 @@ class PulseSpec:
         if np.ndim(t) == 0:
             return float(value)
         return value
+
+
+def _parse(data):
+    """Coerce a pulse block; returns (values, problems).
+
+    problems lists every violation: unknown keys, each missing key, each
+    value that is not a finite number, and each window that does not fit.
+    A window is checked when the values it depends on are valid.
+    """
+    if not isinstance(data, dict):
+        return {}, ["pulse must be an object"]
+    problems = []
+    unknown = sorted(set(data) - set(_KEYS))
+    if unknown:
+        problems.append(f"unknown pulse keys: {unknown}")
+    values = {}
+    for name in _KEYS:
+        if name not in data:
+            problems.append(f"missing pulse key {name!r}")
+            continue
+        try:
+            value = float(data[name])
+        except (TypeError, ValueError):
+            problems.append(f"pulse parameter {name} must be a number")
+            continue
+        if not np.isfinite(value):
+            problems.append(f"pulse parameter {name} must be finite")
+        else:
+            values[name] = value
+
+    def known(*names):
+        return all(name in values for name in names)
+
+    if known("sigma") and values["sigma"] <= 0:
+        problems.append("sigma must be positive")
+    elif known("sigma"):
+        half = values["sigma"] / 2
+        if known("t_on") and values["t_on"] - half < 0:
+            problems.append("rise window starts before t = 0")
+        if known("t_on", "t_off") and \
+                values["t_on"] + half > values["t_off"] - half:
+            problems.append("rise and fall windows overlap")
+        if known("t_off", "tau") and values["t_off"] + half > values["tau"]:
+            problems.append("fall window ends after tau")
+    return values, problems
+
+
+def _checked(data) -> dict:
+    """Coerced pulse values; raises ConfigError naming every problem."""
+    values, problems = _parse(data)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return values
+
+
+def validate(data) -> list:
+    """Every problem of a JSON-style pulse block; empty when it is valid."""
+    return _parse(data)[1]
 
 
 def _smoothstep(u):

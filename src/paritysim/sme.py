@@ -13,19 +13,48 @@ M[c] rho = c rho + rho c^dag - tr(c rho + rho c^dag) rho is the standard
 homodyne measurement superoperator (Wiseman & Milburn, "Quantum
 Measurement and Control", ch. 4). The homodyne record is
 
-    j(t) dt = sqrt(eta) tr((c + c^dag) rho) dt + dW.
+    dY = sqrt(eta) m dt + dW,    m = tr((c + c^dag) rho).
 
-Every operator appearing in the generator is diagonal in the
-computational basis, so both drift and diffusion reduce to elementwise
-multiplications of rho by precomputed coefficient matrices; one SDE step
-costs a handful of d x d array operations. All stepping routines
-broadcast over a leading batch axis, which is how ensembles are run.
+Every operator in the generator is diagonal in the computational basis:
+the drift is rho -> K(t) o rho with K_ii = 0 (DriftOperator), and c is
+diagonal. The linear (unnormalized) equation
+d rho~ = K o rho~ dt + sqrt(eta) (c rho~ + rho~ c^dag) dY therefore solves
+elementwise (Ito, (dY)^2 = dt; Jacobs & Steck, Contemp. Phys. 47, 279
+(2006)):
 
-Time stepping uses the explicit strong order-1.5 scheme for a single
+    rho~_ij(t) = rho0_ij exp(E_ij(t) + sqrt(eta) (S_i(t) + conj S_j(t))),
+    E_ij(t) = int_0^t [K_ij - (eta/2) (c_i + conj c_j)^2] ds,
+    S_i(t) = int_0^t c_i dY,
+
+and rho = rho~ / tr rho~. Only the populations feed the record,
+
+    m = 2 sum_i p_i Re c_i,
+    p = softmax(log p0 + 2 sqrt(eta) Re S - 2 eta R(t)),
+    R_i(t) = int_0^t (Re c_i)^2 ds,
+
+so simulate_batch steps the d complex exponents S of each trajectory,
+
+    dS = sqrt(eta) c(t) m(S, t) dt + c(t) dW,
+
+and builds the d x d state only at checkpoints. This holds only in the
+paper's regime, where qubit decay is neglected: a T1 term would couple
+the populations and break the elementwise solution.
+
+Because rho is assembled from this formula, three diagnostics are
+rounding-level by construction: trace_dev (the state is divided by its
+trace), herm_dev (E is Hermitian and S_i + conj S_j is the transpose-
+conjugate of S_j + conj S_i) and diag_drift (K_ii = 0). The state is a
+congruence D rho_det D^dag of the noise-free factor rho0 o exp(E) with
+D = diag(exp(sqrt(eta) S)), so it is positive as far as that factor is;
+only the quadrature of E limits min_eig.
+
+S is stepped with the explicit strong order-1.5 scheme for a single
 scalar Wiener process from Kloeden & Platen, "Numerical Solution of
 Stochastic Differential Equations" (1992), sec. 11.2, made non-autonomous
 by augmenting the state with time (all supporting values are evaluated at
-t + dt). The required pair of correlated Gaussians per step is
+t + dt). The noise of S is additive, so with c linear over a step the
+scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt. The
+required pair of correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -52,7 +81,7 @@ DIAGNOSTIC_THRESHOLDS = {
     "diag_drift": 1e-10,
 }
 
-#: steps per block of drift coefficients in simulate_deterministic
+#: steps per block of exponent increments in _running_sum
 _BLOCK_STEPS = 256
 
 
@@ -112,7 +141,9 @@ def measurement_diag(config: model.ReadoutConfig, output_t: np.ndarray) -> np.nd
 def diffusion(rho: np.ndarray, c: np.ndarray, sqrt_eta: float) -> np.ndarray:
     """Measurement superoperator sqrt(eta) M[c] rho for diagonal c.
 
-    Broadcasts over a leading batch axis of rho.
+    Broadcasts over a leading batch axis of rho. The dense d x d form:
+    simulate_batch steps the exponents S instead, and the dense stepper
+    built from this function is its test reference.
     """
     cmat = c[:, None] + c.conj()[None, :]
     diag = np.einsum("...ii->...i", rho).real
@@ -121,7 +152,10 @@ def diffusion(rho: np.ndarray, c: np.ndarray, sqrt_eta: float) -> np.ndarray:
 
 
 def expected_photocurrent(rho: np.ndarray, c: np.ndarray, eta: float):
-    """Mean homodyne record sqrt(eta) tr((c + c^dag) rho); batch-aware."""
+    """Mean homodyne record sqrt(eta) tr((c + c^dag) rho); batch-aware.
+
+    The dense form of the mean that simulate_batch computes from S.
+    """
     diag = np.einsum("...ii->...i", rho).real
     m = (diag * (2.0 * c.real)).sum(axis=-1)
     return math.sqrt(eta) * m
@@ -290,14 +324,68 @@ def _checkpoint(rho, k0, t) -> dict:
     }
 
 
+def _running_sum(increments, n_steps: int, nodes, shape) -> np.ndarray:
+    """E_n = sum_{m < n} increments of a d x d exponent, at the given nodes.
+
+    increments(start, stop) returns the terms of steps start..stop-1, with
+    shape (stop - start,) + shape. They are requested _BLOCK_STEPS steps at
+    a time to bound the temporaries, and the running sum is carried across
+    blocks in order, so the result does not depend on the block size. Only
+    the values at the sorted node indices `nodes` are kept.
+    """
+    nodes = np.asarray(nodes)
+    out = np.zeros((len(nodes),) + shape, dtype=complex)
+    carry = np.zeros(shape, dtype=complex)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n_steps)
+        step = increments(start, stop)
+        step[0] += carry
+        step = np.cumsum(step, axis=0)
+        lo, hi = np.searchsorted(nodes, (start, stop), side="right")
+        out[lo:hi] = step[nodes[lo:hi] - start - 1]
+        carry = step[-1]
+    return out
+
+
+def _column_sum(x) -> np.ndarray:
+    """Sum over axis 0, added row by row for any number of columns.
+
+    x.sum(axis=0) switches to pairwise summation when x has one column,
+    which would make a lone trajectory round differently from the same
+    trajectory in a batch.
+    """
+    return np.add.accumulate(x, axis=0)[-1]
+
+
+def _conditioned_state(rho0, e, s, sqrt_eta: float) -> np.ndarray:
+    """rho0 o exp(E + sqrt(eta) (S_i + conj S_j)), normalized to unit trace.
+
+    The largest diagonal exponent is subtracted first, so the populations
+    are at most 1 before the normalization.
+    """
+    x = e + sqrt_eta * (s[..., :, None] + s.conj()[..., None, :])
+    x -= np.einsum("...ii->...i", x).real.max(axis=-1)[..., None, None]
+    rho = rho0 * np.exp(x)
+    # a contiguous copy, so each row is summed the same way in any batch
+    trace = np.einsum("...ii->...i", rho).real.copy().sum(axis=-1)
+    return rho / trace[..., None, None]
+
+
 def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    rho0: np.ndarray, dws: np.ndarray, dzs: np.ndarray,
                    checkpoint_every: int = 0):
     """Advance a batch of register states through the full record grid.
 
+    Steps the exponents S = int c dY of every trajectory with step_sde and
+    builds the state from the elementwise solution (module docstring) at
+    every checkpoint; E is integrated by the trapezoid rule on the table's
+    nodes. Valid only without qubit decay, which would couple the
+    populations. Every row is reduced on its own, so a trajectory's
+    results do not depend on the batch it runs in.
+
     Parameters
     ----------
-    rho0 : ndarray, shape (n_batch, d, d)
+    rho0 : ndarray, shape (n_batch, d, d), or (d, d) shared by the batch
     dws, dzs : ndarray, shape (n_batch, n_steps)
         Per-trajectory noise increments; n_steps must equal
         len(table.times) - 1.
@@ -305,7 +393,8 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Returns
     -------
     (rho_final, records, diagnostics)
-        records has shape (n_batch, n_steps).
+        records has shape (n_batch, n_steps); records[:, n] is the
+        left-point sample sqrt(eta) m(t_n) + dW_n / dt.
     """
     times = table.times
     n_steps = len(times) - 1
@@ -314,37 +403,81 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     if checkpoint_every <= 0:
         checkpoint_every = max(1, n_steps // 100)
     dt = table.dt
-    sqrt_eta = math.sqrt(config.eta)
+    eta = config.eta
+    sqrt_eta = math.sqrt(eta)
+    rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
 
-    drift_op = DriftOperator(config)
     c_all = measurement_diag(config, table.output)        # (n_t, d)
+    # the loop holds S as (d, n_batch), so each reduction over the basis
+    # runs across the batch at once and each column on its own
+    c_col = c_all[:, :, None]
+    re_c = c_col.real
+    with np.errstate(divide="ignore"):
+        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
 
-    rho = np.array(rho0, dtype=complex)
+    def scaled_mean(s, w, r):
+        """sqrt(eta) m = sum_i p_i w_i for exponents s, shape (n_batch,).
+
+        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node.
+        """
+        x = log_p0 + (2.0 * sqrt_eta) * s.real
+        x -= r
+        x -= x.max(axis=0)
+        p = np.exp(x, out=x)
+        return _column_sum(p * w) / _column_sum(p)
+
+    # E is needed at the checkpoints only, and does not depend on S
+    nodes = np.unique(np.append(
+        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+    drift_op = DriftOperator(config)
+
+    def exponent_steps(start, stop):
+        c = c_col[start:stop + 1]
+        f = (drift_op.coefficient(table.alpha[start:stop + 1])
+             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+        return (0.5 * dt) * (f[:-1] + f[1:])
+
+    exponents = _running_sum(exponent_steps, n_steps, nodes,
+                             (config.dim, config.dim))
+    checks = []
+
+    def checkpoint(node, s):
+        rho = _conditioned_state(rho0, exponents[len(checks)], s.T, sqrt_eta)
+        checks.append(_checkpoint(
+            rho, drift_op.coefficient(table.alpha[node]), times[node]))
+        return rho
+
+    s = np.zeros((config.dim, len(dws)), dtype=complex)
     records = np.empty(dws.shape, dtype=float)
-
-    k0 = drift_op.coefficient(table.alpha[0])
-    c0 = c_all[0]
-    checks = [_checkpoint(rho, k0, times[0])]
+    rho = checkpoint(0, s)
+    # node values of w, (Re c)^2 and r = 2 eta R (trapezoid rule), carried
+    # step by step rather than tabulated over the grid to save memory
+    w1 = (2.0 * sqrt_eta) * re_c[0]
+    sq1 = re_c[0] ** 2
+    r1 = np.zeros_like(sq1)
 
     for n in range(n_steps):
         t = times[n]
-        k1 = drift_op.coefficient(table.alpha[n + 1])
-        c1 = c_all[n + 1]
+        w0, sq0, r0 = w1, sq1, r1
+        w1 = (2.0 * sqrt_eta) * re_c[n + 1]
+        sq1 = re_c[n + 1] ** 2
+        r1 = r0 + (eta * dt) * (sq0 + sq1)
+        m0 = scaled_mean(s, w0, r0)
+        records[:, n] = m0 + dws[:, n] / dt
+        a0 = m0 * c_col[n]
 
-        def drift_fn(y, tt, _k0=k0, _k1=k1, _t=t):
-            return (_k0 if tt == _t else _k1) * y
+        # step_sde asks for the drift at t only at s itself, which is a0
+        def drift_fn(y, tt, _a0=a0, _t=t, _n=n, _w1=w1, _r1=r1):
+            if tt == _t:
+                return _a0
+            return scaled_mean(y, _w1, _r1) * c_col[_n + 1]
 
-        def diffusion_fn(y, tt, _c0=c0, _c1=c1, _t=t):
-            return diffusion(y, _c0 if tt == _t else _c1, sqrt_eta)
+        def diffusion_fn(y, tt, _n=n, _t=t):
+            return c_col[_n] if tt == _t else c_col[_n + 1]
 
-        dw = dws[..., n, None, None]
-        dz = dzs[..., n, None, None]
-        records[..., n] = expected_photocurrent(rho, c0, config.eta) \
-            + dws[..., n] / dt
-        rho = step_sde(rho, t, dt, drift_fn, diffusion_fn, dw, dz)
-        k0, c0 = k1, c1
-        if (n + 1) % checkpoint_every == 0 or n + 1 == n_steps:
-            checks.append(_checkpoint(rho, k0, times[n + 1]))
+        s = step_sde(s, t, dt, drift_fn, diffusion_fn, dws[:, n], dzs[:, n])
+        if n + 1 == nodes[len(checks)]:
+            rho = checkpoint(n + 1, s)
 
     diagnostics = Diagnostics(**{
         f.name: np.stack([check[f.name] for check in checks], axis=-1)
@@ -406,11 +539,10 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
     which is why the amplitude table carries the step midpoints
-    (substeps=2). K is built _BLOCK_STEPS steps at a time to bound the
-    temporaries; the running sum E is carried across blocks in order, so
-    the result does not depend on the block size. `include_coupling=False`
-    drops the measurement-induced Hadamard term, leaving only intrinsic
-    dephasing (and the register Hamiltonian in the drive frame).
+    (substeps=2). The running sum is _running_sum's, so the result does
+    not depend on the block size. `include_coupling=False` drops the
+    measurement-induced Hadamard term, leaving only intrinsic dephasing
+    (and the register Hamiltonian in the drive frame).
     """
     if table is None:
         table = build_table(config, pulse, n_steps, substeps=2,
@@ -423,14 +555,14 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     drift_op = DriftOperator(config, frame=frame,
                              include_coupling=include_coupling)
     h = 2.0 * table.dt
-    # rhos holds the exponents E_n until the final in-place exp
-    rhos = np.zeros((n_steps + 1,) + rho0.shape, dtype=complex)
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
+
+    def simpson_steps(start, stop):
         k = drift_op.coefficient(table.alpha[2 * start:2 * stop + 1])
-        step = (h / 6.0) * (k[:-1:2] + 4.0 * k[1::2] + k[2::2])
-        step[0] += rhos[start]
-        np.cumsum(step, axis=0, out=rhos[start + 1:stop + 1])
+        return (h / 6.0) * (k[:-1:2] + 4.0 * k[1::2] + k[2::2])
+
+    # rhos holds the exponents E_n until the final in-place exp
+    rhos = _running_sum(simpson_steps, n_steps, np.arange(n_steps + 1),
+                        rho0.shape)
     np.exp(rhos, out=rhos)
     rhos *= rho0
     return DeterministicResult(times=table.times[::2], rhos=rhos)

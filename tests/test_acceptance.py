@@ -5,10 +5,9 @@ per criterion. Each test states its tolerance inline; shared expensive
 fixtures (the desk-resolution amplitude table and the 500-trajectory
 ensemble) are module-scoped so the suite stays within tens of minutes.
 
-Criterion 5 is split in three: the invariant clauses that hold at the
-desk resolution, the positivity floor at that same resolution (currently
-red, see the assertion message for the measured floor), and the same
-floor at ten times the step count, where it passes cleanly.
+Criterion 5 is split in three: the invariant clauses and the positivity
+floor at the desk resolution, and the same floor at ten times the step
+count.
 """
 
 import numpy as np
@@ -122,14 +121,12 @@ def test_criterion_05_sanity_invariants(desk_diagnostics):
 
 
 def test_criterion_05_positivity_floor(desk_diagnostics):
-    # Known red at this resolution: the explicit order-1.5 step is not
-    # positivity preserving and at dt = 1.35e-3 a few checkpoints per
-    # batch dip several decades below the -1e-8 floor. The companion
-    # test below shows the same statistic passing at 10^5 steps.
+    # The state is built from the elementwise solution, a congruence of
+    # the noise-free factor, so only the quadrature of its exponent can
+    # push an eigenvalue below zero; the companion test below repeats the
+    # check at 10^5 steps.
     floor = desk_diagnostics.worst()["min_eig"]
-    assert floor > -1e-8, (
-        f"min eigenvalue {floor:.3e} at 10^4 steps; the floor is only "
-        f"met at finer steps (see the fine-steps companion test)")
+    assert floor > -1e-8, f"min eigenvalue {floor:.3e} at 10^4 steps"
 
 
 def test_criterion_05_positivity_floor_fine_steps(config, pulse):

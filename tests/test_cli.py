@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from paritysim import __version__, cli, model
+from paritysim import __version__, cli, model, sme
 from paritysim.pulse import default_pulse
 
 HEX16 = set("0123456789abcdef")
@@ -104,6 +104,20 @@ class TestValidate:
         assert any(line.startswith("violation: pulse: ") and "width" in line
                    for line in err)
 
+    def test_every_pulse_problem_on_its_own_line(self, tmp_path, capsys):
+        data = model.default_config().to_dict()
+        pulse = {**default_pulse().to_dict(), "width": 1.0, "sigma": -1.0}
+        del pulse["tau"]
+        data["pulse"] = pulse
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("violation: pulse: ")]
+        assert len(lines) == 3
+        for line, part in zip(lines, ("width", "'tau'", "sigma")):
+            assert part in line
+
     def test_malformed_json_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -159,6 +173,20 @@ def test_register_above_cap_is_invalid_input(tmp_path, capsys, n_qubits):
                     "--out", str(tmp_path / "out")]) == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: n_qubits") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_modes", [model.MAX_MODES + 1, 10 ** 12])
+def test_mode_count_above_cap_is_invalid_input(tmp_path, capsys, n_modes):
+    data = {**model.default_config().to_dict(), "n_modes": n_modes,
+            "chi": 1.0, "kappa": 2.0, "delta": 0.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_INVALID
+    assert "violation: n_modes: must be at most" in capsys.readouterr().err
+    assert cli.run(["respond", "--config", str(path), "--steps", "10",
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_modes") and "Traceback" not in err
 
 
 class TestGateModel:
@@ -277,9 +305,10 @@ class TestTrajectory:
         assert summary["diagnostics"]["trace_dev"] < 1e-10
 
     def test_diagnostics_breach_exits_two_but_writes_outputs(
-            self, tmp_path, capsys):
-        # this (seed, steps) pair dips just below the eigenvalue floor;
-        # outputs must still land on disk for post-mortems
+            self, tmp_path, capsys, monkeypatch):
+        # a floor above every eigenvalue of a density matrix forces the
+        # breach; outputs must still land on disk for post-mortems
+        monkeypatch.setitem(sme.DIAGNOSTIC_THRESHOLDS, "min_eig", 1.0)
         rc = cli.run(["trajectory", "--steps", "2000", "--seed", "0",
                       "--out", str(tmp_path)])
         assert rc == cli.EXIT_NUMERICAL

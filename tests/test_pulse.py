@@ -124,6 +124,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PulseSpec.from_dict(data)
 
+    def test_from_dict_reports_every_problem(self):
+        data = {**default_pulse().to_dict(), "width": 1.0, "sigma": -1.0}
+        del data["tau"]
+        with pytest.raises(ConfigError) as info:
+            PulseSpec.from_dict(data)
+        message = str(info.value)
+        for part in ("width", "'tau'", "sigma must be positive"):
+            assert part in message
+
+    def test_constructor_reports_every_problem(self):
+        with pytest.raises(ConfigError) as info:
+            PulseSpec(t_on=0.5, t_off=13.0, sigma=3.0, eps_ss="high",
+                      tau=13.5)
+        message = str(info.value)
+        for part in ("eps_ss must be a number", "before t = 0",
+                     "after tau"):
+            assert part in message
+
     def test_replace(self):
         p = default_pulse().replace(eps_ss=0.1)
         assert p.eps_ss == 0.1

@@ -3,11 +3,14 @@
 Covers: elementwise drift coefficients in both frames, pure-dephasing
 closed form, measurement superoperator identities, the strong order-1.5
 step on cases with exact solutions, noise-increment statistics, seeded
-reproducibility, and batch/single-trajectory equivalence.
+reproducibility, batch/single-trajectory equivalence, the elementwise
+conditioned solver against the dense d x d stepper at fine steps, and
+property tests of its state over register size, mode count, eta and phi.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paritysim import model, sme
 from paritysim.errors import ConfigError
@@ -135,6 +138,107 @@ def test_deterministic_matches_rk4_reference(config):
         ref.append(rho)
     out = sme.simulate_deterministic(config, n_steps=n_steps, table=table)
     assert np.abs(out.rhos - np.array(ref)).max() < 1e-12
+
+
+def dense_reference(config, table, rho0, dws, dzs):
+    """Final states of the full SME stepped as a d x d state.
+
+    The order-1.5 step_sde loop on rho itself with the dense measurement
+    superoperator: a solution of the same SME that shares nothing with
+    the elementwise one but the stepper.
+    """
+    drift_op = sme.DriftOperator(config)
+    c_all = sme.measurement_diag(config, table.output)
+    sqrt_eta = np.sqrt(config.eta)
+    rho = np.array(rho0, dtype=complex)
+    k0, c0 = drift_op.coefficient(table.alpha[0]), c_all[0]
+    for n in range(len(table.times) - 1):
+        t = table.times[n]
+        k1, c1 = drift_op.coefficient(table.alpha[n + 1]), c_all[n + 1]
+        rho = sme.step_sde(
+            rho, t, table.dt,
+            lambda y, tt: (k0 if tt == t else k1) * y,
+            lambda y, tt: sme.diffusion(y, c0 if tt == t else c1, sqrt_eta),
+            dws[:, n, None, None], dzs[:, n, None, None])
+        k0, c0 = k1, c1
+    return rho
+
+
+def coarsen(dws, dzs, ratio, h):
+    """Sum blocks of `ratio` fine increments of step h into coarse ones.
+
+    dW = sum_k dW_k and dZ = sum_k (dZ_k + W_k h), where W_k is the
+    Brownian increment from the start of the coarse step to fine step k.
+    """
+    w = dws.reshape(len(dws), -1, ratio)
+    z = dzs.reshape(len(dzs), -1, ratio)
+    w_before = np.cumsum(w, axis=-1) - w
+    return w.sum(axis=-1), (z + w_before * h).sum(axis=-1)
+
+
+class TestAgainstDenseReference:
+    def test_matches_dense_stepper_at_fine_steps(self, config, pulse):
+        # same Brownian paths at 10^3 and 10^4 steps; the dense stepper is
+        # itself about 7e-4 off at 10^3 steps, so 1e-4 tells them apart
+        ratio, coarse = 10, 1000
+        fine_table = sme.build_table(config, pulse, coarse * ratio)
+        _, dws, dzs = sme.trajectory_noise(config, pulse, coarse * ratio, 7,
+                                           range(4), fine_table)
+        rho0 = np.broadcast_to(model.plus_density(3), (4, 8, 8))
+        ref = dense_reference(config, fine_table, rho0, dws, dzs)
+        table = sme.build_table(config, pulse, coarse)
+        rho, _, _ = sme.simulate_batch(config, table, rho0,
+                                       *coarsen(dws, dzs, ratio,
+                                                fine_table.dt))
+        assert np.abs(rho - ref).max() < 1e-4
+
+    def test_no_detection_is_unconditional_evolution(self, config, pulse):
+        # at eta = 0 the record carries no information: the conditioned
+        # state is the deterministic one (trapezoid against Simpson E)
+        cfg = config.replace(eta=0.0)
+        n_steps = 1000
+        table = sme.build_table(cfg, pulse, n_steps)
+        _, dws, dzs = sme.trajectory_noise(cfg, pulse, n_steps, 3, range(2),
+                                           table)
+        rho0 = np.broadcast_to(model.plus_density(3), (2, 8, 8))
+        rho, _, _ = sme.simulate_batch(cfg, table, rho0, dws, dzs)
+        det = sme.simulate_deterministic(cfg, pulse, n_steps=n_steps)
+        assert np.abs(rho - det.rhos[-1]).max() < 1e-9
+
+
+def register_configs():
+    """Random designs: 1-4 qubits, 1-3 modes, any eta and phi."""
+    def build(n_qubits, n_modes, values, eta, phi):
+        rng = np.random.default_rng(values)
+        return model.ReadoutConfig(
+            n_qubits=n_qubits, n_modes=n_modes,
+            chi=rng.uniform(0.5, 1.5, (n_modes, n_qubits)),
+            kappa=rng.uniform(0.5, 4.0, n_modes),
+            delta=rng.uniform(-3.0, 3.0, n_modes),
+            gamma_z=rng.uniform(0.0, 0.01, n_qubits), eta=eta, phi=phi)
+    return st.builds(build, st.integers(1, 4), st.integers(1, 3),
+                     st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0),
+                     st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(cfg=register_configs(), seed=st.integers(0, 2 ** 16))
+def test_conditioned_state_properties(cfg, seed):
+    n_steps, batch = 150, 3
+    table = sme.build_table(cfg, default_pulse(), n_steps)
+    _, dws, dzs = sme.trajectory_noise(cfg, None, n_steps, seed,
+                                       range(batch), table)
+    rho0 = np.broadcast_to(model.plus_density(cfg.n_qubits),
+                           (batch, cfg.dim, cfg.dim))
+    rho, rec, diag = sme.simulate_batch(cfg, table, rho0, dws, dzs)
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() < 1e-12
+    assert np.abs(rho - rho.conj().swapaxes(1, 2)).max() < 1e-14
+    assert diag.worst()["min_eig"] >= -1e-12
+    for b in range(batch):
+        rho_b, rec_b, _ = sme.simulate_batch(
+            cfg, table, rho0[b:b + 1], dws[b:b + 1], dzs[b:b + 1])
+        assert np.array_equal(rho[b], rho_b[0])
+        assert np.array_equal(rec[b], rec_b[0])
 
 
 class TestDiffusion:
@@ -307,6 +411,17 @@ class TestSimulateBatch:
                 config, table, rho0[b:b + 1], dws[b:b + 1], dzs[b:b + 1])
             assert np.array_equal(rho[b], rho_b[0])
             assert np.array_equal(rec[b], rec_b[0])
+
+    def test_shared_initial_state(self, config):
+        table = sme.build_table(config, default_pulse(), 200)
+        _, dws, dzs = sme.trajectory_noise(config, None, 200, 4, range(3),
+                                           table)
+        rho0 = model.plus_density(3)
+        shared = sme.simulate_batch(config, table, rho0, dws, dzs)
+        stacked = sme.simulate_batch(config, table,
+                                     np.stack([rho0] * 3), dws, dzs)
+        assert np.array_equal(shared[0], stacked[0])
+        assert np.array_equal(shared[1], stacked[1])
 
     def test_wrapper_equivalence(self, config):
         table = sme.build_table(config, default_pulse(), 250)
