@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateBasisError,
                      DegenerateFilterError, GridMismatchError,
-                     ResonanceError, StiffnessError, TruncationError)
+                     ResonanceError, TruncationError)
 from .model import (ReadoutConfig, default_config, kappa_star,
                     parity_detunings, plus_density, psi_minus, psi_parity,
                     psi_plus, validate)
@@ -26,8 +26,7 @@ from .analysis import (EnsembleSummary, FilterFunction, assign_parity,
 __all__ = [
     "__version__",
     "ConfigError", "DegenerateBasisError", "DegenerateFilterError",
-    "GridMismatchError", "ResonanceError", "StiffnessError",
-    "TruncationError",
+    "GridMismatchError", "ResonanceError", "TruncationError",
     "ReadoutConfig", "default_config", "kappa_star", "parity_detunings",
     "plus_density", "psi_minus", "psi_parity", "psi_plus", "validate",
     "PulseSpec", "default_pulse",

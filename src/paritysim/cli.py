@@ -3,12 +3,11 @@
 Every subcommand resolves its inputs to a manifest (config snapshot,
 seed, parameters, package version), stamps the manifest hash into every
 output file, and writes files atomically (temp file + rename). Identical
-(config, seed, subcommand) inputs produce byte-identical CSV/JSON
-outputs; the manifest itself additionally records wall-clock duration,
-which is excluded from the hash.
+(config, seed, subcommand) inputs produce byte-identical outputs,
+manifest.json included: nothing in them depends on the run's timing.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical-quality failure
-(integrator breakdown or diagnostics breach), 64 usage errors.
+(diagnostics breach or a numerical error), 64 usage errors.
 """
 
 import argparse
@@ -16,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +79,12 @@ class Manifest:
             "version": __version__,
             "outputs": [],
         }
-        self._start = time.perf_counter()
 
     @property
     def hash(self) -> str:
         # inputs only: the stamp must be stable while output files are
         # still being appended, so every file carries the same hash
-        hashed = {k: v for k, v in self.data.items()
-                  if k not in ("duration_s", "outputs")}
+        hashed = {k: v for k, v in self.data.items() if k != "outputs"}
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -105,7 +101,6 @@ class Manifest:
         self.data["outputs"].append(name)
 
     def finalize(self, out_dir: Path):
-        self.data["duration_s"] = time.perf_counter() - self._start
         body = dict(self.data)
         body["hash"] = self.hash
         _write_atomic(out_dir / "manifest.json",

@@ -10,11 +10,6 @@ class ResonanceError(ValueError):
     vanishing response denominator)."""
 
 
-class StiffnessError(RuntimeError):
-    """The adaptive cavity integrator failed to reach the end of the
-    requested interval (step underflow / too many rejected steps)."""
-
-
 class TruncationError(RuntimeError):
     """Population reached the top of the Fock ladder; the truncated space
     is too small for the requested drive."""

@@ -25,9 +25,8 @@ _ODD = "odd"
 #: default 4000 steps, 1 GB at 7.
 MAX_QUBITS = 6
 #: most internal modes a config may describe. The amplitude table holds a
-#: (steps + 1, n_modes, 2**n) complex array: 102 MB per mode at 6 qubits
-#: and the CLI's default 10^5 steps, so 0.6 GB at this cap, and its
-#: adaptive build holds about three such arrays at once.
+#: (steps + 1, n_modes, 2**n) complex array, 0.6 GB at this cap, 6 qubits
+#: and 10^5 steps; its exact build peaks at 1.3 such arrays (traced).
 MAX_MODES = 6
 
 

@@ -121,6 +121,16 @@ def _smoothstep(u):
     return np.where(u <= 0.5, 2.0 * u * u, 1.0 - 2.0 * (1.0 - u) ** 2)
 
 
+def pieces(pulse: PulseSpec):
+    """(starts, curvature) of the seven quadratic pieces: eps'' is
+    curvature[i] from starts[i] to the next start (the last piece has no
+    end), and integrating it twice from eps = eps' = 0 gives evaluate."""
+    on, off, hw = pulse.t_on, pulse.t_off, pulse.sigma / 2
+    starts = np.array([0.0, on - hw, on, on + hw, off - hw, off, off + hw])
+    c = 4.0 * pulse.eps_ss / pulse.sigma ** 2
+    return starts, c * np.array([0.0, 1.0, -1.0, 0.0, -1.0, 1.0, 0.0])
+
+
 def default_pulse() -> PulseSpec:
     """Plateau 0.4811 between smoothsteps at t_on=1.5, t_off=8.5, sigma=3."""
     return PulseSpec(t_on=1.5, t_off=8.5, sigma=3.0, eps_ss=0.4811, tau=13.5)

@@ -486,7 +486,7 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
 
 
 def build_table(config: model.ReadoutConfig, pulse, n_steps: int,
-                substeps: int = 1, t_final: float = None) -> AmplitudeTable:
+                substeps: int = 1) -> AmplitudeTable:
     """Amplitude table on the uniform grid used by the steppers.
 
     substeps = 2 inserts the step midpoints, which the Simpson exponent of
@@ -495,12 +495,8 @@ def build_table(config: model.ReadoutConfig, pulse, n_steps: int,
     """
     if pulse is None:
         pulse = default_pulse()
-    if t_final is None:
-        if not isinstance(pulse, PulseSpec):
-            raise ConfigError("t_final is required for a callable drive")
-        t_final = pulse.tau
-    grid = time_grid(t_final, n_steps * substeps)
-    return integrate_amplitudes(config, pulse, grid)
+    return integrate_amplitudes(config, pulse,
+                                time_grid(pulse.tau, n_steps * substeps))
 
 
 def simulate_trajectory(config: model.ReadoutConfig, pulse: PulseSpec = None,
@@ -528,8 +524,7 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
                            n_steps: int = 4000, rho0: np.ndarray = None,
                            frame: str = "rotating",
                            include_coupling: bool = True,
-                           table: AmplitudeTable = None,
-                           t_final: float = None) -> DeterministicResult:
+                           table: AmplitudeTable = None) -> DeterministicResult:
     """Unconditional master equation, solved elementwise.
 
     The drift is rho -> K(t) o rho with every K entry a scalar function of
@@ -545,8 +540,7 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     (and the register Hamiltonian in the drive frame).
     """
     if table is None:
-        table = build_table(config, pulse, n_steps, substeps=2,
-                            t_final=t_final)
+        table = build_table(config, pulse, n_steps, substeps=2)
     elif len(table.times) != 2 * n_steps + 1:
         raise ConfigError("table grid does not match n_steps (need midpoints)")
     if rho0 is None:

@@ -78,7 +78,7 @@ def test_criterion_03_cavity_integrator_accuracy():
                                  eta=1.0)
     eps = 0.3
     times = cavity.time_grid(13.5, 2000)
-    table = cavity.integrate_amplitudes(config, lambda t: eps, times)
+    table = cavity.integrate_amplitudes(config, eps, times)
     worst = 0.0
     for j in range(config.dim):
         a_mat, _, _, _ = cavity.state_space(config, j)
@@ -204,20 +204,21 @@ def test_criterion_11_pointer_ansatz_oracle():
                             delta=[0.5], kappa=[2.0], gamma_z=[0.0, 0.0],
                             eta=1.0),
     ]
-    t_final, n_steps = 5.0, 1000
+    t_final, n_steps, eps = 5.0, 1000, 0.15
 
     def drive(t):
-        return 0.15
+        return eps
 
     for config in cases:
         snaps = fock_oracle.integrate_full(config, drive, n_max=12,
                                            n_steps=n_steps, t_final=t_final,
                                            store_every=50)
-        det = sme.simulate_deterministic(config, pulse=drive,
-                                         n_steps=n_steps, frame="drive",
-                                         t_final=t_final)
+        det = sme.simulate_deterministic(
+            config, n_steps=n_steps, frame="drive",
+            table=cavity.integrate_amplitudes(
+                config, eps, cavity.time_grid(t_final, 2 * n_steps)))
         table = cavity.integrate_amplitudes(
-            config, drive, cavity.time_grid(t_final, n_steps))
+            config, eps, cavity.time_grid(t_final, n_steps))
         dt = t_final / n_steps
         for t, state in snaps:
             i = int(round(t / dt))

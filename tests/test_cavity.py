@@ -4,10 +4,11 @@ the kappa design scan, and transient integration against closed forms."""
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from paritysim import cavity, model
 from paritysim.errors import ConfigError, ResonanceError
-from paritysim.pulse import default_pulse
+from paritysim.pulse import PulseSpec, default_pulse
 
 
 def single_mode_config(delta=0.0, kappa=2.0, chi=1.0):
@@ -17,8 +18,8 @@ def single_mode_config(delta=0.0, kappa=2.0, chi=1.0):
         gamma_z=np.zeros(1))
 
 
-def random_config(rng):
-    n_qubits = int(rng.integers(1, 4))
+def random_config(rng, max_qubits=3):
+    n_qubits = int(rng.integers(1, max_qubits + 1))
     n_modes = int(rng.integers(1, 4))
     chi = rng.uniform(0.2, 0.8, size=(n_modes, n_qubits))
     kappa = rng.uniform(0.5, 3.0, size=n_modes)
@@ -27,6 +28,35 @@ def random_config(rng):
     return model.ReadoutConfig(n_qubits=n_qubits, n_modes=n_modes, chi=chi,
                                kappa=kappa, delta=delta,
                                gamma_z=np.zeros(n_qubits))
+
+
+def random_pulse(rng):
+    sigma = rng.uniform(0.5, 3.0)
+    t_on = sigma / 2 + rng.uniform(0.0, 2.0)
+    t_off = t_on + sigma + rng.uniform(0.0, 5.0)
+    return PulseSpec(t_on=t_on, t_off=t_off, sigma=sigma,
+                     eps_ss=rng.uniform(-1.0, 1.0),
+                     tau=t_off + sigma / 2 + rng.uniform(0.0, 3.0))
+
+
+def adaptive_reference(config, drive, times):
+    """The pointer equations' right-hand side integrated by adaptive
+    DOP853 at tight tolerances: an independent reference for the exact
+    table, which uses no step-size control."""
+    eps = drive.evaluate if isinstance(drive, PulseSpec) else lambda t: drive
+    u = np.sqrt(config.kappa)
+    dtil = cavity.effective_detunings(config).T     # (2**n, n_modes)
+
+    def rhs(t, y):
+        a = y.reshape(dtil.shape)
+        leak = (a * u).sum(axis=1)
+        da = -1j * dtil * a - 0.5 * np.outer(leak, u) - 1j * u * eps(t)
+        return da.ravel()
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.zeros(dtil.size, complex),
+                    method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y.T.reshape((len(times),) + dtil.shape).transpose(0, 2, 1)
 
 
 class TestStateSpace:
@@ -212,7 +242,7 @@ class TestIntegrateAmplitudes:
     def test_zero_drive_stays_in_vacuum(self):
         cfg = model.default_config()
         times = cavity.time_grid(5.0, 50)
-        table = cavity.integrate_amplitudes(cfg, lambda t: 0.0, times)
+        table = cavity.integrate_amplitudes(cfg, 0.0, times)
         assert np.max(np.abs(table.alpha)) == 0.0
         assert np.max(np.abs(table.output)) == 0.0
 
@@ -221,7 +251,7 @@ class TestIntegrateAmplitudes:
         cfg = single_mode_config(delta=0.7, kappa=2.0)
         eps = 0.3
         times = cavity.time_grid(5.0, 200)
-        table = cavity.integrate_amplitudes(cfg, lambda t: eps, times)
+        table = cavity.integrate_amplitudes(cfg, eps, times)
         for j in (0, 1):
             dtil = 0.7 + (1 if j == 0 else -1)
             lam = -1j * dtil - 1.0
@@ -283,10 +313,64 @@ class TestIntegrateAmplitudes:
     def test_bad_grid_rejected(self):
         cfg = single_mode_config()
         with pytest.raises(ConfigError):
-            cavity.integrate_amplitudes(cfg, lambda t: 0.0, np.array([0.0]))
+            cavity.integrate_amplitudes(cfg, 0.0, np.array([0.0]))
+
+    @pytest.mark.parametrize("times", [
+        np.zeros((3, 2)),
+        np.array([0.5, 1.0, 1.5]),
+        np.array([0.0, 0.1, 0.3, 0.4]),
+        cavity.time_grid(1.0, 10) + np.eye(11)[5] * 1e-9,
+        -cavity.time_grid(1.0, 10),
+    ], ids=["two-d", "late-start", "uneven", "uneven-by-1e-9", "decreasing"])
+    def test_grid_the_exact_build_needs(self, times):
+        with pytest.raises(ConfigError):
+            cavity.integrate_amplitudes(single_mode_config(), 0.3, times)
 
     def test_bad_drive_rejected(self):
         cfg = single_mode_config()
         times = cavity.time_grid(1.0, 10)
         with pytest.raises(ConfigError):
-            cavity.integrate_amplitudes(cfg, 0.3, times)
+            cavity.integrate_amplitudes(cfg, lambda t: 0.3, times)
+
+
+class TestAgainstAdaptiveReference:
+    """The exact table against adaptive DOP853 at rtol 1e-12."""
+
+    def test_default_design(self):
+        cfg, pulse = model.default_config(), default_pulse()
+        times = cavity.time_grid(pulse.tau, 3000)
+        table = cavity.integrate_amplitudes(cfg, pulse, times)
+        ref = adaptive_reference(cfg, pulse, times)
+        assert np.abs(table.alpha - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_designs(self, seed):
+        # seeds 0-15 draw 1-4 qubits and 1-3 modes
+        rng = np.random.default_rng(seed)
+        cfg, pulse = random_config(rng, max_qubits=4), random_pulse(rng)
+        times = cavity.time_grid(pulse.tau, int(rng.integers(100, 2000)))
+        table = cavity.integrate_amplitudes(cfg, pulse, times)
+        ref = adaptive_reference(cfg, pulse, times)
+        assert np.abs(table.alpha - ref).max() < 1e-10
+
+    def test_exceptional_point(self):
+        # both A_j have a double eigenvalue; their eigenvector matrices
+        # have condition numbers near 1e8, so no eig-based build is exact
+        cfg = model.ReadoutConfig(n_qubits=1, n_modes=2, chi=[[0.3], [0.3]],
+                                  kappa=[2.0, 2.0], delta=[1.3, -0.7],
+                                  gamma_z=[0.0])
+        for j in range(cfg.dim):
+            lam = np.linalg.eigvals(cavity.state_space(cfg, j)[0])
+            assert abs(lam[0] - lam[1]) < 1e-6
+        pulse = default_pulse()
+        times = cavity.time_grid(pulse.tau, 2000)
+        table = cavity.integrate_amplitudes(cfg, pulse, times)
+        ref = adaptive_reference(cfg, pulse, times)
+        assert np.abs(table.alpha - ref).max() < 1e-10
+
+    def test_constant_drive(self):
+        cfg = model.default_config()
+        times = cavity.time_grid(6.0, 1000)
+        table = cavity.integrate_amplitudes(cfg, 0.37, times)
+        ref = adaptive_reference(cfg, 0.37, times)
+        assert np.abs(table.alpha - ref).max() < 1e-10

@@ -339,6 +339,22 @@ class TestTrajectory:
             != (b / "trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["trajectory", "--steps", "2000"],
+                                  ["witness", "--steps", "200"]],
+                         ids=["trajectory", "witness"])
+def test_rerun_writes_identical_bytes_manifest_included(tmp_path, capsys,
+                                                         argv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        assert cli.run(argv + ["--out", str(d)]) == cli.EXIT_OK
+    capsys.readouterr()
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.json" in names
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 class TestEnsemble:
 
     def test_outputs_and_summary(self, tmp_path, capsys):

@@ -260,13 +260,14 @@ class TestIntegrateFull:
 
     def test_conditioned_amplitudes_track_pointer_equations(self):
         config = single_qubit_config()
-        drive = lambda t: 0.2
+        eps = 0.2
+        drive = lambda t: eps
         n_steps, t_final = 800, 2.0
         snaps = fock_oracle.integrate_full(config, drive, n_max=8,
                                            n_steps=n_steps, t_final=t_final,
                                            store_every=n_steps)
         table = cavity.integrate_amplitudes(
-            config, drive, cavity.time_grid(t_final, n_steps))
+            config, eps, cavity.time_grid(t_final, n_steps))
         got = fock_oracle.conditioned_amplitudes(snaps[-1][1])
         want = table.alpha[-1]
         assert np.max(np.abs(got - want)) < 1e-5

@@ -1,8 +1,11 @@
-"""Drive envelope: anchor values, smoothness, symmetry, validation."""
+"""Drive envelope: anchor values, smoothness, symmetry, validation, and
+the piece description the exact amplitude build integrates."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from paritysim import pulse as pulse_module
 from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec, default_pulse
 
@@ -146,3 +149,43 @@ class TestValidation:
         p = default_pulse().replace(eps_ss=0.1)
         assert p.eps_ss == 0.1
         assert p.t_on == 1.5
+
+
+def integrated_pieces(pulse, t):
+    """eps(t) from pulse_module.pieces: eps'' integrated twice from 0."""
+    starts, curvature = pulse_module.pieces(pulse)
+    ends = np.append(starts[1:], np.inf)
+    value = np.empty_like(t)
+    eps = slope = 0.0
+    for a, b, c in zip(starts, ends, curvature):
+        on = (t >= a) & (t < b)
+        s = t[on] - a
+        value[on] = eps + slope * s + 0.5 * c * s * s
+        if np.isfinite(b):
+            eps, slope = eps + slope * (b - a) + 0.5 * c * (b - a) ** 2, \
+                slope + c * (b - a)
+    return value
+
+
+@st.composite
+def valid_pulses(draw):
+    sigma = draw(st.floats(0.05, 4.0))
+    t_on = sigma / 2 + draw(st.floats(0.0, 5.0))
+    t_off = t_on + sigma + draw(st.floats(0.0, 20.0))
+    data = {"t_on": t_on, "t_off": t_off, "sigma": sigma,
+            "eps_ss": draw(st.floats(-2.0, 2.0)),
+            "tau": t_off + sigma / 2 + draw(st.floats(0.0, 10.0))}
+    assume(not pulse_module.validate(data))
+    return PulseSpec.from_dict(data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pulse=valid_pulses())
+def test_pieces_reproduce_evaluate(pulse):
+    # the breakpoints are rounded, so the slope left after a window is
+    # |eps''| ulp(t) rather than 0, and it drifts the integral until tau
+    starts, curvature = pulse_module.pieces(pulse)
+    drift = np.finfo(float).eps * np.abs(curvature).max() * pulse.tau ** 2
+    t = np.sort(np.concatenate([np.linspace(0.0, pulse.tau, 4001), starts]))
+    err = np.abs(integrated_pieces(pulse, t) - pulse.evaluate(t)).max()
+    assert err < 1e-14 + drift

@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paritysim import model, sme
+from paritysim import cavity, model, sme
 from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec, default_pulse
 
 
 def staggered_gamma_config():
     return model.default_config().replace(gamma_z=np.array([0.03, 0.05, 0.07]))
+
+
+def zero_drive_table(config, t_final, grid_steps):
+    return cavity.integrate_amplitudes(config, 0.0,
+                                       cavity.time_grid(t_final, grid_steps))
 
 
 def random_density(rng, d):
@@ -84,8 +89,8 @@ class TestDephasingClosedForm:
         # no drive: every coherence decays at the sum of the rates of the
         # qubits whose bits differ, rho_ij(t) = rho_ij(0) e^{-r_ij t}
         cfg = staggered_gamma_config()
-        out = sme.simulate_deterministic(cfg, pulse=lambda t: 0.0,
-                                         n_steps=300, t_final=3.0)
+        out = sme.simulate_deterministic(cfg, n_steps=300,
+                                         table=zero_drive_table(cfg, 3.0, 600))
         bits = model.bit_table(3)
         differ = bits[:, None, :] != bits[None, :, :]
         rates = (differ * cfg.gamma_z).sum(axis=2)
@@ -94,15 +99,15 @@ class TestDephasingClosedForm:
 
     def test_populations_exactly_frozen(self):
         cfg = staggered_gamma_config()
-        out = sme.simulate_deterministic(cfg, pulse=lambda t: 0.0,
-                                         n_steps=100, t_final=2.0)
+        out = sme.simulate_deterministic(cfg, n_steps=100,
+                                         table=zero_drive_table(cfg, 2.0, 200))
         diags = np.einsum("tii->ti", out.rhos)
         assert np.all(diags == 0.125)
 
     def test_no_rates_no_drive_is_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
-        out = sme.simulate_deterministic(cfg, pulse=lambda t: 0.0,
-                                         n_steps=50, t_final=1.0)
+        out = sme.simulate_deterministic(cfg, n_steps=50,
+                                         table=zero_drive_table(cfg, 1.0, 100))
         assert np.array_equal(out.rhos[-1], out.rhos[0])
 
 
@@ -383,7 +388,7 @@ class TestSimulateTrajectory:
 
     def test_zero_drive_zero_rates_state_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
-        table = sme.build_table(cfg, lambda t: 0.0, 200, t_final=13.5)
+        table = zero_drive_table(cfg, 13.5, 200)
         out = sme.simulate_trajectory(cfg, n_steps=200, table=table)
         assert np.array_equal(out.rho_final, model.plus_density(3))
         # the record is then pure detector noise dW/dt
