@@ -25,7 +25,7 @@ from . import model
 from .cavity import AmplitudeTable
 from .errors import ConfigError, DegenerateFilterError, GridMismatchError
 from .pulse import PulseSpec
-from .sme import (Diagnostics, measurement_diag, simulate_batch,
+from .sme import (Diagnostics, build_table, measurement_diag, simulate_batch,
                   trajectory_noise)
 
 FILTER_KINDS = ("matched", "matched-mean", "uniform")
@@ -203,15 +203,15 @@ class EnsembleSummary:
                   + (len(so) - 1) * so.var(ddof=1)) / (len(se) + len(so) - 2)
         return abs(se.mean() - so.mean()) / math.sqrt(pooled)
 
-    def histogram(self, kind: str = "matched", bins="fd") -> tuple:
-        """(counts, bin_edges) of the signal distribution."""
-        return np.histogram(self.signals[kind], bins=bins)
+    def histogram(self, kind: str = "matched") -> tuple:
+        """(counts, bin_edges) of the signal distribution, "fd" bins."""
+        return np.histogram(self.signals[kind], bins="fd")
 
 
 def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                  n_traj: int = 500, n_steps: int = 10_000,
-                 base_seed: int = 0, filter_kinds=("matched",),
-                 table: AmplitudeTable = None) -> EnsembleSummary:
+                 base_seed: int = 0,
+                 filter_kinds=("matched",)) -> EnsembleSummary:
     """Run a trajectory ensemble from |+>^n and classify every record.
 
     Trajectories are integrated in vectorized chunks of _CHUNK_SIZE; each
@@ -229,14 +229,13 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     fidelity_even = np.empty(n_traj)
     fidelity_odd = np.empty(n_traj)
     diagnostics = []
+    table = build_table(config, pulse, n_steps)
+    filters = {kind: build_filter(config, table, kind)
+               for kind in filter_kinds}
 
     for start in range(0, n_traj, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, n_traj)
-        table, dws, dzs = trajectory_noise(config, pulse, n_steps, base_seed,
-                                           range(start, stop), table)
-        if start == 0:
-            filters = {kind: build_filter(config, table, kind)
-                       for kind in filter_kinds}
+        dws, dzs = trajectory_noise(table, base_seed, range(start, stop))
         rho0_batch = np.broadcast_to(rho0, (stop - start,) + rho0.shape)
         rho_final, records, diags = simulate_batch(config, table, rho0_batch,
                                                    dws, dzs)

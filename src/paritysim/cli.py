@@ -128,7 +128,7 @@ def _cmd_pulse_preview(args) -> int:
     _, pulse = _load_inputs(args)
     manifest = Manifest("pulse-preview", None, pulse, None,
                         {"steps": args.steps})
-    times = np.linspace(0.0, pulse.tau, args.steps + 1)
+    times = cavity.time_grid(pulse.tau, args.steps)
     rows = [(t, pulse.evaluate(t)) for t in times]
     out = _out_dir(args)
     manifest.write_csv(out, "pulse.csv", ("t", "eps"), rows)
@@ -170,15 +170,14 @@ def _cmd_trajectory(args) -> int:
     config, pulse = _load_inputs(args)
     manifest = Manifest("trajectory", config, pulse, args.seed,
                         {"steps": args.steps, "index": args.index})
-    table = sme.build_table(config, pulse, args.steps)
     result = sme.simulate_trajectory(config, pulse, n_steps=args.steps,
                                      base_seed=args.seed,
-                                     trajectory_index=args.index, table=table)
-    filt = analysis.build_filter(config, table, args.filter)
+                                     trajectory_index=args.index)
+    filt = analysis.build_filter(config, result.table, args.filter)
     parity, signal = analysis.classify(filt, result.photocurrent)
     out = _out_dir(args)
     manifest.write_csv(out, "trajectory.csv", ("t", "photocurrent"),
-                       zip(result.times[:-1], result.photocurrent))
+                       zip(result.table.times[:-1], result.photocurrent))
     worst = result.diagnostics.worst()
     manifest.write_json(out, "trajectory_summary.json", {
         "assigned_parity": parity,

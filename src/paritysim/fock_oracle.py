@@ -6,9 +6,9 @@ photon loss through the collective output line, and intrinsic dephasing.
 Everything is built dense and stepped with classical RK4, so dimensions
 are capped hard. The module exists to validate the pointer-state
 reduction used everywhere else: starting from rho_Q (x) vacuum, tracing
-out the modes must reproduce the reduced register evolution in the drive
-frame, and the mode amplitude conditioned on each register basis state
-must follow the classical cavity ODEs.
+out the modes must reproduce the reduced register evolution times the
+Lamb-shift phases exp(-i (h_i - h_j) t), and each conditioned mode
+amplitude must follow the classical cavity ODEs.
 
 Basis ordering is register (x) mode_0 (x) ... (x) mode_{m-1} with the
 register index most significant.
@@ -164,8 +164,8 @@ class _Operators:
             ops = [np.diag(signs[l])] + [eye_f] * m
             self.sz_full.append(_kron_all(ops))
 
-        # Lamb-shifted register term with bare frequencies set to zero:
-        # the same drive frame the reduced equation uses.
+        # Lamb-shifted register term with bare frequencies set to zero;
+        # the rotating frame of the reduced equation removes it.
         h0 = np.zeros_like(self.a_full[0])
         for k in range(m):
             h0 += config.delta[k] * number_full[k]

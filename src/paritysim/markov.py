@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .cavity import AmplitudeTable
 from .errors import ConfigError, DegenerateBasisError
 from .pulse import PulseSpec, default_pulse
-from .sme import simulate_deterministic, build_table
+from .sme import simulate_deterministic
 
 #: relative floor under which an operator norm counts as zero
 _NORM_TOL = 1e-12
@@ -207,8 +206,7 @@ def increasing_intervals(times, values) -> list:
 
 
 def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
-                 n_steps: int = 4000,
-                 table: AmplitudeTable = None) -> WitnessResult:
+                 n_steps: int = 4000) -> WitnessResult:
     """Trace-distance witness between the cross-parity superposition pair.
 
     The initial states are (psi_+ + psi_-)/sqrt(2) and
@@ -225,14 +223,12 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     if pulse is None:
         pulse = default_pulse()
     clean = config.replace(gamma_z=np.zeros(config.n_qubits))
-    if table is None:
-        table = build_table(clean, pulse, n_steps, substeps=2)
     psi_p = model.psi_plus(config.n_qubits)
     psi_m = model.psi_minus(config.n_qubits)
     psi_a = (psi_p + psi_m) / np.sqrt(2.0)
     psi_b = (psi_p - psi_m) / np.sqrt(2.0)
     diff = np.outer(psi_a, psi_a.conj()) - np.outer(psi_b, psi_b.conj())
-    ev = simulate_deterministic(clean, pulse, n_steps, diff, table=table)
+    ev = simulate_deterministic(clean, pulse, n_steps, diff)
     dist = trace_distance(ev.rhos, 0.0)
     intervals = increasing_intervals(ev.times, dist)
     window = (pulse.t_off - pulse.sigma / 2.0, pulse.tau)

@@ -190,8 +190,6 @@ def validate(data) -> list:
     describes a valid config. Violations are returned as data rather than
     raised, so callers can report all of them at once.
     """
-    if isinstance(data, ReadoutConfig):
-        data = data.to_dict()
     return _parse(data)[1]
 
 

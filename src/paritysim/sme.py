@@ -92,33 +92,20 @@ class DriftOperator:
     rho -> K(t) o rho with
 
         K_ij(t) = -sum_l gamma_z,l [bit_l(i) != bit_l(j)]
-                  - i sum_k W_k,ij conj(alpha_k,j(t)) alpha_k,i(t)
-                  - i (h_i - h_j)                      (drive frame only),
+                  - i sum_k W_k,ij conj(alpha_k,j(t)) alpha_k,i(t),
 
-    where W_k,ij = s_{k,i} - s_{k,j} is the difference of signed chi sums
-    and h_i = sum_l (sum_k chi_{k,l}) (-1)^{bit_l(i)} is the register part
-    of the dispersive Hamiltonian (Omega_l = 0). In the rotating frame the
-    h term is absent. The diagonal of K vanishes identically, so the
-    populations are untouched by the drift.
+    where W_k,ij = s_{k,i} - s_{k,j} is the difference of signed chi sums.
+    K is taken in the frame rotating with the register part of the
+    dispersive Hamiltonian; K_ii = 0, so the drift leaves the populations
+    alone. Setting chi = 0 switches the measurement coupling off.
     """
 
-    def __init__(self, config: model.ReadoutConfig, frame: str = "rotating",
-                 include_coupling: bool = True):
-        if frame not in ("rotating", "drive"):
-            raise ConfigError(f"frame must be 'rotating' or 'drive', got {frame!r}")
-        d = config.dim
+    def __init__(self, config: model.ReadoutConfig):
         bits = model.bit_table(config.n_qubits)          # (d, n)
         differ = bits[:, None, :] != bits[None, :, :]     # (d, d, n)
         self.gamma_mat = -(differ * config.gamma_z).sum(axis=2)
         s = model.signed_chi_sums(config)                 # (m, d)
         self.w = s[:, :, None] - s[:, None, :]            # (m, d, d)
-        self.include_coupling = include_coupling
-        if frame == "drive":
-            h = config.chi.sum(axis=0) @ model.sigma_z_signs(config.n_qubits)
-            self.h_diff = h[:, None] - h[None, :]
-        else:
-            self.h_diff = np.zeros((d, d))
-        self.dim = d
 
     def coefficient(self, alpha_t: np.ndarray) -> np.ndarray:
         """K(t) for mode amplitudes alpha_t of shape (..., n_modes, 2**n).
@@ -126,11 +113,8 @@ class DriftOperator:
         Leading axes of alpha_t (a block of time nodes) carry over to the
         result, which has shape (..., 2**n, 2**n).
         """
-        k = self.gamma_mat - 1j * self.h_diff
-        if not self.include_coupling:
-            return np.broadcast_to(k, alpha_t.shape[:-2] + k.shape)
         p = alpha_t[..., :, :, None] * alpha_t.conj()[..., :, None, :]
-        return k - 1j * (self.w * p).sum(axis=-3)
+        return self.gamma_mat - 1j * (self.w * p).sum(axis=-3)
 
 
 def measurement_diag(config: model.ReadoutConfig, output_t: np.ndarray) -> np.ndarray:
@@ -179,25 +163,20 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
 
 
-def trajectory_noise(config: model.ReadoutConfig, pulse, n_steps: int,
-                     base_seed: int, indices, table: AmplitudeTable):
-    """(table, dws, dzs) for the trajectories `indices` of base_seed.
+def trajectory_noise(table: AmplitudeTable, base_seed: int, indices):
+    """(dws, dzs) on the table's grid for the trajectories `indices`.
 
     Row r of dws and dzs holds the increments of trajectory indices[r],
-    drawn from its own stream, so a row does not depend on which other
-    indices are drawn with it. A table of None is built for pulse (the
-    default pulse when None); a given table must have n_steps steps.
+    drawn from its own stream of base_seed, so a row does not depend on
+    which other indices are drawn with it.
     """
-    if table is None:
-        table = build_table(config, pulse, n_steps)
-    elif len(table.times) != n_steps + 1:
-        raise ConfigError("table grid does not match n_steps")
+    n_steps = len(table.times) - 1
     dws = np.empty((len(indices), n_steps))
     dzs = np.empty((len(indices), n_steps))
     for row, index in enumerate(indices):
         dws[row], dzs[row] = wiener_increments(
             trajectory_rng(base_seed, index), n_steps, table.dt)
-    return table, dws, dzs
+    return dws, dzs
 
 
 def step_sde(y, t, dt, drift_fn, diffusion_fn, dw, dz):
@@ -289,13 +268,13 @@ class Diagnostics:
 
 @dataclass
 class TrajectoryResult:
-    """One conditioned trajectory.
+    """One conditioned trajectory and the amplitude table it ran on.
 
     photocurrent[n] is the record sample for the step starting at
-    times[n]; it has length len(times) - 1.
+    table.times[n]; it has length len(table.times) - 1.
     """
 
-    times: np.ndarray
+    table: AmplitudeTable
     photocurrent: np.ndarray
     rho_final: np.ndarray
     diagnostics: Diagnostics
@@ -485,36 +464,29 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     return rho, records, diagnostics
 
 
-def build_table(config: model.ReadoutConfig, pulse, n_steps: int,
-                substeps: int = 1) -> AmplitudeTable:
-    """Amplitude table on the uniform grid used by the steppers.
-
-    substeps = 2 inserts the step midpoints, which the Simpson exponent of
-    simulate_deterministic needs; the SDE stepper only evaluates on whole
-    nodes.
-    """
+def build_table(config: model.ReadoutConfig, pulse,
+                n_steps: int) -> AmplitudeTable:
+    """Amplitude table on n_steps uniform steps over the pulse window."""
     if pulse is None:
         pulse = default_pulse()
-    return integrate_amplitudes(config, pulse,
-                                time_grid(pulse.tau, n_steps * substeps))
+    return integrate_amplitudes(config, pulse, time_grid(pulse.tau, n_steps))
 
 
 def simulate_trajectory(config: model.ReadoutConfig, pulse: PulseSpec = None,
                         n_steps: int = 10_000, base_seed: int = 0,
-                        trajectory_index: int = 0,
-                        table: AmplitudeTable = None) -> TrajectoryResult:
+                        trajectory_index: int = 0) -> TrajectoryResult:
     """Integrate one conditioned trajectory from |+>^n.
 
     The Wiener stream is derived from (base_seed, trajectory_index), so a
     trajectory is reproduced exactly regardless of which other indices are
     simulated around it.
     """
-    table, dws, dzs = trajectory_noise(config, pulse, n_steps, base_seed,
-                                       [trajectory_index], table)
+    table = build_table(config, pulse, n_steps)
+    dws, dzs = trajectory_noise(table, base_seed, [trajectory_index])
     rho0 = model.plus_density(config.n_qubits)
     rho, records, diagnostics = simulate_batch(config, table, rho0[None],
                                                dws, dzs)
-    return TrajectoryResult(times=table.times, photocurrent=records[0],
+    return TrajectoryResult(table=table, photocurrent=records[0],
                             rho_final=rho[0], diagnostics=diagnostics,
                             base_seed=base_seed,
                             trajectory_index=trajectory_index)
@@ -522,32 +494,29 @@ def simulate_trajectory(config: model.ReadoutConfig, pulse: PulseSpec = None,
 
 def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
                            n_steps: int = 4000, rho0: np.ndarray = None,
-                           frame: str = "rotating",
-                           include_coupling: bool = True,
                            table: AmplitudeTable = None) -> DeterministicResult:
     """Unconditional master equation, solved elementwise.
 
     The drift is rho -> K(t) o rho with every K entry a scalar function of
-    time, so the exact solution is rho(t) = rho0 o exp(int_0^t K). The
-    exponent is integrated by composite Simpson over each step,
+    time, so the exact solution is rho(t) = rho0 o exp(int_0^t K), in the
+    rotating frame of DriftOperator. The exponent is integrated by
+    composite Simpson over each step,
 
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
-    which is why the amplitude table carries the step midpoints
-    (substeps=2). The running sum is _running_sum's, so the result does
-    not depend on the block size. `include_coupling=False` drops the
-    measurement-induced Hadamard term, leaving only intrinsic dephasing
-    (and the register Hamiltonian in the drive frame).
+    so the amplitude table carries the step midpoints: it is built on
+    2 n_steps steps, and a given table must have that grid. The running
+    sum is _running_sum's, so the result does not depend on the block
+    size. For intrinsic dephasing alone, pass a config with chi = 0.
     """
     if table is None:
-        table = build_table(config, pulse, n_steps, substeps=2)
+        table = build_table(config, pulse, 2 * n_steps)
     elif len(table.times) != 2 * n_steps + 1:
         raise ConfigError("table grid does not match n_steps (need midpoints)")
     if rho0 is None:
         rho0 = model.plus_density(config.n_qubits)
 
-    drift_op = DriftOperator(config, frame=frame,
-                             include_coupling=include_coupling)
+    drift_op = DriftOperator(config)
     h = 2.0 * table.dt
 
     def simpson_steps(start, stop):

@@ -20,12 +20,11 @@ EPS_SS = default_pulse().eps_ss
 
 
 @pytest.fixture(scope="module")
-def desk_ensemble(config, desk_table):
+def desk_ensemble(config):
     """500 trajectories at desk resolution, both filters, fixed seed."""
     return analysis.ensemble_run(config, n_traj=500, n_steps=10_000,
                                  base_seed=0,
-                                 filter_kinds=("matched", "uniform"),
-                                 table=desk_table)
+                                 filter_kinds=("matched", "uniform"))
 
 
 @pytest.fixture(scope="module")
@@ -214,16 +213,21 @@ def test_criterion_11_pointer_ansatz_oracle():
                                            n_steps=n_steps, t_final=t_final,
                                            store_every=50)
         det = sme.simulate_deterministic(
-            config, n_steps=n_steps, frame="drive",
+            config, n_steps=n_steps,
             table=cavity.integrate_amplitudes(
                 config, eps, cavity.time_grid(t_final, 2 * n_steps)))
+        # the oracle runs in the drive frame: add the register phases
+        # exp(-i (h_i - h_j) t) of the dispersive Hamiltonian
+        h = config.chi.sum(axis=0) @ model.sigma_z_signs(config.n_qubits)
+        h_diff = h[:, None] - h[None, :]
         table = cavity.integrate_amplitudes(
             config, eps, cavity.time_grid(t_final, n_steps))
         dt = t_final / n_steps
         for t, state in snaps:
             i = int(round(t / dt))
             reduced = fock_oracle.reduce(state)
-            assert markov.trace_distance(reduced, det.rhos[i]) < 1e-3
+            in_drive_frame = det.rhos[i] * np.exp(-1j * h_diff * det.times[i])
+            assert markov.trace_distance(reduced, in_drive_frame) < 1e-3
             amps = fock_oracle.conditioned_amplitudes(state)
             assert np.max(np.abs(amps - table.alpha[i])) < 1e-4
 
@@ -233,11 +237,12 @@ def test_criterion_12_fidelity_decay_fixture(config, pulse):
     psi_w = np.zeros(8, dtype=complex)
     psi_w[[4, 2, 1]] = 1.0 / np.sqrt(3.0)
     rho_w = np.outer(psi_w, psi_w.conj())
+    # coupling off is chi = 0
+    configs = {True: config, False: config.replace(chi=0 * config.chi)}
     runs = {}
     for coupled in (True, False):
-        res = sme.simulate_deterministic(config, pulse, n_steps=n_steps,
-                                         rho0=rho_w,
-                                         include_coupling=coupled)
+        res = sme.simulate_deterministic(configs[coupled], pulse,
+                                         n_steps=n_steps, rho0=rho_w)
         runs[coupled] = analysis.state_fidelity(res.rhos, psi_w)
     assert np.max(np.abs(runs[True] - runs[False])) < 1e-8
 
@@ -246,9 +251,8 @@ def test_criterion_12_fidelity_decay_fixture(config, pulse):
     rho_m = np.outer(psi_m, psi_m.conj())
     curves = {}
     for coupled in (True, False):
-        res = sme.simulate_deterministic(config, pulse, n_steps=n_steps,
-                                         rho0=rho_m,
-                                         include_coupling=coupled)
+        res = sme.simulate_deterministic(configs[coupled], pulse,
+                                         n_steps=n_steps, rho0=rho_m)
         curves[coupled] = analysis.state_fidelity(res.rhos, psi_m)
         times = res.times
     after_on = times >= pulse.t_on + pulse.sigma / 2.0

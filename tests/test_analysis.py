@@ -167,10 +167,9 @@ class TestStateFidelity:
 
 @pytest.fixture(scope="module")
 def summary(config):
-    table = sme.build_table(config, default_pulse(), 2000)
     return analysis.ensemble_run(
         config, n_traj=24, n_steps=2000, base_seed=123,
-        filter_kinds=("matched", "uniform"), table=table)
+        filter_kinds=("matched", "uniform"))
 
 
 class TestEnsembleRun:
@@ -186,11 +185,10 @@ class TestEnsembleRun:
             "diag_drift"}
 
     def test_chunk_size_invariance(self, config, summary, monkeypatch):
-        table = sme.build_table(config, default_pulse(), 2000)
         monkeypatch.setattr(analysis, "_CHUNK_SIZE", 7)
         again = analysis.ensemble_run(
             config, n_traj=24, n_steps=2000, base_seed=123,
-            filter_kinds=("matched", "uniform"), table=table)
+            filter_kinds=("matched", "uniform"))
         assert np.array_equal(again.signals["matched"],
                               summary.signals["matched"])
         assert np.array_equal(again.signals["uniform"],

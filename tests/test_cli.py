@@ -189,6 +189,28 @@ def test_mode_count_above_cap_is_invalid_input(tmp_path, capsys, n_modes):
     assert err.startswith("error: n_modes") and "Traceback" not in err
 
 
+#: every subcommand that takes --steps, with its other short-run arguments
+STEPS_COMMANDS = {
+    "pulse-preview": [],
+    "respond": [],
+    "trajectory": [],
+    "witness": [],
+    "ensemble": ["--trajectories", "2"],
+}
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(STEPS_COMMANDS))
+def test_step_count_below_one_is_invalid_input(tmp_path, capsys, command,
+                                               steps):
+    argv = [command, *STEPS_COMMANDS[command], "--steps", steps,
+            "--out", str(tmp_path / "out")]
+    assert cli.run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert "error: n_steps must be >= 1" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestGateModel:
 
     def test_table_line_count(self, capsys):

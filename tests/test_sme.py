@@ -1,11 +1,12 @@
 """Reduced conditioned-state integrator.
 
-Covers: elementwise drift coefficients in both frames, pure-dephasing
-closed form, measurement superoperator identities, the strong order-1.5
-step on cases with exact solutions, noise-increment statistics, seeded
-reproducibility, batch/single-trajectory equivalence, the elementwise
-conditioned solver against the dense d x d stepper at fine steps, and
-property tests of its state over register size, mode count, eta and phi.
+Covers: elementwise drift coefficients in the rotating frame, the pure-
+dephasing closed form (also under drive with the coupling off, chi = 0),
+measurement superoperator identities, the strong order-1.5 step on cases
+with exact solutions, noise-increment statistics, seeded reproducibility,
+batch/single-trajectory equivalence, the elementwise conditioned solver
+against the dense d x d stepper at fine steps, and property tests of its
+state over register size, mode count, eta and phi.
 """
 
 import numpy as np
@@ -35,10 +36,8 @@ def random_density(rng, d):
 class TestDriftOperator:
     def test_diagonal_identically_zero(self, config, rng):
         alpha = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        for frame in ("rotating", "drive"):
-            op = sme.DriftOperator(config, frame=frame)
-            k = op.coefficient(alpha)
-            assert np.all(np.diagonal(k) == 0.0)
+        k = sme.DriftOperator(config).coefficient(alpha)
+        assert np.all(np.diagonal(k) == 0.0)
 
     def test_dephasing_entries(self):
         cfg = staggered_gamma_config()
@@ -53,10 +52,8 @@ class TestDriftOperator:
     def test_elementwise_hermiticity_structure(self, config, rng):
         # K_ij = conj(K_ji) makes K o rho hermiticity-preserving
         alpha = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        for frame in ("rotating", "drive"):
-            op = sme.DriftOperator(config, frame=frame)
-            k = op.coefficient(alpha)
-            assert np.allclose(k, k.conj().T, atol=1e-15)
+        k = sme.DriftOperator(config).coefficient(alpha)
+        assert np.allclose(k, k.conj().T, atol=1e-15)
 
     def test_single_qubit_coupling_term(self):
         cfg = model.ReadoutConfig(
@@ -70,18 +67,6 @@ class TestDriftOperator:
         expected = -1j * 2.0 * np.conj(alpha[0, 1]) * alpha[0, 0]
         assert k[0, 1] == pytest.approx(expected)
         assert k[1, 0] == pytest.approx(np.conj(expected))
-
-    def test_drive_frame_adds_register_phases(self, config, rng):
-        alpha = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        rot = sme.DriftOperator(config, frame="rotating").coefficient(alpha)
-        drv = sme.DriftOperator(config, frame="drive").coefficient(alpha)
-        h = config.chi.sum(axis=0) @ model.sigma_z_signs(config.n_qubits)
-        expected = -1j * (h[:, None] - h[None, :])
-        assert np.allclose(drv - rot, expected, atol=1e-15)
-
-    def test_unknown_frame_rejected(self, config):
-        with pytest.raises(ConfigError):
-            sme.DriftOperator(config, frame="lab")
 
 
 class TestDephasingClosedForm:
@@ -110,17 +95,33 @@ class TestDephasingClosedForm:
                                          table=zero_drive_table(cfg, 1.0, 100))
         assert np.array_equal(out.rhos[-1], out.rhos[0])
 
+    def test_coupling_off_is_pure_dephasing_under_drive(self):
+        # chi = 0 removes the measurement term: under the default pulse
+        # the state is rho0 o exp(Gamma t) at every node
+        cfg = staggered_gamma_config()
+        cfg = cfg.replace(chi=0 * cfg.chi)
+        out = sme.simulate_deterministic(cfg, default_pulse(), n_steps=300)
+        gamma = sme.DriftOperator(cfg).gamma_mat
+        expected = model.plus_density(3) * np.exp(
+            gamma * out.times[:, None, None])
+        assert np.abs(out.rhos - expected).max() < 1e-12
 
-@pytest.mark.parametrize("include_coupling", [True, False])
+    def test_table_without_midpoints_rejected(self):
+        cfg = staggered_gamma_config()
+        table = sme.build_table(cfg, default_pulse(), 300)
+        with pytest.raises(ConfigError):
+            sme.simulate_deterministic(cfg, n_steps=300, table=table)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
 def test_deterministic_independent_of_block_size(config, monkeypatch,
-                                                 include_coupling):
-    table = sme.build_table(config, default_pulse(), 600, substeps=2)
+                                                 coupled):
+    # coupling off is chi = 0
+    cfg = config.replace(chi=(1 if coupled else 0) * config.chi)
     runs = []
     for block in (sme._BLOCK_STEPS, 7):
         monkeypatch.setattr(sme, "_BLOCK_STEPS", block)
-        runs.append(sme.simulate_deterministic(
-            config, n_steps=600, table=table,
-            include_coupling=include_coupling).rhos)
+        runs.append(sme.simulate_deterministic(cfg, n_steps=600).rhos)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -128,7 +129,7 @@ def test_deterministic_matches_rk4_reference(config):
     # classical RK4 on the same midpoint table; both are fourth order, and
     # at this step size they agree to round-off level
     n_steps = 1000
-    table = sme.build_table(config, default_pulse(), n_steps, substeps=2)
+    table = sme.build_table(config, default_pulse(), 2 * n_steps)
     ks = [sme.DriftOperator(config).coefficient(a) for a in table.alpha]
     h = 2.0 * table.dt
     rho = model.plus_density(3)
@@ -141,7 +142,7 @@ def test_deterministic_matches_rk4_reference(config):
         f4 = k1 * (rho + h * f3)
         rho = rho + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         ref.append(rho)
-    out = sme.simulate_deterministic(config, n_steps=n_steps, table=table)
+    out = sme.simulate_deterministic(config, n_steps=n_steps)
     assert np.abs(out.rhos - np.array(ref)).max() < 1e-12
 
 
@@ -187,8 +188,7 @@ class TestAgainstDenseReference:
         # itself about 7e-4 off at 10^3 steps, so 1e-4 tells them apart
         ratio, coarse = 10, 1000
         fine_table = sme.build_table(config, pulse, coarse * ratio)
-        _, dws, dzs = sme.trajectory_noise(config, pulse, coarse * ratio, 7,
-                                           range(4), fine_table)
+        dws, dzs = sme.trajectory_noise(fine_table, 7, range(4))
         rho0 = np.broadcast_to(model.plus_density(3), (4, 8, 8))
         ref = dense_reference(config, fine_table, rho0, dws, dzs)
         table = sme.build_table(config, pulse, coarse)
@@ -203,8 +203,7 @@ class TestAgainstDenseReference:
         cfg = config.replace(eta=0.0)
         n_steps = 1000
         table = sme.build_table(cfg, pulse, n_steps)
-        _, dws, dzs = sme.trajectory_noise(cfg, pulse, n_steps, 3, range(2),
-                                           table)
+        dws, dzs = sme.trajectory_noise(table, 3, range(2))
         rho0 = np.broadcast_to(model.plus_density(3), (2, 8, 8))
         rho, _, _ = sme.simulate_batch(cfg, table, rho0, dws, dzs)
         det = sme.simulate_deterministic(cfg, pulse, n_steps=n_steps)
@@ -231,8 +230,7 @@ def register_configs():
 def test_conditioned_state_properties(cfg, seed):
     n_steps, batch = 150, 3
     table = sme.build_table(cfg, default_pulse(), n_steps)
-    _, dws, dzs = sme.trajectory_noise(cfg, None, n_steps, seed,
-                                       range(batch), table)
+    dws, dzs = sme.trajectory_noise(table, seed, range(batch))
     rho0 = np.broadcast_to(model.plus_density(cfg.n_qubits),
                            (batch, cfg.dim, cfg.dim))
     rho, rec, diag = sme.simulate_batch(cfg, table, rho0, dws, dzs)
@@ -361,44 +359,36 @@ class TestWienerIncrements:
 
 class TestSimulateTrajectory:
     def test_reproducible(self, config):
-        table = sme.build_table(config, default_pulse(), 400)
         a = sme.simulate_trajectory(config, n_steps=400, base_seed=11,
-                                    trajectory_index=2, table=table)
+                                    trajectory_index=2)
         b = sme.simulate_trajectory(config, n_steps=400, base_seed=11,
-                                    trajectory_index=2, table=table)
+                                    trajectory_index=2)
         assert np.array_equal(a.photocurrent, b.photocurrent)
         assert np.array_equal(a.rho_final, b.rho_final)
 
     def test_different_index_different_noise(self, config):
-        table = sme.build_table(config, default_pulse(), 400)
         a = sme.simulate_trajectory(config, n_steps=400, base_seed=11,
-                                    trajectory_index=0, table=table)
+                                    trajectory_index=0)
         b = sme.simulate_trajectory(config, n_steps=400, base_seed=11,
-                                    trajectory_index=1, table=table)
+                                    trajectory_index=1)
         assert not np.array_equal(a.photocurrent, b.photocurrent)
 
     def test_result_shapes(self, config):
-        table = sme.build_table(config, default_pulse(), 300)
-        out = sme.simulate_trajectory(config, n_steps=300, table=table)
+        out = sme.simulate_trajectory(config, n_steps=300)
         assert out.photocurrent.shape == (300,)
-        assert out.times.shape == (301,)
+        assert out.table.times.shape == (301,)
         assert out.rho_final.shape == (8, 8)
         # default cadence: every n_steps // 100 steps, plus t = 0
         assert out.diagnostics.trace_dev.shape == (1, 101)
 
     def test_zero_drive_zero_rates_state_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
-        table = zero_drive_table(cfg, 13.5, 200)
-        out = sme.simulate_trajectory(cfg, n_steps=200, table=table)
+        out = sme.simulate_trajectory(cfg, default_pulse().replace(eps_ss=0.0),
+                                      n_steps=200)
         assert np.array_equal(out.rho_final, model.plus_density(3))
         # the record is then pure detector noise dW/dt
-        scale = 1.0 / np.sqrt(table.dt)
+        scale = 1.0 / np.sqrt(out.table.dt)
         assert abs(np.mean(out.photocurrent)) < 5.0 * scale / np.sqrt(200)
-
-    def test_grid_mismatch_rejected(self, config):
-        table = sme.build_table(config, default_pulse(), 200)
-        with pytest.raises(ConfigError):
-            sme.simulate_trajectory(config, n_steps=300, table=table)
 
 
 class TestSimulateBatch:
@@ -419,8 +409,7 @@ class TestSimulateBatch:
 
     def test_shared_initial_state(self, config):
         table = sme.build_table(config, default_pulse(), 200)
-        _, dws, dzs = sme.trajectory_noise(config, None, 200, 4, range(3),
-                                           table)
+        dws, dzs = sme.trajectory_noise(table, 4, range(3))
         rho0 = model.plus_density(3)
         shared = sme.simulate_batch(config, table, rho0, dws, dzs)
         stacked = sme.simulate_batch(config, table,
@@ -429,9 +418,9 @@ class TestSimulateBatch:
         assert np.array_equal(shared[1], stacked[1])
 
     def test_wrapper_equivalence(self, config):
-        table = sme.build_table(config, default_pulse(), 250)
         traj = sme.simulate_trajectory(config, n_steps=250, base_seed=7,
-                                       trajectory_index=3, table=table)
+                                       trajectory_index=3)
+        table = traj.table
         dw, dz = sme.wiener_increments(sme.trajectory_rng(7, 3), 250, table.dt)
         rho, rec, _ = sme.simulate_batch(
             config, table, model.plus_density(3)[None], dw[None], dz[None])
