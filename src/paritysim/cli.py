@@ -277,6 +277,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_gate_model(args) -> int:
+    if args.points < 1:
+        raise ConfigError("points must be >= 1")
     ps = np.linspace(0.0, analysis.GATE_P_MAX, args.points)
     fs = analysis.gate_fidelity(ps)
     for p, f in zip(ps, fs):

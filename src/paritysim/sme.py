@@ -53,7 +53,10 @@ scalar Wiener process from Kloeden & Platen, "Numerical Solution of
 Stochastic Differential Equations" (1992), sec. 11.2, made non-autonomous
 by augmenting the state with time (all supporting values are evaluated at
 t + dt). The noise of S is additive, so with c linear over a step the
-scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt. The
+scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt.
+simulate_batch writes the step in that reduced form (two drift
+evaluations, no diffusion calls) and adds the remaining terms in
+step_sde's order, so its results equal step_sde's bit for bit. The
 required pair of correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
@@ -159,6 +162,10 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     Streams are spawned from the base seed, so any subset of trajectory
     indices can be regenerated without drawing the others.
     """
+    if base_seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if index < 0:
+        raise ConfigError("index must be >= 0")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
 
@@ -181,6 +188,12 @@ def trajectory_noise(table: AmplitudeTable, base_seed: int, indices):
 
 def step_sde(y, t, dt, drift_fn, diffusion_fn, dw, dz):
     """One explicit strong order-1.5 step for scalar-noise SDEs.
+
+    The general form of the scheme simulate_batch writes out for additive
+    noise. Its users are the strong-order acceptance check on geometric
+    Brownian motion (criterion 4), the dense d x d test reference and the
+    S-loop reference in tests/test_sme.py, and the benchmark tracer, which
+    wraps it by name.
 
     Parameters
     ----------
@@ -355,7 +368,7 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    checkpoint_every: int = 0):
     """Advance a batch of register states through the full record grid.
 
-    Steps the exponents S = int c dY of every trajectory with step_sde and
+    Steps the exponents S = int c dY of every trajectory (reduced step_sde) and
     builds the state from the elementwise solution (module docstring) at
     every checkpoint; E is integrated by the trapezoid rule on the table's
     nodes. Valid only without qubit decay, which would couple the
@@ -382,6 +395,7 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     if checkpoint_every <= 0:
         checkpoint_every = max(1, n_steps // 100)
     dt = table.dt
+    sqrt_dt = math.sqrt(dt)
     eta = config.eta
     sqrt_eta = math.sqrt(eta)
     rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
@@ -436,25 +450,23 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     r1 = np.zeros_like(sq1)
 
     for n in range(n_steps):
-        t = times[n]
         w0, sq0, r0 = w1, sq1, r1
         w1 = (2.0 * sqrt_eta) * re_c[n + 1]
         sq1 = re_c[n + 1] ** 2
         r1 = r0 + (eta * dt) * (sq0 + sq1)
         m0 = scaled_mean(s, w0, r0)
-        records[:, n] = m0 + dws[:, n] / dt
-        a0 = m0 * c_col[n]
-
-        # step_sde asks for the drift at t only at s itself, which is a0
-        def drift_fn(y, tt, _a0=a0, _t=t, _n=n, _w1=w1, _r1=r1):
-            if tt == _t:
-                return _a0
-            return scaled_mean(y, _w1, _r1) * c_col[_n + 1]
-
-        def diffusion_fn(y, tt, _n=n, _t=t):
-            return c_col[_n] if tt == _t else c_col[_n + 1]
-
-        s = step_sde(s, t, dt, drift_fn, diffusion_fn, dws[:, n], dzs[:, n])
+        dw, dz = dws[:, n], dzs[:, n]
+        records[:, n] = m0 + dw / dt
+        # step_sde with the diffusion c0 at t and c1 at t + dt, its terms
+        # that vanish for noise independent of S left out, in its order
+        c0, c1 = c_col[n], c_col[n + 1]
+        a0 = m0 * c0
+        base = s + a0 * dt
+        ap = scaled_mean(base + c0 * sqrt_dt, w1, r1) * c1
+        am = scaled_mean(base - c0 * sqrt_dt, w1, r1) * c1
+        s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw
+             + (ap - am) * (dz / (2.0 * sqrt_dt))
+             + (c1 - 2.0 * c0 + c1) * ((dw * dt - dz) / (2.0 * dt)))
         if n + 1 == nodes[len(checks)]:
             rho = checkpoint(n + 1, s)
 

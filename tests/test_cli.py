@@ -211,6 +211,19 @@ def test_step_count_below_one_is_invalid_input(tmp_path, capsys, command,
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["trajectory", "--seed", "-1"], "seed"),
+    (["trajectory", "--index", "-1"], "index"),
+    (["ensemble", "--trajectories", "2", "--seed", "-1"], "seed"),
+])
+def test_negative_seed_or_index_is_invalid_input(tmp_path, capsys, argv,
+                                                 option):
+    argv = [*argv, "--steps", "10", "--out", str(tmp_path / "out")]
+    assert cli.run(argv) == cli.EXIT_INVALID
+    assert f"error: {option} must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 class TestGateModel:
 
     def test_table_line_count(self, capsys):
@@ -238,6 +251,16 @@ class TestGateModel:
         manifest = manifest_of(tmp_path)
         assert lines[0] == f"# manifest: {manifest['hash']}"
         assert manifest["outputs"] == ["gate_model.csv"]
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_is_invalid_input(self, tmp_path, capsys,
+                                               points):
+        argv = ["gate-model", "--points", points, "--out", str(tmp_path)]
+        assert cli.run(argv) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: points must be >= 1"]
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestPulsePreview:

@@ -4,10 +4,13 @@ Covers: elementwise drift coefficients in the rotating frame, the pure-
 dephasing closed form (also under drive with the coupling off, chi = 0),
 measurement superoperator identities, the strong order-1.5 step on cases
 with exact solutions, noise-increment statistics, seeded reproducibility,
-batch/single-trajectory equivalence, the elementwise conditioned solver
-against the dense d x d stepper at fine steps, and property tests of its
-state over register size, mode count, eta and phi.
+batch/single-trajectory equivalence, the batch loop against its S loop
+written through step_sde (bit for bit), the elementwise conditioned
+solver against the dense d x d stepper at fine steps, and property tests
+of its state over register size, mode count, eta and phi.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +171,120 @@ def dense_reference(config, table, rho0, dws, dzs):
             dws[:, n, None, None], dzs[:, n, None, None])
         k0, c0 = k1, c1
     return rho
+
+
+def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
+    """simulate_batch's S loop with each step taken by the general step_sde.
+
+    The drift closure returns the mean already computed for the record at
+    t and sqrt(eta) m(y) c1 at t + dt; the diffusion closure returns c at t
+    or at t + dt. E and the checkpoint states use the module's own helpers,
+    so a difference can only come from the stepping. Returns (rho_final,
+    records, min_eig).
+    """
+    times, dt, eta = table.times, table.dt, config.eta
+    sqrt_eta = math.sqrt(eta)
+    n_steps = len(times) - 1
+    rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
+    c_col = sme.measurement_diag(config, table.output)[:, :, None]
+    re_c = c_col.real
+    with np.errstate(divide="ignore"):
+        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
+
+    def scaled_mean(s, w, r):
+        x = log_p0 + (2.0 * sqrt_eta) * s.real
+        x -= r
+        x -= x.max(axis=0)
+        p = np.exp(x, out=x)
+        return sme._column_sum(p * w) / sme._column_sum(p)
+
+    nodes = np.unique(np.append(
+        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+    drift_op = sme.DriftOperator(config)
+
+    def exponent_steps(start, stop):
+        c = c_col[start:stop + 1]
+        f = (drift_op.coefficient(table.alpha[start:stop + 1])
+             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+        return (0.5 * dt) * (f[:-1] + f[1:])
+
+    exponents = sme._running_sum(exponent_steps, n_steps, nodes,
+                                 (config.dim, config.dim))
+    min_eig = []
+
+    def checkpoint(node, s):
+        rho = sme._conditioned_state(rho0, exponents[len(min_eig)], s.T,
+                                     sqrt_eta)
+        min_eig.append(sme._checkpoint(
+            rho, drift_op.coefficient(table.alpha[node]),
+            times[node])["min_eig"])
+        return rho
+
+    s = np.zeros((config.dim, len(dws)), dtype=complex)
+    records = np.empty(dws.shape)
+    rho = checkpoint(0, s)
+    w1 = (2.0 * sqrt_eta) * re_c[0]
+    sq1 = re_c[0] ** 2
+    r1 = np.zeros_like(sq1)
+    for n in range(n_steps):
+        t = times[n]
+        w0, sq0, r0 = w1, sq1, r1
+        w1 = (2.0 * sqrt_eta) * re_c[n + 1]
+        sq1 = re_c[n + 1] ** 2
+        r1 = r0 + (eta * dt) * (sq0 + sq1)
+        m0 = scaled_mean(s, w0, r0)
+        records[:, n] = m0 + dws[:, n] / dt
+        a0 = m0 * c_col[n]
+
+        def drift_fn(y, tt, _a0=a0, _t=t, _n=n, _w1=w1, _r1=r1):
+            if tt == _t:
+                return _a0
+            return scaled_mean(y, _w1, _r1) * c_col[_n + 1]
+
+        def diffusion_fn(y, tt, _n=n, _t=t):
+            return c_col[_n] if tt == _t else c_col[_n + 1]
+
+        s = sme.step_sde(s, t, dt, drift_fn, diffusion_fn,
+                         dws[:, n], dzs[:, n])
+        if n + 1 == nodes[len(min_eig)]:
+            rho = checkpoint(n + 1, s)
+    return rho, records, np.stack(min_eig, axis=-1)
+
+
+def reference_designs():
+    """The default design, a detuned-quadrature one and two other sizes."""
+    rng = np.random.default_rng(11)
+
+    def random_design(n_qubits, n_modes):
+        return model.ReadoutConfig(
+            n_qubits=n_qubits, n_modes=n_modes,
+            chi=rng.uniform(0.5, 1.5, (n_modes, n_qubits)),
+            kappa=rng.uniform(0.5, 4.0, n_modes),
+            delta=rng.uniform(-3.0, 3.0, n_modes),
+            gamma_z=rng.uniform(0.0, 0.01, n_qubits), eta=0.8, phi=0.3)
+
+    default = model.default_config()
+    return {"default": default,
+            "eta_phi": default.replace(eta=0.37, phi=0.9),
+            "1q_1m": random_design(1, 1),
+            "4q_3m": random_design(4, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs()))
+def test_batch_loop_is_step_sde_on_additive_noise(name, pulse):
+    # the loop's reduced update is step_sde with its zero terms left out,
+    # in the same term order, so the two agree bit for bit
+    config = reference_designs()[name]
+    table = sme.build_table(config, pulse, 1500)
+    dws, dzs = sme.trajectory_noise(table, 5, range(5))
+    rho0 = model.plus_density(config.n_qubits)
+    rho, records, diagnostics = sme.simulate_batch(
+        config, table, rho0, dws, dzs, checkpoint_every=7)
+    ref_rho, ref_records, ref_min_eig = step_sde_reference(
+        config, table, rho0, dws, dzs, checkpoint_every=7)
+    assert np.array_equal(records, ref_records)
+    assert np.array_equal(rho, ref_rho)
+    assert np.array_equal(diagnostics.min_eig, ref_min_eig)
 
 
 def coarsen(dws, dzs, ratio, h):
