@@ -15,10 +15,10 @@ the rank-one kappa term is the mode-mode coupling induced by decay into
 the shared output line (input-output theory, see Gardiner & Collett,
 Phys. Rev. A 31, 3761 (1985)).
 
-Because A_j differs from an invertible diagonal matrix by a rank-one
-update, its inverse has a closed form via the Sherman-Morrison identity;
-steady states therefore never require a dense solve, and the piecewise-
-quadratic drive makes the time evolution exact as well (integrate_amplitudes).
+Because s*1 - A_j is a diagonal matrix plus a rank-one update, Cramer's
+rule gives its resolvent in closed form (_resolvent), with no dense solve
+and no division by a pulled detuning; the piecewise-quadratic drive makes
+the time evolution exact as well (integrate_amplitudes).
 """
 
 import numpy as np
@@ -46,18 +46,53 @@ def effective_detunings(config: model.ReadoutConfig) -> np.ndarray:
     return config.delta[:, None] + model.signed_chi_sums(config)
 
 
+def _basis_index(config: model.ReadoutConfig, j: int) -> int:
+    """j, if it indexes a basis state; ConfigError otherwise."""
+    if not 0 <= j < config.dim:
+        raise ConfigError(f"basis index {j} out of range for {config.n_qubits} qubits")
+    return j
+
+
 def state_space(config: model.ReadoutConfig, j: int):
     """State-space matrices (A, B, C, D) for register basis state j."""
-    d = config.dim
-    if not 0 <= j < d:
-        raise ConfigError(f"basis index {j} out of range for {config.n_qubits} qubits")
     u = np.sqrt(config.kappa)
-    dtil = effective_detunings(config)[:, j]
+    dtil = effective_detunings(config)[:, _basis_index(config, j)]
     A = -1j * np.diag(dtil) - 0.5 * np.outer(u, u)
     B = -1j * u
     C = u.astype(complex)
     D = 0.0 + 0.0j
     return A, B, C, D
+
+
+def _resolvent(config: model.ReadoutConfig, s=0.0) -> np.ndarray:
+    """(s*1 - A_j)^{-1} B for every basis state j, shape s.shape + (m, 2**n).
+
+    With Q = diag(s + i dtil_j) and u = sqrt(kappa), Cramer's rule on
+    s*1 - A_j = Q + u u^T / 2 gives component k as -2i u_k P_k / (2 prod(Q)
+    + sum_l kappa_l P_l), with P_k the product of Q over the other modes,
+    formed from cumulative products from both ends: nothing divides by Q.
+    The denominator is 2 det(s*1 - A_j), so entries are not finite exactly
+    where s*1 - A_j is singular; at s = 0, where a zero pulled detuning
+    falls on an undamped mode or on two or more modes.
+    """
+    q = np.asarray(s, dtype=complex)[..., None, None] \
+        + 1j * effective_detunings(config)
+    ones = np.ones_like(q[..., :1, :])
+    before = np.cumprod(np.concatenate([ones, q[..., :-1, :]], -2), -2)
+    after = np.cumprod(np.concatenate([ones, q[..., :0:-1, :]], -2), -2)
+    others = before * after[..., ::-1, :]
+    det2 = 2.0 * others[..., :1, :] * q[..., :1, :] \
+        + (config.kappa[:, None] * others).sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -2j * np.sqrt(config.kappa)[:, None] * others / det2
+
+
+def _finite(values):
+    """values, unless an entry is not finite (s*1 - A_j is singular)."""
+    if np.all(np.isfinite(values)):
+        return values
+    raise ResonanceError("s*1 - A_j is singular: a zero pulled detuning "
+                         "falls on an undamped mode or on several modes")
 
 
 def transfer_matrix(config: model.ReadoutConfig, j: int, s):
@@ -66,59 +101,26 @@ def transfer_matrix(config: model.ReadoutConfig, j: int, s):
     Accepts a scalar or array of Laplace variables s; returns matching
     shape. Evaluate at s = i*omega for the frequency response.
     """
-    A, B, C, D = state_space(config, j)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    eye = np.eye(A.shape[0])
-    out = np.empty(s_arr.shape, dtype=complex)
-    for idx, sv in np.ndenumerate(s_arr):
-        out[idx] = C @ np.linalg.solve(sv * eye - A, B) + D
-    if np.ndim(s) == 0:
-        return complex(out[0])
-    return out
-
-
-def _sherman_morrison(config: model.ReadoutConfig, j: int):
-    """Pieces of the closed-form inverse of A_j = -i diag(dtil) - u u^T / 2.
-
-    With u = sqrt(kappa) and r = u / dtil, the Sherman-Morrison identity
-    gives
-
-        (A_j)^{-1} = i diag(1/dtil) - r r^T / (2 denom),
-        denom = 1 - (i/2) sum_k kappa_k / dtil_k.
-
-    denom has real part exactly 1, so it never vanishes; the only poles
-    are zero pulled detunings. Returns (dtil, r, denom).
-
-    Raises
-    ------
-    ResonanceError
-        If any pulled detuning vanishes.
-    """
-    dtil = effective_detunings(config)[:, j]
-    if np.any(np.abs(dtil) < 1e-12):
-        raise ResonanceError(
-            "a pulled detuning delta_k + s_{k,j} is zero; the steady state "
-            "has a pole there")
-    r = np.sqrt(config.kappa) / dtil
-    return dtil, r, 1.0 - 0.5j * np.sum(config.kappa / dtil)
+    resolvent = _resolvent(config, s)[..., _basis_index(config, j)]
+    g = _finite((np.sqrt(config.kappa) * resolvent).sum(axis=-1))
+    return complex(g) if np.ndim(s) == 0 else g
 
 
 def steady_state_amplitudes(config: model.ReadoutConfig, j: int,
                             eps: float) -> np.ndarray:
     """Steady mode amplitudes alpha = -A^{-1} B eps for constant drive eps.
 
-    Uses the rank-one closed form: alpha_k =
-    -eps (sqrt(kappa_k)/dtil_k) / (1 - (i/2) sum kappa/dtil).
+    Finite at a zero pulled detuning on a damped mode: one mode alone
+    gives -2i eps / sqrt(kappa).
     """
-    _, r, denom = _sherman_morrison(config, j)
-    return -eps * r / denom
+    return eps * _finite(_resolvent(config)[:, _basis_index(config, j)])
 
 
 def steady_state_output(config: model.ReadoutConfig, j: int,
                         eps: float) -> complex:
-    """Steady output amplitude a_out = sum_k sqrt(kappa_k) alpha_k.
+    """Steady output amplitude a_out = sum_k sqrt(kappa_k) alpha_k = G(0) eps.
 
-    Equals (-i S) / (i + S/2) * eps with S = sum_k kappa_k / dtil_k.
+    Raises ResonanceError only where A_j is singular.
     """
     return complex(np.sqrt(config.kappa)
                    @ steady_state_amplitudes(config, j, eps))
@@ -126,18 +128,15 @@ def steady_state_output(config: model.ReadoutConfig, j: int,
 
 def parity_outputs(config: model.ReadoutConfig, eps: float):
     """Steady outputs grouped by parity: (even array, odd array)."""
-    even = model.parity_indices(config.n_qubits, "even")
-    odd = model.parity_indices(config.n_qubits, "odd")
-    out_even = np.array([steady_state_output(config, j, eps) for j in even])
-    out_odd = np.array([steady_state_output(config, j, eps) for j in odd])
-    return out_even, out_odd
+    out = eps * _finite(np.sqrt(config.kappa) @ _resolvent(config))
+    return (out[model.parity_indices(config.n_qubits, "even")],
+            out[model.parity_indices(config.n_qubits, "odd")])
 
 
-def kappa_separation_scan(kappas, chi: float = 1.0, n_qubits: int = 3,
-                          eps: float = 1.0):
+def kappa_separation_scan(kappas, chi: float = 1.0, eps: float = 1.0):
     """Re-quadrature separation of the two parity outputs versus kappa.
 
-    For each kappa in kappas builds the two-mode configuration with
+    For each kappa in kappas builds the three-qubit, two-mode design with
     kappa_0 = kappa_1 = kappa at the matched detunings and evaluates
     |Re a_out(even) - Re a_out(odd)| for drive eps. Returns (kappas,
     separations) as float arrays.
@@ -147,10 +146,9 @@ def kappa_separation_scan(kappas, chi: float = 1.0, n_qubits: int = 3,
     for i, kap in enumerate(kappas):
         d0, d1 = model.parity_detunings(kap, kap, chi)
         config = model.ReadoutConfig(
-            n_qubits=n_qubits, n_modes=2,
-            chi=np.full((2, n_qubits), chi),
+            n_qubits=3, n_modes=2, chi=np.full((2, 3), chi),
             kappa=np.array([kap, kap]), delta=np.array([d0, d1]),
-            gamma_z=np.zeros(n_qubits))
+            gamma_z=np.zeros(3))
         even, odd = parity_outputs(config, eps)
         seps[i] = abs(even[0].real - odd[0].real)
     return kappas, seps

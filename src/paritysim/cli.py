@@ -141,6 +141,8 @@ def _cmd_respond(args) -> int:
     config, pulse = _load_inputs(args)
     manifest = Manifest("respond", config, pulse, None,
                         {"steps": args.steps})
+    # before any file is written, so a singular design leaves none behind
+    even, odd = cavity.parity_outputs(config, pulse.eps_ss)
     table = sme.build_table(config, pulse, args.steps)
     header = ["t"]
     for j in range(config.dim):
@@ -154,7 +156,6 @@ def _cmd_respond(args) -> int:
         rows.append(row)
     out = _out_dir(args)
     manifest.write_csv(out, "response.csv", header, rows)
-    even, odd = cavity.parity_outputs(config, pulse.eps_ss)
     manifest.write_json(out, "response_summary.json", {
         "steady_even": [even[0].real, even[0].imag],
         "steady_odd": [odd[0].real, odd[0].imag],
@@ -320,11 +321,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    def common(p, config=True, out=True):
-        if config:
-            p.add_argument("--config", help="JSON config file")
-        if out:
-            p.add_argument("--out", default=".", help="output directory")
+    def common(p):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("design", help="matched detunings for given rates")
     p.add_argument("--kappa0", type=float, default=2.0)
@@ -395,3 +394,7 @@ def run(argv=None) -> int:
 
 def main(argv=None):
     sys.exit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

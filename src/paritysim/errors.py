@@ -6,8 +6,9 @@ class ConfigError(ValueError):
 
 
 class ResonanceError(ValueError):
-    """A steady-state expression hit a pole (zero effective detuning or
-    vanishing response denominator)."""
+    """A resolvent (s*1 - A_j)^{-1} is evaluated where s*1 - A_j is
+    singular; at s = 0, a zero pulled detuning on an undamped mode or on
+    two or more modes at once."""
 
 
 class TruncationError(RuntimeError):

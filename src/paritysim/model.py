@@ -133,7 +133,7 @@ def _parse(data):
             size = int(data[name])
         except (TypeError, ValueError, OverflowError):
             size = 0
-        if size < 1 or size != data[name]:
+        if size < 1 or size != data[name] or isinstance(data[name], bool):
             problems.append(f"{name}: must be a positive integer")
         elif size > _MAX_SIZE[name]:
             problems.append(f"{name}: must be at most {_MAX_SIZE[name]}")
@@ -153,8 +153,10 @@ def _parse(data):
                             else f"{name}: missing")
             continue
         try:
-            arr = np.array(value, dtype=float)
+            arr = None if _has_bool(value) else np.array(value, dtype=float)
         except (TypeError, ValueError):
+            arr = None
+        if arr is None:
             problems.append(f"{name}: not numeric")
             continue
         if arr.ndim == 0:
@@ -173,6 +175,13 @@ def _parse(data):
         else:
             fields[name] = float(arr)
     return fields, problems
+
+
+def _has_bool(value) -> bool:
+    """Whether JSON-style value is a boolean or a list holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(item) for item in value)
+    return isinstance(value, bool)
 
 
 def _checked(data) -> dict:
@@ -210,11 +219,6 @@ def sigma_z_signs(n_qubits: int) -> np.ndarray:
 def popcounts(n_qubits: int) -> np.ndarray:
     """Number of 1-bits of every basis index."""
     return bit_table(n_qubits).sum(axis=1)
-
-
-def parity_labels(n_qubits: int) -> np.ndarray:
-    """Array of 'even'/'odd' labels by popcount parity of each basis index."""
-    return np.where(popcounts(n_qubits) % 2 == 0, _EVEN, _ODD)
 
 
 def parity_indices(n_qubits: int, parity: str) -> np.ndarray:
@@ -274,17 +278,19 @@ def psi_parity(n_qubits: int, parity: str) -> np.ndarray:
     return vec
 
 
-def psi_plus(n_qubits: int = 3) -> np.ndarray:
-    """Even-parity reference state (1/2)(|000> + |011> + |101> + |110>)."""
+def psi_plus(n_qubits: int) -> np.ndarray:
+    """Even-parity reference state, (1/2)(|000> + |011> + |101> + |110>)
+    for three qubits."""
     return psi_parity(n_qubits, _EVEN)
 
 
-def psi_minus(n_qubits: int = 3) -> np.ndarray:
-    """Odd-parity reference state (1/2)(|111> + |100> + |010> + |001>)."""
+def psi_minus(n_qubits: int) -> np.ndarray:
+    """Odd-parity reference state, (1/2)(|111> + |100> + |010> + |001>)
+    for three qubits."""
     return psi_parity(n_qubits, _ODD)
 
 
-def plus_density(n_qubits: int = 3) -> np.ndarray:
+def plus_density(n_qubits: int) -> np.ndarray:
     """Density matrix of |+>^n, every entry 1/2**n."""
     d = 1 << n_qubits
     return np.full((d, d), 1.0 / d, dtype=complex)

@@ -78,6 +78,8 @@ def _parse(data):
         try:
             value = float(data[name])
         except (TypeError, ValueError):
+            value = None
+        if value is None or isinstance(data[name], bool):
             problems.append(f"pulse parameter {name} must be a number")
             continue
         if not np.isfinite(value):

@@ -23,7 +23,8 @@ def random_config(rng, max_qubits=3):
     n_modes = int(rng.integers(1, 4))
     chi = rng.uniform(0.2, 0.8, size=(n_modes, n_qubits))
     kappa = rng.uniform(0.5, 3.0, size=n_modes)
-    # |delta| >= 3 keeps every pulled detuning away from resonance
+    # |delta| >= 3 keeps every pulled detuning away from zero; the resolvent
+    # tests add designs nearer to it
     delta = rng.uniform(3.0, 6.0, size=n_modes) * rng.choice([-1, 1], n_modes)
     return model.ReadoutConfig(n_qubits=n_qubits, n_modes=n_modes, chi=chi,
                                kappa=kappa, delta=delta,
@@ -137,33 +138,79 @@ class TestTransferFunction:
 
 class TestInverseDynamics:
     def test_matches_dense_inverse(self):
-        # the closed form i diag(1/dtil) - r r^T / (2 denom) assembled from
-        # the Sherman-Morrison pieces, against a dense inverse of A
+        # the closed-form resolvent against a dense solve of
+        # (s*1 - A_j) x = B for every basis state of 100 random designs,
+        # half of them with |delta| < 3, where pulled detunings can vanish
         rng = np.random.default_rng(77)
-        for _ in range(100):
+        s = np.array([0.0, 0.3j, -1.1j, 0.5 + 0.2j])
+        for i in range(100):
             cfg = random_config(rng)
+            if i % 2:
+                cfg = cfg.replace(delta=rng.uniform(-3.0, 3.0, cfg.n_modes))
+            closed = cavity._resolvent(cfg, s)
+            assert closed.shape == (len(s), cfg.n_modes, cfg.dim)
             for j in range(cfg.dim):
-                A, _, _, _ = cavity.state_space(cfg, j)
-                dtil, r, denom = cavity._sherman_morrison(cfg, j)
-                closed = 1j * np.diag(1.0 / dtil) - np.outer(r, r) / (2 * denom)
-                dense = np.linalg.inv(A)
-                err = np.max(np.abs(closed - dense))
-                assert err < 1e-12 * max(1.0, np.max(np.abs(dense)))
+                A, B, _, _ = cavity.state_space(cfg, j)
+                for k, sv in enumerate(s):
+                    dense = np.linalg.solve(sv * np.eye(cfg.n_modes) - A, B)
+                    err = np.max(np.abs(closed[k, :, j] - dense))
+                    assert err < 1e-12 * np.max(np.abs(dense))
 
     def test_resonant_configuration_raises(self):
-        cfg = single_mode_config(delta=-1.0)  # pulled detuning 0 for j=0
-        with pytest.raises(ResonanceError):
-            cavity._sherman_morrison(cfg, 0)
-        with pytest.raises(ResonanceError):
-            cavity.steady_state_amplitudes(cfg, 0, 1.0)
-        with pytest.raises(ResonanceError):
-            cavity.steady_state_output(cfg, 0, 1.0)
+        # s*1 - A_j is singular at s = 0 for basis state j: an undamped
+        # mode at zero pulled detuning, and two damped modes sharing one
+        for kappa, delta, j in [([2.0, 0.0], [0.3, 1.0], 1),
+                                ([2.0, 1.0], [-1.0, -1.0], 0)]:
+            cfg = model.ReadoutConfig.from_dict(
+                {"n_qubits": 1, "n_modes": 2, "chi": 1.0, "kappa": kappa,
+                 "delta": delta})
+            A, _, _, _ = cavity.state_space(cfg, j)
+            assert np.linalg.matrix_rank(A) < cfg.n_modes
+            with pytest.raises(ResonanceError):
+                cavity.steady_state_amplitudes(cfg, j, 1.0)
+            with pytest.raises(ResonanceError):
+                cavity.steady_state_output(cfg, j, 1.0)
+            with pytest.raises(ResonanceError):
+                cavity.transfer_matrix(cfg, j, 0.0)
+            with pytest.raises(ResonanceError):
+                cavity.parity_outputs(cfg, 1.0)
+            # the other basis state is regular and stays finite
+            A, B, _, _ = cavity.state_space(cfg, 1 - j)
+            alpha = cavity.steady_state_amplitudes(cfg, 1 - j, 0.3)
+            assert np.max(np.abs(alpha + 0.3 * np.linalg.solve(A, B))) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 3.0])
+    def test_damped_zero_detuning_is_finite(self, kappa):
+        # one mode at dtil = 0: a_out = -2i eps, alpha = -2i eps / sqrt(kappa)
+        cfg, eps = single_mode_config(delta=1.0, kappa=kappa), 0.3
+        assert cavity.effective_detunings(cfg)[0, 1] == 0.0
+        A, B, _, _ = cavity.state_space(cfg, 1)
+        alpha = cavity.steady_state_amplitudes(cfg, 1, eps)
+        assert abs(alpha[0] - (-2j * eps / np.sqrt(kappa))) < 1e-14
+        assert abs(alpha[0] + eps * np.linalg.solve(A, B)[0]) < 1e-14
+        assert abs(cavity.steady_state_output(cfg, 1, eps) + 2j * eps) < 1e-14
+        assert abs(cavity.transfer_matrix(cfg, 1, 0.0) + 2j) < 1e-14
+
+    @pytest.mark.parametrize("cfg", [
+        model.default_config(),
+        single_mode_config(delta=1.0),           # dtil = 0 for j = 1
+        model.default_config().replace(delta=[1.0, -np.sqrt(3.0)]),
+    ], ids=["default", "one-mode", "two-mode"])
+    def test_exact_table_settles_on_steady_state(self, cfg):
+        # constant drive from vacuum for t = 60: every A_j here decays at
+        # rate 1 or faster, so the transient is below e^-60; the two-mode
+        # design has dtil_0 = 0 for three basis states
+        table = cavity.integrate_amplitudes(cfg, 0.3,
+                                            cavity.time_grid(60.0, 6000))
+        for j in range(cfg.dim):
+            steady = cavity.steady_state_amplitudes(cfg, j, 0.3)
+            assert np.max(np.abs(table.alpha[-1, :, j] - steady)) < 1e-12
 
 
 class TestSteadyStates:
     def test_amplitudes_solve_linear_system(self):
-        # the Sherman-Morrison closed form against a dense solve, for every
-        # basis state of 100 random designs
+        # the closed-form resolvent against a dense solve, for every basis
+        # state of 100 random designs
         rng = np.random.default_rng(77)
         for _ in range(100):
             cfg = random_config(rng)
@@ -201,6 +248,16 @@ class TestSteadyStates:
     def test_far_detuned_output_vanishes(self):
         cfg = single_mode_config(delta=1e6)
         assert abs(cavity.steady_state_output(cfg, 0, 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda cfg, j: cavity.steady_state_amplitudes(cfg, j, 1.0),
+        lambda cfg, j: cavity.steady_state_output(cfg, j, 1.0),
+        lambda cfg, j: cavity.transfer_matrix(cfg, j, 0.5j),
+    ], ids=["amplitudes", "output", "transfer"])
+    @pytest.mark.parametrize("j", [-1, 8])
+    def test_index_out_of_range(self, evaluate, j):
+        with pytest.raises(ConfigError):
+            evaluate(model.default_config(), j)
 
 
 class TestKappaScan:

@@ -6,11 +6,15 @@ codes are all checked on small, fast parameter sets.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paritysim import __version__, cli, model, sme
+from paritysim import __version__, cavity, cli, model, sme
 from paritysim.pulse import default_pulse
 
 HEX16 = set("0123456789abcdef")
@@ -49,6 +53,16 @@ class TestUsage:
     def test_version_flag(self, capsys):
         assert cli.run(["--version"]) == cli.EXIT_OK
         assert capsys.readouterr().out.strip() == __version__
+
+    @pytest.mark.parametrize("module", ["paritysim", "paritysim.cli"])
+    def test_runs_as_module_from_a_checkout(self, module):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", module, "--version"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert done.stdout.strip() == __version__
 
 
 class TestDesign:
@@ -141,6 +155,13 @@ BAD_FIELDS = {
     "chi-object": lambda data: data.update(chi={}),
     "sigma-null": lambda data: data["pulse"].update(sigma=None),
     "pulse-not-object": lambda data: data.update(pulse=[]),
+    # JSON booleans are not numbers; each file below is otherwise valid
+    "n_qubits-true": lambda data: data.update(n_qubits=True, chi=1.0,
+                                              gamma_z=0.0),
+    "eta-true": lambda data: data.update(eta=True),
+    "kappa-element-true": lambda data: data.update(
+        kappa=[True, *data["kappa"][1:]]),
+    "eps_ss-true": lambda data: data["pulse"].update(eps_ss=True),
 }
 
 
@@ -329,6 +350,35 @@ class TestRespond:
         header = csv_lines(tmp_path / "response.csv")[1].split(",")
         assert len(header) == 1 + 2 * 4
         assert header[1] == "re_out_00"
+
+    def test_damped_zero_detuning_is_answered(self, tmp_path, capsys):
+        # basis state 1 has pulled detuning 0 on a damped mode: finite
+        config = model.ReadoutConfig.from_dict(
+            {"n_qubits": 1, "n_modes": 1, "chi": 1.0, "kappa": 2.0,
+             "delta": 1.0})
+        path = write_config(tmp_path / "config.json", config=config)
+        rc = cli.run(["respond", "--steps", "100", "--config", str(path),
+                      "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "response_summary.json").read_text())
+        eps = default_pulse().eps_ss
+        for key, j in (("steady_even", 0), ("steady_odd", 1)):
+            A, B, C, _ = cavity.state_space(config, j)
+            dense = C @ np.linalg.solve(A, -B * eps)
+            assert abs(complex(*summary[key]) - dense) < 1e-12
+
+    def test_singular_design_writes_nothing(self, tmp_path, capsys):
+        # basis state 1 puts an undamped mode at zero pulled detuning
+        config = model.ReadoutConfig.from_dict(
+            {"n_qubits": 1, "n_modes": 2, "chi": 1.0, "kappa": [2.0, 0.0],
+             "delta": [0.3, 1.0]})
+        path = write_config(tmp_path / "config.json", config=config)
+        rc = cli.run(["respond", "--steps", "100", "--config", str(path),
+                      "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 class TestTrajectory:

@@ -44,10 +44,6 @@ class TestBitConventions:
     def test_popcounts_and_parity_labels(self):
         counts = model.popcounts(3)
         assert list(counts) == [0, 1, 1, 2, 1, 2, 2, 3]
-        labels = model.parity_labels(3)
-        assert labels[0] == "even"
-        assert labels[4] == "odd"
-        assert labels[3] == "even"
 
     def test_parity_indices_partition_basis(self):
         for n in range(1, 5):
@@ -66,11 +62,11 @@ class TestBitConventions:
     def test_single_bit_flip_toggles_parity(self):
         # parity is a popcount invariant: flipping any one bit flips it
         for n in range(1, 5):
-            labels = model.parity_labels(n)
+            parity = model.popcounts(n) % 2
             for j in range(2 ** n):
                 for l in range(n):
                     k = j ^ (1 << (n - 1 - l))
-                    assert labels[j] != labels[k]
+                    assert parity[j] != parity[k]
 
 
 class TestSignedChiSums:
