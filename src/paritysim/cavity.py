@@ -47,7 +47,13 @@ def effective_detunings(config: model.ReadoutConfig) -> np.ndarray:
 
 
 def _basis_index(config: model.ReadoutConfig, j: int) -> int:
-    """j, if it indexes a basis state; ConfigError otherwise."""
+    """j, if it indexes a basis state; ConfigError otherwise.
+
+    A Python or numpy integer is accepted; a bool, a float (even a whole
+    one) or anything else is not, so it cannot select a state by accident.
+    """
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise ConfigError(f"basis index must be an integer, got {j!r}")
     if not 0 <= j < config.dim:
         raise ConfigError(f"basis index {j} out of range for {config.n_qubits} qubits")
     return j

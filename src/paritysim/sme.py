@@ -54,10 +54,14 @@ Stochastic Differential Equations" (1992), sec. 11.2, made non-autonomous
 by augmenting the state with time (all supporting values are evaluated at
 t + dt). The noise of S is additive, so with c linear over a step the
 scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt.
-simulate_batch writes the step in that reduced form (two drift
-evaluations, no diffusion calls) and adds the remaining terms in
-step_sde's order, so its results equal step_sde's bit for bit. The
-required pair of correlated Gaussians per step is
+simulate_batch writes the step in that reduced form (no diffusion calls)
+and adds the remaining terms in step_sde's order, so its results equal
+step_sde's bit for bit. The two supporting values of a step share one
+softmax evaluation, side by side in one buffer. States and diagnostics
+are built per block of checkpoints, at most _BLOCK_MATRICES states at a
+time, so memory stays bounded; the block is laid out so that every
+reduction adds in the order of a lone checkpoint, and the blocks change
+no bit. The required pair of correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -84,8 +88,13 @@ DIAGNOSTIC_THRESHOLDS = {
     "diag_drift": 1e-10,
 }
 
-#: steps per block of exponent increments in _running_sum
+#: steps per block of exponent increments in _running_sum, and at most
+#: per chunk of tabulated node values in simulate_batch
 _BLOCK_STEPS = 256
+
+#: checkpoint states (trajectories x checkpoints) built per stacked call
+#: in simulate_batch; bounds the memory of one block
+_BLOCK_MATRICES = 256
 
 
 class DriftOperator:
@@ -344,7 +353,8 @@ def _column_sum(x) -> np.ndarray:
 
     x.sum(axis=0) switches to pairwise summation when x has one column,
     which would make a lone trajectory round differently from the same
-    trajectory in a batch.
+    trajectory in a batch. Any trailing shape is allowed: simulate_batch
+    sums p and p w of every column at once from a (d, 2, columns) array.
     """
     return np.add.accumulate(x, axis=0)[-1]
 
@@ -368,12 +378,17 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    checkpoint_every: int = 0):
     """Advance a batch of register states through the full record grid.
 
-    Steps the exponents S = int c dY of every trajectory (reduced step_sde) and
-    builds the state from the elementwise solution (module docstring) at
-    every checkpoint; E is integrated by the trapezoid rule on the table's
-    nodes. Valid only without qubit decay, which would couple the
-    populations. Every row is reduced on its own, so a trajectory's
-    results do not depend on the batch it runs in.
+    Steps the exponents S = int c dY of every trajectory (reduced step_sde)
+    and builds the state from the elementwise solution (module docstring)
+    at every checkpoint; E is integrated by the trapezoid rule on the
+    table's nodes. The two supporting values of a step share one softmax
+    evaluation, the node values and noise factors are tabulated per chunk
+    of at most _BLOCK_STEPS steps, and the checkpoint states and their
+    diagnostics are built for up to _BLOCK_MATRICES matrices at a time, so
+    the memory used stays bounded however long the grid. Valid only
+    without qubit decay, which would couple the populations. Every row is
+    reduced on its own, so a trajectory's results do not depend on the
+    batch it runs in, nor on the block sizes.
 
     Parameters
     ----------
@@ -387,37 +402,65 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     (rho_final, records, diagnostics)
         records has shape (n_batch, n_steps); records[:, n] is the
         left-point sample sqrt(eta) m(t_n) + dW_n / dt.
+
+    Raises
+    ------
+    ConfigError
+        If the noise arrays or rho0 do not have the shapes above, or
+        checkpoint_every is not an integer.
     """
     times = table.times
     n_steps = len(times) - 1
-    if dws.shape[-1] != n_steps or dzs.shape != dws.shape:
-        raise ConfigError("noise arrays do not match the amplitude grid")
+    dim = config.dim
+    dws, dzs, rho0 = np.asarray(dws), np.asarray(dzs), np.asarray(rho0)
+    if dws.ndim != 2 or dzs.shape != dws.shape:
+        raise ConfigError(
+            f"noise arrays dws {dws.shape} and dzs {dzs.shape} must both "
+            "have shape (n_batch, n_steps)")
+    if dws.shape[1] != n_steps:
+        raise ConfigError(f"noise arrays have {dws.shape[1]} steps; the "
+                          f"amplitude grid has {n_steps}")
+    n_batch = len(dws)
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
+        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim}) "
+                          f"or (n_batch, {dim}, {dim})")
+    if rho0.ndim == 3 and len(rho0) != n_batch:
+        raise ConfigError(f"rho0 holds {len(rho0)} states for {n_batch} "
+                          "noise rows")
+    if isinstance(checkpoint_every, bool) \
+            or not isinstance(checkpoint_every, (int, np.integer)):
+        raise ConfigError("checkpoint_every must be an integer, got "
+                          f"{checkpoint_every!r}")
     if checkpoint_every <= 0:
         checkpoint_every = max(1, n_steps // 100)
     dt = table.dt
     sqrt_dt = math.sqrt(dt)
     eta = config.eta
     sqrt_eta = math.sqrt(eta)
-    rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
+    rho0 = np.broadcast_to(rho0, (n_batch, dim, dim))
 
     c_all = measurement_diag(config, table.output)        # (n_t, d)
     # the loop holds S as (d, n_batch), so each reduction over the basis
     # runs across the batch at once and each column on its own
     c_col = c_all[:, :, None]
-    re_c = c_col.real
     with np.errstate(divide="ignore"):
         log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
 
-    def scaled_mean(s, w, r):
-        """sqrt(eta) m = sum_i p_i w_i for exponents s, shape (n_batch,).
+    def scaled_mean(re_s, log_p, w, r, x, pw, out=None):
+        """sqrt(eta) m = sum_i p_i w_i for exponents with real part re_s.
 
-        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node.
+        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node; x and
+        pw are scratch of shapes (d, columns) and (d, 2, columns), so one
+        _column_sum gives both sums of every column.
         """
-        x = log_p0 + (2.0 * sqrt_eta) * s.real
+        np.multiply(re_s, 2.0 * sqrt_eta, out=x)
+        x += log_p
         x -= r
-        x -= x.max(axis=0)
-        p = np.exp(x, out=x)
-        return _column_sum(p * w) / _column_sum(p)
+        x -= np.maximum.reduce(x, axis=0)
+        p = np.exp(x, out=pw[:, 0])
+        np.multiply(p, w, out=pw[:, 1])
+        sums = _column_sum(pw)
+        return np.divide(sums[1], sums[0], out=out)
 
     # E is needed at the checkpoints only, and does not depend on S
     nodes = np.unique(np.append(
@@ -430,48 +473,90 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
              - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
         return (0.5 * dt) * (f[:-1] + f[1:])
 
-    exponents = _running_sum(exponent_steps, n_steps, nodes,
-                             (config.dim, config.dim))
-    checks = []
+    exponents = _running_sum(exponent_steps, n_steps, nodes, (dim, dim))
+    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
+    pending, checks = [], []
+    n_built = 0
 
-    def checkpoint(node, s):
-        rho = _conditioned_state(rho0, exponents[len(checks)], s.T, sqrt_eta)
+    def checkpoint(s):
+        """Keep S at the next node; build the block's states once it is full.
+
+        Returns the batch's state at the last node, and None before it.
+        """
+        nonlocal n_built
+        pending.append(s)
+        stop = n_built + len(pending)
+        if len(pending) < per_block and stop < len(nodes):
+            return None
+        node = nodes[n_built:stop]
+        # S stacked as (k, d, n_batch) and viewed as (k, n_batch, d) has
+        # the strides of s.T, so every reduction in the state and its
+        # diagnostics adds in the same order as for a lone checkpoint
+        rho = _conditioned_state(rho0, exponents[n_built:stop, None],
+                                 np.stack(pending).swapaxes(1, 2), sqrt_eta)
         checks.append(_checkpoint(
-            rho, drift_op.coefficient(table.alpha[node]), times[node]))
-        return rho
+            rho, drift_op.coefficient(table.alpha[node])[:, None],
+            times[node]))
+        n_built = stop
+        pending.clear()
+        if stop == len(nodes):
+            # copied in its memory order, which is that of a lone
+            # checkpoint's state, so the block is not kept alive
+            return rho[-1].copy(order="K")
+        return None
 
-    s = np.zeros((config.dim, len(dws)), dtype=complex)
+    s = np.zeros((dim, n_batch), dtype=complex)
     records = np.empty(dws.shape, dtype=float)
-    rho = checkpoint(0, s)
-    # node values of w, (Re c)^2 and r = 2 eta R (trapezoid rule), carried
-    # step by step rather than tabulated over the grid to save memory
-    w1 = (2.0 * sqrt_eta) * re_c[0]
-    sq1 = re_c[0] ** 2
-    r1 = np.zeros_like(sq1)
+    checkpoint(s)
+    x1, pw1 = np.empty((dim, n_batch)), np.empty((dim, 2, n_batch))
+    # the supporting values base +- c0 sqrt(dt) side by side in columns b
+    # and n_batch + b, evaluated in one softmax
+    pair = np.empty((dim, 2 * n_batch), dtype=complex)
+    x2, pw2 = np.empty((dim, 2 * n_batch)), np.empty((dim, 2, 2 * n_batch))
+    log_p0_pair = np.tile(log_p0, 2)
+    r_carry = np.zeros((dim, 1))
+    # chunks end at every checkpoint and span at most _BLOCK_STEPS steps,
+    # which bounds the per-chunk tables however sparse the checkpoints
+    edges = np.union1d(nodes, np.arange(0, n_steps, _BLOCK_STEPS))
 
-    for n in range(n_steps):
-        w0, sq0, r0 = w1, sq1, r1
-        w1 = (2.0 * sqrt_eta) * re_c[n + 1]
-        sq1 = re_c[n + 1] ** 2
-        r1 = r0 + (eta * dt) * (sq0 + sq1)
-        m0 = scaled_mean(s, w0, r0)
-        dw, dz = dws[:, n], dzs[:, n]
-        records[:, n] = m0 + dw / dt
-        # step_sde with the diffusion c0 at t and c1 at t + dt, its terms
-        # that vanish for noise independent of S left out, in its order
-        c0, c1 = c_col[n], c_col[n + 1]
-        a0 = m0 * c0
-        base = s + a0 * dt
-        ap = scaled_mean(base + c0 * sqrt_dt, w1, r1) * c1
-        am = scaled_mean(base - c0 * sqrt_dt, w1, r1) * c1
-        s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw
-             + (ap - am) * (dz / (2.0 * sqrt_dt))
-             + (c1 - 2.0 * c0 + c1) * ((dw * dt - dz) / (2.0 * dt)))
-        if n + 1 == nodes[len(checks)]:
-            rho = checkpoint(n + 1, s)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # node values of w = 2 sqrt(eta) Re c and r = 2 eta R (trapezoid
+        # rule, summed step by step from the carry) and the step factors
+        c = c_col[lo:hi + 1]
+        re_c = c.real
+        w = (2.0 * sqrt_eta) * re_c
+        sq = re_c ** 2
+        r = np.cumsum(np.concatenate(
+            [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
+        r_carry = r[-1]
+        c_sqrt_dt = c[:-1] * sqrt_dt
+        curvature = c[1:] - 2.0 * c[:-1] + c[1:]
+        dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
+        dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
+        dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
+        dw = np.ascontiguousarray(dw)
+        means = np.empty((hi - lo, n_batch))
+        for j in range(hi - lo):
+            m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1, means[j])
+            # step_sde with the diffusion c0 at t and c1 at t + dt, its
+            # terms that vanish for noise independent of S left out, in
+            # its order
+            c0, c1 = c[j], c[j + 1]
+            a0 = m0 * c0
+            base = s + a0 * dt
+            np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
+            np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
+            a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1], r[j + 1],
+                                 x2, pw2) * c1
+            ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
+            s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
+                 + (ap - am) * dz_factor[j] + curvature[j] * dwz_factor[j])
+        records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
+        if hi == nodes[n_built + len(pending)]:
+            rho = checkpoint(s)
 
     diagnostics = Diagnostics(**{
-        f.name: np.stack([check[f.name] for check in checks], axis=-1)
+        f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
         for f in fields(Diagnostics)})
     return rho, records, diagnostics
 

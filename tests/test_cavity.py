@@ -260,6 +260,32 @@ class TestSteadyStates:
             evaluate(model.default_config(), j)
 
 
+BASIS_STATE_FUNCTIONS = {
+    "state_space": lambda cfg, j: cavity.state_space(cfg, j),
+    "transfer": lambda cfg, j: cavity.transfer_matrix(cfg, j, 0.5j),
+    "amplitudes": lambda cfg, j: cavity.steady_state_amplitudes(cfg, j, 1.0),
+    "output": lambda cfg, j: cavity.steady_state_output(cfg, j, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_STATE_FUNCTIONS))
+@pytest.mark.parametrize("j", [1.5, 2.0, True], ids=["float", "whole", "bool"])
+def test_basis_index_must_be_integer(name, j):
+    with pytest.raises(ConfigError, match="integer"):
+        BASIS_STATE_FUNCTIONS[name](model.default_config(), j)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_STATE_FUNCTIONS))
+def test_numpy_integer_basis_index_accepted(name):
+    evaluate = BASIS_STATE_FUNCTIONS[name]
+    cfg = model.default_config()
+    got, want = evaluate(cfg, np.int64(3)), evaluate(cfg, 3)
+    if name != "state_space":       # the others return a single value
+        got, want = [got], [want]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
 class TestKappaScan:
     def test_peak_at_twice_chi(self):
         kappas = np.arange(0.1, 4.0 + 1e-12, 0.01)

@@ -5,12 +5,15 @@ dephasing closed form (also under drive with the coupling off, chi = 0),
 measurement superoperator identities, the strong order-1.5 step on cases
 with exact solutions, noise-increment statistics, seeded reproducibility,
 batch/single-trajectory equivalence, the batch loop against its S loop
-written through step_sde (bit for bit), the elementwise conditioned
+written through step_sde (records, states and all five diagnostics, bit
+for bit), results independent of block sizes and checkpoint cadence,
+typed errors on malformed batch input, the elementwise conditioned
 solver against the dense d x d stepper at fine steps, and property tests
 of its state over register size, mode count, eta and phi.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -179,8 +182,9 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
     The drift closure returns the mean already computed for the record at
     t and sqrt(eta) m(y) c1 at t + dt; the diffusion closure returns c at t
     or at t + dt. E and the checkpoint states use the module's own helpers,
-    so a difference can only come from the stepping. Returns (rho_final,
-    records, min_eig).
+    one checkpoint at a time, so a difference can only come from the
+    stepping or from building checkpoints in blocks. Returns (rho_final,
+    records, diagnostics), the last a dict keyed by Diagnostics field.
     """
     times, dt, eta = table.times, table.dt, config.eta
     sqrt_eta = math.sqrt(eta)
@@ -210,14 +214,13 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
 
     exponents = sme._running_sum(exponent_steps, n_steps, nodes,
                                  (config.dim, config.dim))
-    min_eig = []
+    checks = []
 
     def checkpoint(node, s):
-        rho = sme._conditioned_state(rho0, exponents[len(min_eig)], s.T,
+        rho = sme._conditioned_state(rho0, exponents[len(checks)], s.T,
                                      sqrt_eta)
-        min_eig.append(sme._checkpoint(
-            rho, drift_op.coefficient(table.alpha[node]),
-            times[node])["min_eig"])
+        checks.append(sme._checkpoint(
+            rho, drift_op.coefficient(table.alpha[node]), times[node]))
         return rho
 
     s = np.zeros((config.dim, len(dws)), dtype=complex)
@@ -246,9 +249,10 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
 
         s = sme.step_sde(s, t, dt, drift_fn, diffusion_fn,
                          dws[:, n], dzs[:, n])
-        if n + 1 == nodes[len(min_eig)]:
+        if n + 1 == nodes[len(checks)]:
             rho = checkpoint(n + 1, s)
-    return rho, records, np.stack(min_eig, axis=-1)
+    return rho, records, {name: np.stack([check[name] for check in checks],
+                                         axis=-1) for name in checks[0]}
 
 
 def reference_designs():
@@ -273,18 +277,25 @@ def reference_designs():
 @pytest.mark.parametrize("name", sorted(reference_designs()))
 def test_batch_loop_is_step_sde_on_additive_noise(name, pulse):
     # the loop's reduced update is step_sde with its zero terms left out,
-    # in the same term order, so the two agree bit for bit
+    # in the same term order, so the two agree bit for bit; checkpoints
+    # built in blocks must also reduce in the order of lone ones, at every
+    # cadence down to one checkpoint per step
     config = reference_designs()[name]
     table = sme.build_table(config, pulse, 1500)
     dws, dzs = sme.trajectory_noise(table, 5, range(5))
     rho0 = model.plus_density(config.n_qubits)
-    rho, records, diagnostics = sme.simulate_batch(
-        config, table, rho0, dws, dzs, checkpoint_every=7)
-    ref_rho, ref_records, ref_min_eig = step_sde_reference(
-        config, table, rho0, dws, dzs, checkpoint_every=7)
-    assert np.array_equal(records, ref_records)
-    assert np.array_equal(rho, ref_rho)
-    assert np.array_equal(diagnostics.min_eig, ref_min_eig)
+    for checkpoint_every in (7, 1, 1501):
+        rho, records, diagnostics = sme.simulate_batch(
+            config, table, rho0, dws, dzs, checkpoint_every=checkpoint_every)
+        ref_rho, ref_records, ref_diagnostics = step_sde_reference(
+            config, table, rho0, dws, dzs, checkpoint_every=checkpoint_every)
+        assert np.array_equal(records, ref_records)
+        assert np.array_equal(rho, ref_rho)
+        for field in fields(sme.Diagnostics):
+            want = ref_diagnostics[field.name]
+            got = getattr(diagnostics, field.name)
+            assert got.shape == want.shape, (checkpoint_every, field.name)
+            assert np.array_equal(got, want), (checkpoint_every, field.name)
 
 
 def coarsen(dws, dzs, ratio, h):
@@ -560,6 +571,60 @@ class TestSimulateBatch:
         with pytest.raises(ConfigError):
             sme.simulate_batch(config, table, rho0, np.zeros((1, 99)),
                                np.zeros((1, 99)))
+
+    @pytest.mark.parametrize("rho0, noise_shape, match", [
+        (model.plus_density(3), (100,), "shape"),
+        (np.eye(4) / 4, (1, 100), "rho0 has shape"),
+        (np.stack([model.plus_density(3)] * 3), (1, 100), "3 states for 1"),
+    ], ids=["1d_noise", "rho0_of_other_register", "rho0_rows_not_noise_rows"])
+    def test_degenerate_input_rejected(self, config, rho0, noise_shape,
+                                       match):
+        table = sme.build_table(config, default_pulse(), 100)
+        with pytest.raises(ConfigError, match=match):
+            sme.simulate_batch(config, table, rho0, np.zeros(noise_shape),
+                               np.zeros(noise_shape))
+
+    @pytest.mark.parametrize("every", [2.5, float("nan"), True])
+    def test_non_integer_cadence_rejected(self, config, every):
+        table = sme.build_table(config, default_pulse(), 100)
+        dws, dzs = sme.trajectory_noise(table, 0, range(2))
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            sme.simulate_batch(config, table, model.plus_density(3), dws, dzs,
+                               checkpoint_every=every)
+
+    @pytest.mark.parametrize("n_batch", [1, 13])
+    @pytest.mark.parametrize("name, value", [
+        ("_BLOCK_MATRICES", 1), ("_BLOCK_MATRICES", 7),
+        ("_BLOCK_MATRICES", 10 ** 6), ("_BLOCK_STEPS", 5)])
+    def test_block_sizes_invisible(self, config, monkeypatch, n_batch, name,
+                                   value):
+        table = sme.build_table(config, default_pulse(), 300)
+        dws, dzs = sme.trajectory_noise(table, 2, range(n_batch))
+        rho0 = model.plus_density(3)
+        want = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                  checkpoint_every=7)
+        monkeypatch.setattr(sme, name, value)
+        got = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                 checkpoint_every=7)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        for field in fields(sme.Diagnostics):
+            assert np.array_equal(getattr(got[2], field.name),
+                                  getattr(want[2], field.name)), field.name
+
+    @pytest.mark.parametrize("n_batch", [1, 13])
+    def test_checkpoint_cadence_invisible_in_results(self, config, n_batch):
+        # checkpoints also end the chunks the loop tabulates per step
+        table = sme.build_table(config, default_pulse(), 300)
+        dws, dzs = sme.trajectory_noise(table, 2, range(n_batch))
+        rho0 = model.plus_density(3)
+        rho, records, _ = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                             checkpoint_every=1)
+        for every in (7, 0, 305):
+            got = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                     checkpoint_every=every)
+            assert np.array_equal(got[0], rho)
+            assert np.array_equal(got[1], records)
 
 
 class TestDiagnostics:
