@@ -4,8 +4,7 @@ continuous homodyne detection."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateBasisError,
-                     DegenerateFilterError, GridMismatchError,
+from .errors import (ConfigError, DegenerateFilterError, GridMismatchError,
                      ResonanceError, TruncationError)
 from .model import (ReadoutConfig, default_config, kappa_star,
                     parity_detunings, plus_density, psi_minus, psi_parity,
@@ -17,16 +16,16 @@ from .cavity import (AmplitudeTable, integrate_amplitudes, parity_outputs,
 from .sme import (DIAGNOSTIC_THRESHOLDS, DeterministicResult, Diagnostics,
                   TrajectoryResult, build_table, simulate_batch,
                   simulate_deterministic, simulate_trajectory, step_sde)
-from .markov import (CoefficientMatrix, WitnessResult, coefficient_matrix,
-                     trace_distance, witness_scan)
+from .markov import (WitnessResult, canonical_rates, trace_distance,
+                     witness_scan)
 from .analysis import (EnsembleSummary, FilterFunction, assign_parity,
                        build_filter, classify, ensemble_run, gate_fidelity,
                        solve_error_rate, state_fidelity)
 
 __all__ = [
     "__version__",
-    "ConfigError", "DegenerateBasisError", "DegenerateFilterError",
-    "GridMismatchError", "ResonanceError", "TruncationError",
+    "ConfigError", "DegenerateFilterError", "GridMismatchError",
+    "ResonanceError", "TruncationError",
     "ReadoutConfig", "default_config", "kappa_star", "parity_detunings",
     "plus_density", "psi_minus", "psi_parity", "psi_plus", "validate",
     "PulseSpec", "default_pulse",
@@ -36,8 +35,7 @@ __all__ = [
     "DIAGNOSTIC_THRESHOLDS", "DeterministicResult", "Diagnostics",
     "TrajectoryResult", "build_table", "simulate_batch",
     "simulate_deterministic", "simulate_trajectory", "step_sde",
-    "CoefficientMatrix", "WitnessResult", "coefficient_matrix",
-    "trace_distance", "witness_scan",
+    "WitnessResult", "canonical_rates", "trace_distance", "witness_scan",
     "EnsembleSummary", "FilterFunction", "assign_parity", "build_filter",
     "classify", "ensemble_run", "gate_fidelity", "solve_error_rate",
     "state_fidelity",

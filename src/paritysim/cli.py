@@ -253,8 +253,9 @@ def _cmd_ensemble(args) -> int:
     if breaches:
         print(f"diagnostics breached: {', '.join(breaches)}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"odd fraction {payload['odd_fraction']:.3f}, "
-          f"rms fidelity (odd) {payload['rms_fidelity_odd']:.4f}")
+    rms_odd = payload["rms_fidelity_odd"]
+    print(f"odd fraction {payload['odd_fraction']:.3f}, rms fidelity (odd) "
+          + ("n/a" if rms_odd is None else f"{rms_odd:.4f}"))
     return EXIT_OK
 
 

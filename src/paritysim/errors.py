@@ -16,11 +16,6 @@ class TruncationError(RuntimeError):
     is too small for the requested drive."""
 
 
-class DegenerateBasisError(ValueError):
-    """The Gram-Schmidt construction collapsed: a basis operator has
-    (numerically) zero norm, so the coefficient matrix is undefined."""
-
-
 class GridMismatchError(ValueError):
     """Filter and record are sampled on grids of different lengths."""
 

@@ -2,16 +2,16 @@
 
 Two tools:
 
-* An algebraic witness: the measurement-induced coupling term for one mode,
-  -i (A S rho A^dag - A rho S A^dag) with A = diag(alpha_j) and
-  S = sigma_bar_z = sum_l chi_l sigma_z,l, is brought to canonical
-  (Gorini-Kossakowski-Sudarshan) form on the traceless operator basis
-  {F_1, F_2} obtained by Gram-Schmidt from {A, A S}. The normalized
-  coefficient matrix is exactly [[2x, i], [-i, 0]] with
-  x = Im tr(A S F_1^dag) / ||F_1||^2; its eigenvalues x +- sqrt(x^2 + 1)
-  always contain exactly one negative value, so the generator is never of
-  Lindblad form with positive rates (an intrinsically non-Markovian,
-  time-local generator).
+* Canonical rates: the drift rho -> K o rho (sme.DriftOperator) is a
+  Schur multiplier, so with the Walsh matrix W_ai = (-1)^popcount(a & i)
+  and C = W K W / d^2 it is exactly sum_ab C_ab Z^a rho Z^b, Z^a the
+  diagonal Pauli strings. Its canonical (Gorini-Kossakowski-Sudarshan)
+  rates are the eigenvalues of d C on the traceless strings a, b >= 1
+  (Hall, Cresser, Li & Andersson, Phys. Rev. A 89, 042120 (2014)); a
+  negative rate means the evolution is not CP-divisible (Rivas, Huelga &
+  Plenio, Phys. Rev. Lett. 105, 050403 (2010)). The coupling term of one
+  mode alone always has exactly one negative rate; under steady drive
+  the whole drift has none.
 * A dynamical witness: the trace distance between the two states that
   differ only in the relative phase between the parity sectors,
   (psi_+ +- psi_-)/sqrt(2) (the uniform |+...+> and |-...-> product
@@ -28,113 +28,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .errors import ConfigError, DegenerateBasisError
+from .errors import ConfigError
 from .pulse import PulseSpec, default_pulse
 from .sme import simulate_deterministic
 
-#: relative floor under which an operator norm counts as zero
-_NORM_TOL = 1e-12
 #: rate of growth above which the trace distance counts as increasing
 _RISE_TOL = 1e-9
 
 
-@dataclass
-class CoefficientMatrix:
-    """Canonical-form data of the one-mode coupling generator.
+def canonical_rates(k) -> np.ndarray:
+    """Ascending canonical rates of the drift rho -> K o rho.
 
-    All operators are diagonal and stored as their diagonal vectors.
-    `matrix` is the coefficient matrix on the normalized basis
-    (F_1/||F_1||, F_2/||F_2||); `apply(rho)` rebuilds the generator from
-    the decomposition pieces (identity component included).
+    K has shape (..., d, d) with d = 2**n >= 2 and is Hermitian, as
+    sme.DriftOperator.coefficient gives it; leading axes (a block of time
+    nodes) carry over, so the result has shape (..., d - 1).
     """
-
-    matrix: np.ndarray          # (2, 2) complex, [[2x, i], [-i, 0]]
-    x: float
-    f1: np.ndarray              # diag of F_1 (traceless part of A)
-    f2: np.ndarray              # diag of F_2 (residual of A S)
-    norm_f1: float
-    norm_f2: float
-    alpha: np.ndarray           # diag of A
-    sigma_bar: np.ndarray       # diag of S (real)
-    c0: complex                 # tr(A)/N
-    d0: complex                 # tr(A S)/N
-    gamma: complex              # projection of A S onto F_1
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the coefficient matrix."""
-        return np.linalg.eigvalsh(self.matrix)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Generator reconstructed from the split pieces.
-
-        Expands -i(A S rho A^dag - A rho S A^dag) with A = c0 1 + F_1 and
-        A S = d0 1 + gamma F_1 + F_2, so any error in the decomposition
-        shows up as a mismatch with the direct evaluation.
-        """
-        left = self.d0 + self.gamma * self.f1 + self.f2     # diag of A S
-        right = self.c0 + self.f1                           # diag of A
-        return (-1j * left[:, None] * rho * right.conj()[None, :]
-                + 1j * right[:, None] * rho * left.conj()[None, :])
-
-
-def coefficient_matrix(alpha, chi_weights) -> CoefficientMatrix:
-    """Canonical coefficient matrix of the coupling term for one mode.
-
-    Parameters
-    ----------
-    alpha : array_like, shape (2**n,)
-        Pointer amplitudes of the mode, one per register basis state
-        (diagonal of A).
-    chi_weights : array_like, shape (n,)
-        Dispersive shifts chi_l of this mode, weighting sigma_bar_z.
-
-    Raises
-    ------
-    ConfigError
-        For a single qubit: {1, F_1, F_2} cannot be linearly independent
-        in the 2-dimensional diagonal operator space.
-    DegenerateBasisError
-        If F_1 (or the F_2 residual) has numerically zero norm.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    weights = np.asarray(chi_weights, dtype=float)
-    n_qubits = int(round(np.log2(len(alpha))))
-    if 1 << n_qubits != len(alpha):
-        raise ConfigError("alpha length must be a power of two")
-    if len(weights) != n_qubits:
-        raise ConfigError("chi_weights length must equal the qubit count")
-    if n_qubits < 2:
-        raise ConfigError(
-            "coefficient matrix needs at least 2 qubits: with one qubit the "
-            "diagonal operator space is too small for {1, F_1, F_2}")
-    dim = len(alpha)
-
-    sigma_bar = weights @ model.sigma_z_signs(n_qubits).astype(float)
-    a_s = alpha * sigma_bar
-
-    scale = max(np.linalg.norm(alpha), 1.0)
-    c0 = alpha.sum() / dim
-    f1 = alpha - c0
-    norm_f1 = np.linalg.norm(f1)
-    if norm_f1 < _NORM_TOL * scale:
-        raise DegenerateBasisError(
-            "A is proportional to the identity; F_1 = 0")
-
-    d0 = a_s.sum() / dim
-    gamma = (a_s @ f1.conj()) / norm_f1 ** 2
-    f2 = a_s - d0 - gamma * f1
-    norm_f2 = np.linalg.norm(f2)
-    if norm_f2 < _NORM_TOL * scale:
-        raise DegenerateBasisError(
-            "A S lies in span{1, F_1}; F_2 = 0")
-
-    x = float(gamma.imag)
-    matrix = np.array([[2.0 * x, 1j], [-1j, 0.0]], dtype=complex)
-    return CoefficientMatrix(matrix=matrix, x=x, f1=f1, f2=f2,
-                             norm_f1=float(norm_f1), norm_f2=float(norm_f2),
-                             alpha=alpha, sigma_bar=sigma_bar,
-                             c0=complex(c0), d0=complex(d0),
-                             gamma=complex(gamma))
+    k = np.asarray(k)
+    dim = k.shape[-1] if k.ndim >= 2 else 0
+    n_qubits = dim.bit_length() - 1
+    if dim < 2 or k.shape[-2] != dim or 1 << n_qubits != dim:
+        raise ConfigError(f"K has shape {k.shape}; need (..., d, d) with d "
+                          "a power of two of at least 2")
+    bits = model.bit_table(n_qubits)
+    walsh = 1 - 2 * ((bits @ bits.T) & 1)
+    # d C = W K W / d; row and column 0 belong to the identity string
+    return np.linalg.eigvalsh((walsh @ k @ walsh)[..., 1:, 1:] / dim)
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray):

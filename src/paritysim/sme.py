@@ -406,7 +406,9 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        If the noise arrays or rho0 do not have the shapes above, or
+        If the noise arrays or rho0 do not have the shapes above, a noise
+        value is not finite, rho0 has a negative population or a trace
+        off 1 by more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or
         checkpoint_every is not an integer.
     """
     times = table.times
@@ -420,6 +422,12 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     if dws.shape[1] != n_steps:
         raise ConfigError(f"noise arrays have {dws.shape[1]} steps; the "
                           f"amplitude grid has {n_steps}")
+    for name, noise in (("dws", dws), ("dzs", dzs)):
+        # min and max propagate NaN and need no temporary of the array's size
+        if noise.size and not (np.isfinite(noise.min())
+                               and np.isfinite(noise.max())):
+            raise ConfigError(f"noise array {name} holds a value that is not "
+                              "finite")
     n_batch = len(dws)
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
         raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim}) "
@@ -427,6 +435,12 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     if rho0.ndim == 3 and len(rho0) != n_batch:
         raise ConfigError(f"rho0 holds {len(rho0)} states for {n_batch} "
                           "noise rows")
+    populations = np.einsum("...ii->...i", rho0).real
+    if not np.all(populations >= 0.0):
+        raise ConfigError("rho0 has a negative or undefined population")
+    if not np.all(np.abs(populations.sum(axis=-1) - 1.0)
+                  <= DIAGNOSTIC_THRESHOLDS["trace_dev"]):
+        raise ConfigError("rho0 must have unit trace")
     if isinstance(checkpoint_every, bool) \
             or not isinstance(checkpoint_every, (int, np.integer)):
         raise ConfigError("checkpoint_every must be an integer, got "

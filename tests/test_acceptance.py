@@ -15,6 +15,7 @@ import pytest
 
 from paritysim import analysis, cavity, fock_oracle, markov, model, sme
 from paritysim.pulse import default_pulse
+from test_markov import coupling_term, gram_schmidt_rates
 
 EPS_SS = default_pulse().eps_ss
 
@@ -159,18 +160,23 @@ def test_criterion_06_non_markovianity_witness():
 
 
 def test_criterion_07_coefficient_matrix_negativity():
+    # the coupling term of one mode has exactly one negative canonical
+    # rate; its two nonzero rates have a Gram-Schmidt closed form
     rng = np.random.default_rng(7)
     for n_qubits in (2, 3):
         for _ in range(100):
             d = 2 ** n_qubits
             alpha = rng.normal(size=d) + 1j * rng.normal(size=d)
             weights = rng.uniform(0.3, 1.5, size=n_qubits)
-            cm = markov.coefficient_matrix(alpha, weights)
-            eig = cm.eigenvalues()
-            root = np.sqrt(cm.x ** 2 + 1.0)
-            assert abs(eig[0] - (cm.x - root)) < 1e-12
-            assert abs(eig[1] - (cm.x + root)) < 1e-12
-            assert eig[0] < 0.0 < eig[1]
+            k = coupling_term(alpha, weights)
+            rates = markov.canonical_rates(k)
+            tol = 1e-12 * np.abs(k).max()
+            expected = gram_schmidt_rates(alpha, weights)
+            assert np.sum(rates < -tol) == 1
+            assert abs(rates[0] - expected[0]) < tol
+            assert abs(rates[-1] - expected[1]) < tol
+            assert np.all(np.abs(rates[1:-1]) < tol)
+            assert rates[0] < 0.0 < rates[-1]
 
 
 def test_criterion_08_ensemble_fidelity_desk_scale(desk_ensemble):

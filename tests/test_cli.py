@@ -474,17 +474,24 @@ class TestEnsemble:
     def test_tiny_run_reports_undefined_statistics_as_null(
             self, tmp_path, capsys):
         # three trajectories cannot fill both classes with two members,
-        # so separation is undefined; the run must still complete
-        rc = cli.run(["ensemble", "--trajectories", "3", "--steps", "1000",
-                      "--seed", "5", "--out", str(tmp_path)])
-        assert rc in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
-        capsys.readouterr()
-        for name in ("signal_histogram.csv", "fidelity_histogram.csv",
-                     "ensemble_summary.json", "manifest.json"):
-            assert (tmp_path / name).exists()
-        summary = json.loads(
-            (tmp_path / "ensemble_summary.json").read_text())
-        assert summary["separation"] is None
+        # so separation is undefined; the run must still complete. Seed 5
+        # fills both classes; seed 1 puts every record in the even class,
+        # so the odd-class fidelity is undefined too
+        for seed in ("5", "1"):
+            out = tmp_path / seed
+            rc = cli.run(["ensemble", "--trajectories", "3", "--steps",
+                          "1000", "--seed", seed, "--out", str(out)])
+            assert rc in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+            printed = capsys.readouterr().out
+            for name in ("signal_histogram.csv", "fidelity_histogram.csv",
+                         "ensemble_summary.json", "manifest.json"):
+                assert (out / name).exists()
+            summary = json.loads((out / "ensemble_summary.json").read_text())
+            assert summary["separation"] is None
+        assert summary["rms_fidelity_odd"] is None
+        assert summary["odd_fraction"] == 0.0
+        assert rc == cli.EXIT_OK
+        assert printed == "odd fraction 0.000, rms fidelity (odd) n/a\n"
 
 
 class TestWitness:

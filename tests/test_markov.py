@@ -1,16 +1,17 @@
 """Non-Markovianity diagnostics.
 
-Covers: the canonical coefficient matrix of the one-mode coupling
-generator (closed-form eigenvalues, decomposition identities, degenerate
-inputs), trace distance, increasing-interval extraction, and the
-trace-distance witness between the parity reference states.
+Covers: the canonical rates of the drift (one-mode coupling term against
+a Gram-Schmidt closed form, single qubit, degenerate inputs, the sign of
+the rates at the steady state and in the transient), trace distance,
+increasing-interval extraction, and the trace-distance witness between
+the parity reference states.
 """
 
 import numpy as np
 import pytest
 
-from paritysim import markov, model, sme
-from paritysim.errors import ConfigError, DegenerateBasisError
+from paritysim import cavity, markov, model, sme
+from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec
 
 
@@ -21,89 +22,199 @@ def random_instance(rng, n_qubits):
     return alpha, weights
 
 
+def coupling_term(alpha, weights):
+    """K of the one-mode coupling -i(A S rho A^dag - A rho S A^dag):
+    K_ij = -i (s_i - s_j) a_i conj(a_j), s = sum_l w_l sigma_z,l."""
+    alpha = np.asarray(alpha, dtype=complex)
+    n_qubits = len(alpha).bit_length() - 1
+    s = np.asarray(weights, dtype=float) @ model.sigma_z_signs(n_qubits)
+    return -1j * (s[:, None] - s[None, :]) * np.outer(alpha, alpha.conj())
+
+
+def gram_schmidt_rates(alpha, weights):
+    """The two nonzero canonical rates of the coupling term, in closed form.
+
+    With F_1 the traceless part of A and F_2 the residual of A S after
+    projecting out 1 and F_1 (A S = d0 + gamma F_1 + F_2), the coupling
+    term's coefficient matrix on {F_1/n_1, F_2/n_2} is
+    [[2 x n_1^2, i n_1 n_2], [-i n_1 n_2, 0]] with x = Im gamma, whose
+    eigenvalues are n_1^2 x -+ n_1 sqrt(n_1^2 x^2 + n_2^2).
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    n_qubits = len(alpha).bit_length() - 1
+    s = np.asarray(weights, dtype=float) @ model.sigma_z_signs(n_qubits)
+    f1 = alpha - alpha.mean()
+    a_s = alpha * s
+    gamma = (a_s @ f1.conj()) / np.vdot(f1, f1).real
+    f2 = a_s - a_s.mean() - gamma * f1
+    n1, n2 = np.linalg.norm(f1), np.linalg.norm(f2)
+    root = n1 * np.hypot(n1 * gamma.imag, n2)
+    return np.array([n1 ** 2 * gamma.imag - root, n1 ** 2 * gamma.imag + root])
+
+
+def random_design(rng):
+    n_qubits = int(rng.integers(1, 5))
+    n_modes = int(rng.integers(1, 4))
+    return model.ReadoutConfig(
+        n_qubits=n_qubits, n_modes=n_modes,
+        chi=rng.uniform(0.2, 0.8, size=(n_modes, n_qubits)),
+        kappa=rng.uniform(0.5, 3.0, size=n_modes),
+        delta=rng.uniform(-6.0, 6.0, size=n_modes),
+        gamma_z=np.zeros(n_qubits))
+
+
 class TestCoefficientMatrix:
     def test_eigenvalue_closed_form(self):
         rng = np.random.default_rng(31)
         for n_qubits in (2, 3):
             for _ in range(100):
                 alpha, weights = random_instance(rng, n_qubits)
-                cm = markov.coefficient_matrix(alpha, weights)
-                eig = cm.eigenvalues()
-                root = np.sqrt(cm.x ** 2 + 1.0)
-                assert abs(eig[0] - (cm.x - root)) < 1e-12
-                assert abs(eig[1] - (cm.x + root)) < 1e-12
+                k = coupling_term(alpha, weights)
+                rates = markov.canonical_rates(k)
+                tol = 1e-12 * np.abs(k).max()
+                expected = gram_schmidt_rates(alpha, weights)
+                assert abs(rates[0] - expected[0]) < tol
+                assert abs(rates[-1] - expected[1]) < tol
+                assert np.all(np.abs(rates[1:-1]) < tol)
 
     def test_exactly_one_negative_eigenvalue(self):
         rng = np.random.default_rng(32)
         for n_qubits in (2, 3):
             for _ in range(100):
-                alpha, weights = random_instance(rng, n_qubits)
-                eig = markov.coefficient_matrix(alpha, weights).eigenvalues()
-                assert eig[0] < 0.0
-                assert eig[1] > 0.0
+                k = coupling_term(*random_instance(rng, n_qubits))
+                rates = markov.canonical_rates(k)
+                tol = 1e-12 * np.abs(k).max()
+                assert np.sum(rates < -tol) == 1
+                assert rates[-1] > tol
 
-    def test_matrix_form(self):
-        rng = np.random.default_rng(33)
-        alpha, weights = random_instance(rng, 3)
-        cm = markov.coefficient_matrix(alpha, weights)
-        assert cm.matrix[0, 0] == pytest.approx(2.0 * cm.x)
-        assert cm.matrix[0, 1] == 1j
-        assert cm.matrix[1, 0] == -1j
-        assert cm.matrix[1, 1] == 0.0
-
-    def test_basis_orthogonality(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            alpha, weights = random_instance(rng, 3)
-            cm = markov.coefficient_matrix(alpha, weights)
-            scale = np.linalg.norm(alpha)
-            assert abs(cm.f1.sum()) < 1e-12 * scale
-            assert abs(cm.f2.sum()) < 1e-12 * scale
-            assert abs(cm.f2 @ cm.f1.conj()) < 1e-12 * scale ** 2
-
-    def test_apply_matches_direct_generator(self):
-        rng = np.random.default_rng(35)
-        for n_qubits in (2, 3):
+    def test_rates_are_the_traceless_compression_of_k(self):
+        # C = W K W / d^2 makes d C the matrix of K in the orthonormal
+        # Walsh basis, so the rates are K's eigenvalues on the vectors
+        # orthogonal to the all-ones vector: (P K P) has those and a zero
+        rng = np.random.default_rng(37)
+        for n_qubits in (1, 2, 3, 4):
             d = 2 ** n_qubits
-            alpha, weights = random_instance(rng, n_qubits)
-            cm = markov.coefficient_matrix(alpha, weights)
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            sbar = weights @ model.sigma_z_signs(n_qubits).astype(float)
-            direct = (-1j * (alpha * sbar)[:, None] * rho * alpha.conj()
-                      + 1j * alpha[:, None] * rho * (alpha * sbar).conj())
-            assert np.max(np.abs(cm.apply(rho) - direct)) < 1e-12
+            k = a + a.conj().T
+            proj = np.eye(d) - np.full((d, d), 1.0 / d)
+            compressed = np.linalg.eigvalsh(proj @ k @ proj)
+            rates = markov.canonical_rates(k)
+            zero = np.argmin(np.abs(compressed))
+            assert np.allclose(rates, np.delete(compressed, zero),
+                               atol=1e-12 * np.abs(k).max())
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(38)
+        ks = np.stack([coupling_term(*random_instance(rng, 2))
+                       for _ in range(6)]).reshape(2, 3, 4, 4)
+        rates = markov.canonical_rates(ks)
+        assert rates.shape == (2, 3, 3)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(rates[idx], markov.canonical_rates(ks[idx]))
 
     def test_real_amplitudes_give_unit_eigenvalues(self):
-        # real alpha makes the F_1 projection real, so x = 0 and the
-        # eigenvalues are exactly -1 and +1
+        # real alpha makes the F_1 projection real, so x = 0 and the two
+        # nonzero rates are -n_1 n_2 and +n_1 n_2
         alpha = np.array([0.3, -0.7, 1.1, 0.2])
-        cm = markov.coefficient_matrix(alpha, [0.8, 1.2])
-        assert cm.x == 0.0
-        assert np.allclose(cm.eigenvalues(), [-1.0, 1.0])
+        k = coupling_term(alpha, [0.8, 1.2])
+        rates = markov.canonical_rates(k)
+        expected = gram_schmidt_rates(alpha, [0.8, 1.2])
+        assert expected[0] == pytest.approx(-expected[1])
+        assert np.allclose(rates, [expected[0], 0.0, expected[1]],
+                           atol=1e-14)
 
-    def test_single_qubit_rejected(self):
-        with pytest.raises(ConfigError):
-            markov.coefficient_matrix([0.1, 0.5j], [1.0])
+    def test_single_qubit_rate(self):
+        # one qubit has one traceless string, sigma_z, with rate -Re K_01
+        k = coupling_term([0.1, 0.5j], [1.0])
+        rates = markov.canonical_rates(k)
+        assert rates.shape == (1,)
+        assert rates[0] == pytest.approx(-k[0, 1].real, abs=1e-15)
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            k01 = complex(rng.normal(), rng.normal())
+            gamma = rng.uniform(0.0, 1.0)
+            k = np.array([[0.0, k01 - gamma], [np.conj(k01) - gamma, 0.0]])
+            assert markov.canonical_rates(k)[0] == pytest.approx(
+                gamma - k01.real, abs=1e-14)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigError):
-            markov.coefficient_matrix([0.1, 0.5, 0.3], [1.0, 1.0])
+            markov.canonical_rates(np.zeros((3, 3)))
 
-    def test_weight_count_mismatch_rejected(self):
+    def test_non_square_rejected(self):
         with pytest.raises(ConfigError):
-            markov.coefficient_matrix(np.ones(4) * 1j, [1.0])
+            markov.canonical_rates(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 1), (2, 1, 1)])
+    def test_too_few_dimensions_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            markov.canonical_rates(np.zeros(shape))
 
     def test_uniform_amplitudes_degenerate(self):
-        with pytest.raises(DegenerateBasisError):
-            markov.coefficient_matrix(np.full(4, 0.3 + 0.1j), [1.0, 1.0])
+        # A proportional to 1 makes the coupling a commutator with
+        # |a|^2 S, a Hamiltonian term: every rate vanishes
+        k = coupling_term(np.full(4, 0.3 + 0.1j), [1.0, 1.0])
+        assert np.abs(k).max() > 0.1
+        assert np.allclose(markov.canonical_rates(k), 0.0, atol=1e-15)
 
     def test_zero_weights_degenerate(self):
         rng = np.random.default_rng(36)
         alpha, _ = random_instance(rng, 2)
-        with pytest.raises(DegenerateBasisError):
-            markov.coefficient_matrix(alpha, [0.0, 0.0])
+        rates = markov.canonical_rates(coupling_term(alpha, [0.0, 0.0]))
+        assert np.array_equal(rates, np.zeros(3))
+
+
+class TestRateSigns:
+    @pytest.mark.parametrize("dephased", [False, True],
+                             ids=["gamma_z_off", "gamma_z_on"])
+    def test_steady_state_is_markovian(self, dephased):
+        # under a constant drive every mode amplitude settles, and the
+        # drift built from them has no negative rate for any register size
+        rng = np.random.default_rng(40)
+        sizes = set()
+        for _ in range(60):
+            cfg = random_design(rng)
+            if dephased:
+                cfg = cfg.replace(
+                    gamma_z=rng.uniform(0.0, 0.2, size=cfg.n_qubits))
+            eps = rng.uniform(-2.0, 2.0)
+            alpha = np.stack([cavity.steady_state_amplitudes(cfg, j, eps)
+                              for j in range(cfg.dim)], axis=1)
+            k = sme.DriftOperator(cfg).coefficient(alpha)
+            assert markov.canonical_rates(k).min() >= -1e-12 * np.abs(k).max()
+            sizes.add((cfg.n_qubits, cfg.n_modes))
+        assert {n for n, _ in sizes} == {1, 2, 3, 4}
+        assert {m for _, m in sizes} == {1, 2, 3}
+
+    def test_one_mode_steady_state_rate(self):
+        # one steady mode gives A S in span{1, A}: the single nonzero rate
+        # is kappa ||F_1||^2, F_1 the traceless part of A
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            cfg = random_design(rng)
+            cfg = cfg.replace(n_modes=1, chi=cfg.chi[:1], kappa=cfg.kappa[:1],
+                              delta=cfg.delta[:1])
+            alpha = np.array([cavity.steady_state_amplitudes(cfg, j, 1.0)[0]
+                              for j in range(cfg.dim)])
+            k = sme.DriftOperator(cfg).coefficient(alpha[None])
+            rates = markov.canonical_rates(k)
+            tol = 1e-12 * np.abs(k).max()
+            f1 = alpha - alpha.mean()
+            assert rates[-1] == pytest.approx(
+                cfg.kappa[0] * np.vdot(f1, f1).real, rel=1e-12)
+            assert np.all(np.abs(rates[:-1]) < tol)
+
+    def test_default_design_transient_is_not_cp_divisible(self, config):
+        # with the drive switching, the default register's drift has a
+        # negative rate, deepest during the turn-off
+        clean = config.replace(gamma_z=np.zeros(config.n_qubits))
+        table = sme.build_table(clean, None, 4000)
+        rates = markov.canonical_rates(
+            sme.DriftOperator(clean).coefficient(table.alpha))
+        assert rates.shape == (4001, 7)
+        lowest = rates.min(axis=1)
+        assert lowest.min() < -0.5
+        assert 8.5 < table.times[np.argmin(lowest)] < 9.5
 
 
 class TestTraceDistance:

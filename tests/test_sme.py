@@ -519,6 +519,13 @@ class TestSimulateTrajectory:
         assert abs(np.mean(out.photocurrent)) < 5.0 * scale / np.sqrt(200)
 
 
+def spiked_noise(position, value):
+    """One row of 100 zero increments with value at position."""
+    noise = np.zeros((1, 100))
+    noise[0, position] = value
+    return noise
+
+
 class TestSimulateBatch:
     def test_rows_match_single_runs(self, config):
         table = sme.build_table(config, default_pulse(), 250)
@@ -572,17 +579,26 @@ class TestSimulateBatch:
             sme.simulate_batch(config, table, rho0, np.zeros((1, 99)),
                                np.zeros((1, 99)))
 
-    @pytest.mark.parametrize("rho0, noise_shape, match", [
-        (model.plus_density(3), (100,), "shape"),
-        (np.eye(4) / 4, (1, 100), "rho0 has shape"),
-        (np.stack([model.plus_density(3)] * 3), (1, 100), "3 states for 1"),
-    ], ids=["1d_noise", "rho0_of_other_register", "rho0_rows_not_noise_rows"])
-    def test_degenerate_input_rejected(self, config, rho0, noise_shape,
-                                       match):
+    @pytest.mark.parametrize("rho0, dws, dzs, match", [
+        (model.plus_density(3), np.zeros(100), np.zeros(100), "shape"),
+        (np.eye(4) / 4, np.zeros((1, 100)), np.zeros((1, 100)),
+         "rho0 has shape"),
+        (np.stack([model.plus_density(3)] * 3), np.zeros((1, 100)),
+         np.zeros((1, 100)), "3 states for 1"),
+        (model.plus_density(3), spiked_noise(37, np.nan), np.zeros((1, 100)),
+         "dws"),
+        (model.plus_density(3), np.zeros((1, 100)), spiked_noise(99, -np.inf),
+         "dzs"),
+        (-model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
+         "negative"),
+        (2 * model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
+         "unit trace"),
+    ], ids=["1d_noise", "rho0_of_other_register", "rho0_rows_not_noise_rows",
+            "nan_in_dws", "inf_in_dzs", "negative_rho0", "rho0_trace_two"])
+    def test_degenerate_input_rejected(self, config, rho0, dws, dzs, match):
         table = sme.build_table(config, default_pulse(), 100)
         with pytest.raises(ConfigError, match=match):
-            sme.simulate_batch(config, table, rho0, np.zeros(noise_shape),
-                               np.zeros(noise_shape))
+            sme.simulate_batch(config, table, rho0, dws, dzs)
 
     @pytest.mark.parametrize("every", [2.5, float("nan"), True])
     def test_non_integer_cadence_rejected(self, config, every):
