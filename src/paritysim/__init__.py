@@ -5,7 +5,7 @@ continuous homodyne detection."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateFilterError, GridMismatchError,
-                     ResonanceError, TruncationError)
+                     ResonanceError)
 from .model import (ReadoutConfig, default_config, kappa_star,
                     parity_detunings, plus_density, psi_minus, psi_parity,
                     psi_plus, validate)
@@ -25,7 +25,7 @@ from .analysis import (EnsembleSummary, FilterFunction, assign_parity,
 __all__ = [
     "__version__",
     "ConfigError", "DegenerateFilterError", "GridMismatchError",
-    "ResonanceError", "TruncationError",
+    "ResonanceError",
     "ReadoutConfig", "default_config", "kappa_star", "parity_detunings",
     "plus_density", "psi_minus", "psi_parity", "psi_plus", "validate",
     "PulseSpec", "default_pulse",

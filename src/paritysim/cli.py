@@ -281,13 +281,15 @@ def _cmd_witness(args) -> int:
 def _cmd_gate_model(args) -> int:
     if args.points < 1:
         raise ConfigError("points must be >= 1")
+    # solved first, so an unattainable fidelity prints and writes nothing
+    if args.fidelity is not None:
+        p_star = analysis.solve_error_rate(args.fidelity)
     ps = np.linspace(0.0, analysis.GATE_P_MAX, args.points)
     fs = analysis.gate_fidelity(ps)
     for p, f in zip(ps, fs):
         print(f"{p:.10f}  {f:.9f}")
     if args.fidelity is not None:
-        p = analysis.solve_error_rate(args.fidelity)
-        print(f"error rate for fidelity {args.fidelity}: p = {p:.6f}")
+        print(f"error rate for fidelity {args.fidelity}: p = {p_star:.6f}")
     if args.out is not None:
         manifest = Manifest("gate-model", None, None, None,
                             {"points": args.points,

@@ -11,11 +11,6 @@ class ResonanceError(ValueError):
     two or more modes at once."""
 
 
-class TruncationError(RuntimeError):
-    """Population reached the top of the Fock ladder; the truncated space
-    is too small for the requested drive."""
-
-
 class GridMismatchError(ValueError):
     """Filter and record are sampled on grids of different lengths."""
 

@@ -86,16 +86,13 @@ class WitnessResult:
     intervals: list = field(default_factory=list)
     window: tuple = (0.0, 0.0)
 
-    def overlapping(self, lo: float = None, hi: float = None) -> list:
-        """Increasing intervals intersecting [lo, hi] (default: window)."""
-        if lo is None:
-            lo, hi = self.window
-        return [iv for iv in self.intervals if iv.overlaps(lo, hi)]
+    def overlapping(self) -> list:
+        """Increasing intervals intersecting the window."""
+        return [iv for iv in self.intervals if iv.overlaps(*self.window)]
 
-    def max_rise(self, lo: float = None, hi: float = None) -> float:
+    def max_rise(self) -> float:
         """Largest rise among intervals intersecting the window."""
-        hits = self.overlapping(lo, hi)
-        return max((iv.rise for iv in hits), default=0.0)
+        return max((iv.rise for iv in self.overlapping()), default=0.0)
 
 
 def increasing_intervals(times, values) -> list:

@@ -254,18 +254,22 @@ def parity_detunings(kappa0: float, kappa1: float, chi: float = 1.0):
     basis state produces the same steady output amplitude, and likewise
     every odd one.
     """
-    if kappa0 <= 0 or kappa1 <= 0:
-        raise ConfigError("kappa0 and kappa1 must be positive")
-    if chi <= 0:
-        raise ConfigError("chi must be positive")
+    _require_rate("kappa0", kappa0)
+    _require_rate("kappa1", kappa1)
+    _require_rate("chi", chi)
     return chi * math.sqrt(3.0 * kappa0 / kappa1), -chi * math.sqrt(3.0 * kappa1 / kappa0)
 
 
 def kappa_star(chi: float = 1.0) -> float:
     """Decay rate maximizing the steady-state output separation: 2*chi."""
-    if chi <= 0:
-        raise ConfigError("chi must be positive")
+    _require_rate("chi", chi)
     return 2.0 * chi
+
+
+def _require_rate(name: str, value: float):
+    """ConfigError unless value is finite and positive (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
 # -- reference states --------------------------------------------------------

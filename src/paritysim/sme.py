@@ -57,8 +57,11 @@ scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt.
 simulate_batch writes the step in that reduced form (no diffusion calls)
 and adds the remaining terms in step_sde's order, so its results equal
 step_sde's bit for bit. The two supporting values of a step share one
-softmax evaluation, side by side in one buffer. States and diagnostics
-are built per block of checkpoints, at most _BLOCK_MATRICES states at a
+softmax evaluation, side by side in one buffer. The loop runs over blocks
+of checkpoints, the checkpoints of a block, chunks of at most
+_BLOCK_STEPS steps up to each checkpoint, and the steps of a chunk. S is
+kept at the checkpoints of one block only, and the block's states and
+diagnostics are built together, at most _BLOCK_MATRICES states at a
 time, so memory stays bounded; the block is laid out so that every
 reduction adds in the order of a lone checkpoint, and the blocks change
 no bit. The required pair of correlated Gaussians per step is
@@ -381,14 +384,17 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Steps the exponents S = int c dY of every trajectory (reduced step_sde)
     and builds the state from the elementwise solution (module docstring)
     at every checkpoint; E is integrated by the trapezoid rule on the
-    table's nodes. The two supporting values of a step share one softmax
-    evaluation, the node values and noise factors are tabulated per chunk
-    of at most _BLOCK_STEPS steps, and the checkpoint states and their
-    diagnostics are built for up to _BLOCK_MATRICES matrices at a time, so
-    the memory used stays bounded however long the grid. Valid only
-    without qubit decay, which would couple the populations. Every row is
-    reduced on its own, so a trajectory's results do not depend on the
-    batch it runs in, nor on the block sizes.
+    table's nodes before the loop. The loop takes the checkpoints in
+    blocks of up to _BLOCK_MATRICES states (trajectories x checkpoints);
+    within a block it steps S from one checkpoint to the next in chunks of
+    at most _BLOCK_STEPS steps, whose node values and noise factors are
+    tabulated per chunk, and keeps S at each checkpoint; at the end of the
+    block it builds the block's states and diagnostics at once. The memory
+    used thus stays bounded however long the grid. The two supporting
+    values of a step share one softmax evaluation. Valid only without
+    qubit decay, which would couple the populations. Every row is reduced
+    on its own, so a trajectory's results do not depend on the batch it
+    runs in, nor on the block sizes.
 
     Parameters
     ----------
@@ -488,40 +494,8 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
         return (0.5 * dt) * (f[:-1] + f[1:])
 
     exponents = _running_sum(exponent_steps, n_steps, nodes, (dim, dim))
-    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
-    pending, checks = [], []
-    n_built = 0
-
-    def checkpoint(s):
-        """Keep S at the next node; build the block's states once it is full.
-
-        Returns the batch's state at the last node, and None before it.
-        """
-        nonlocal n_built
-        pending.append(s)
-        stop = n_built + len(pending)
-        if len(pending) < per_block and stop < len(nodes):
-            return None
-        node = nodes[n_built:stop]
-        # S stacked as (k, d, n_batch) and viewed as (k, n_batch, d) has
-        # the strides of s.T, so every reduction in the state and its
-        # diagnostics adds in the same order as for a lone checkpoint
-        rho = _conditioned_state(rho0, exponents[n_built:stop, None],
-                                 np.stack(pending).swapaxes(1, 2), sqrt_eta)
-        checks.append(_checkpoint(
-            rho, drift_op.coefficient(table.alpha[node])[:, None],
-            times[node]))
-        n_built = stop
-        pending.clear()
-        if stop == len(nodes):
-            # copied in its memory order, which is that of a lone
-            # checkpoint's state, so the block is not kept alive
-            return rho[-1].copy(order="K")
-        return None
-
     s = np.zeros((dim, n_batch), dtype=complex)
     records = np.empty(dws.shape, dtype=float)
-    checkpoint(s)
     x1, pw1 = np.empty((dim, n_batch)), np.empty((dim, 2, n_batch))
     # the supporting values base +- c0 sqrt(dt) side by side in columns b
     # and n_batch + b, evaluated in one softmax
@@ -529,49 +503,74 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     x2, pw2 = np.empty((dim, 2 * n_batch)), np.empty((dim, 2, 2 * n_batch))
     log_p0_pair = np.tile(log_p0, 2)
     r_carry = np.zeros((dim, 1))
-    # chunks end at every checkpoint and span at most _BLOCK_STEPS steps,
-    # which bounds the per-chunk tables however sparse the checkpoints
-    edges = np.union1d(nodes, np.arange(0, n_steps, _BLOCK_STEPS))
+    # S at the nodes of one block, as (node, d, n_batch): viewed as
+    # (node, n_batch, d) it has the strides of s.T, so every reduction in
+    # the states and their diagnostics adds in the order of a lone
+    # checkpoint
+    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
+    s_block = np.empty((per_block, dim, n_batch), dtype=complex)
+    checks = []
+    start = 0
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # node values of w = 2 sqrt(eta) Re c and r = 2 eta R (trapezoid
-        # rule, summed step by step from the carry) and the step factors
-        c = c_col[lo:hi + 1]
-        re_c = c.real
-        w = (2.0 * sqrt_eta) * re_c
-        sq = re_c ** 2
-        r = np.cumsum(np.concatenate(
-            [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
-        r_carry = r[-1]
-        c_sqrt_dt = c[:-1] * sqrt_dt
-        curvature = c[1:] - 2.0 * c[:-1] + c[1:]
-        dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
-        dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
-        dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
-        dw = np.ascontiguousarray(dw)
-        means = np.empty((hi - lo, n_batch))
-        for j in range(hi - lo):
-            m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1, means[j])
-            # step_sde with the diffusion c0 at t and c1 at t + dt, its
-            # terms that vanish for noise independent of S left out, in
-            # its order
-            c0, c1 = c[j], c[j + 1]
-            a0 = m0 * c0
-            base = s + a0 * dt
-            np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
-            np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
-            a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1], r[j + 1],
-                                 x2, pw2) * c1
-            ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
-            s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
-                 + (ap - am) * dz_factor[j] + curvature[j] * dwz_factor[j])
-        records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
-        if hi == nodes[n_built + len(pending)]:
-            rho = checkpoint(s)
+    for first in range(0, len(nodes), per_block):
+        block = nodes[first:first + per_block]
+        for k, node in enumerate(block):
+            # chunks of at most _BLOCK_STEPS steps bound the per-chunk
+            # tables however sparse the checkpoints
+            for lo in range(start, node, _BLOCK_STEPS):
+                hi = min(lo + _BLOCK_STEPS, node)
+                # node values of w = 2 sqrt(eta) Re c and r = 2 eta R
+                # (trapezoid rule, summed step by step from the carry) and
+                # the step factors
+                c = c_col[lo:hi + 1]
+                re_c = c.real
+                w = (2.0 * sqrt_eta) * re_c
+                sq = re_c ** 2
+                r = np.cumsum(np.concatenate(
+                    [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
+                r_carry = r[-1]
+                c_sqrt_dt = c[:-1] * sqrt_dt
+                curvature = c[1:] - 2.0 * c[:-1] + c[1:]
+                dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
+                dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
+                dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
+                dw = np.ascontiguousarray(dw)
+                means = np.empty((hi - lo, n_batch))
+                for j in range(hi - lo):
+                    m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1,
+                                     means[j])
+                    # step_sde with the diffusion c0 at t and c1 at t + dt,
+                    # its terms that vanish for noise independent of S left
+                    # out, in its order
+                    c0, c1 = c[j], c[j + 1]
+                    a0 = m0 * c0
+                    base = s + a0 * dt
+                    np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
+                    np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
+                    a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1],
+                                         r[j + 1], x2, pw2) * c1
+                    ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
+                    s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
+                         + (ap - am) * dz_factor[j]
+                         + curvature[j] * dwz_factor[j])
+                records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
+            s_block[k] = s
+            start = node
+        # the block's states are dropped once their diagnostics are taken,
+        # so they do not stay allocated while the next block is stepped
+        checks.append(_checkpoint(
+            _conditioned_state(
+                rho0, exponents[first:first + len(block), None],
+                s_block[:len(block)].swapaxes(1, 2), sqrt_eta),
+            drift_op.coefficient(table.alpha[block])[:, None],
+            times[block]))
 
     diagnostics = Diagnostics(**{
         f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
         for f in fields(Diagnostics)})
+    # the final state alone; a block adds in the order of a lone state, so
+    # this is the last checkpoint's state bit for bit
+    rho = _conditioned_state(rho0, exponents[-1], s.T, sqrt_eta)
     return rho, records, diagnostics
 
 
@@ -604,8 +603,8 @@ def simulate_trajectory(config: model.ReadoutConfig, pulse: PulseSpec = None,
 
 
 def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
-                           n_steps: int = 4000, rho0: np.ndarray = None,
-                           table: AmplitudeTable = None) -> DeterministicResult:
+                           n_steps: int = 4000,
+                           rho0: np.ndarray = None) -> DeterministicResult:
     """Unconditional master equation, solved elementwise.
 
     The drift is rho -> K(t) o rho with every K entry a scalar function of
@@ -616,14 +615,11 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
     so the amplitude table carries the step midpoints: it is built on
-    2 n_steps steps, and a given table must have that grid. The running
-    sum is _running_sum's, so the result does not depend on the block
-    size. For intrinsic dephasing alone, pass a config with chi = 0.
+    2 n_steps steps. The running sum is _running_sum's, so the result does
+    not depend on the block size. For intrinsic dephasing alone, pass a
+    config with chi = 0.
     """
-    if table is None:
-        table = build_table(config, pulse, 2 * n_steps)
-    elif len(table.times) != 2 * n_steps + 1:
-        raise ConfigError("table grid does not match n_steps (need midpoints)")
+    table = build_table(config, pulse, 2 * n_steps)
     if rho0 is None:
         rho0 = model.plus_density(config.n_qubits)
 

@@ -1,4 +1,4 @@
-"""Truncated-Fock-space reference integrator (test scale only).
+"""Truncated-Fock-space reference integrator for the tests.
 
 Evolves the complete register + resonator density matrix under the full
 dispersive Lindbladian: the dispersive Hamiltonian with its drive term,
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .cavity import steady_state_amplitudes
-from .errors import ConfigError, TruncationError
-from .pulse import PulseSpec
+from paritysim import model
+from paritysim.cavity import steady_state_amplitudes
+from paritysim.errors import ConfigError
+from paritysim.pulse import PulseSpec
 
 MAX_QUBITS = 2
 MAX_MODES = 2
@@ -29,6 +29,11 @@ MAX_NMAX = 15
 
 #: ceiling on the total population of any mode's top Fock level
 TOP_LEVEL_TOL = 1e-6
+
+
+class TruncationError(RuntimeError):
+    """Population reached the top of the Fock ladder; the truncated space
+    is too small for the requested drive."""
 
 
 @dataclass

@@ -13,8 +13,10 @@ count.
 import numpy as np
 import pytest
 
-from paritysim import analysis, cavity, fock_oracle, markov, model, sme
-from paritysim.pulse import default_pulse
+from paritysim import analysis, cavity, markov, model, sme
+from paritysim.pulse import PulseSpec, default_pulse
+
+import fock_oracle
 from test_markov import coupling_term, gram_schmidt_rates
 
 EPS_SS = default_pulse().eps_ss
@@ -209,26 +211,20 @@ def test_criterion_11_pointer_ansatz_oracle():
                             delta=[0.5], kappa=[2.0], gamma_z=[0.0, 0.0],
                             eta=1.0),
     ]
-    t_final, n_steps, eps = 5.0, 1000, 0.15
-
-    def drive(t):
-        return eps
+    # rise over [0, 1], plateau, fall over [3.5, 4.5], ring-down to 5
+    pulse = PulseSpec(t_on=0.5, t_off=4.0, sigma=1.0, eps_ss=0.15, tau=5.0)
+    n_steps = 1000
 
     for config in cases:
-        snaps = fock_oracle.integrate_full(config, drive, n_max=12,
-                                           n_steps=n_steps, t_final=t_final,
-                                           store_every=50)
-        det = sme.simulate_deterministic(
-            config, n_steps=n_steps,
-            table=cavity.integrate_amplitudes(
-                config, eps, cavity.time_grid(t_final, 2 * n_steps)))
+        snaps = fock_oracle.integrate_full(config, pulse, n_max=12,
+                                           n_steps=n_steps, store_every=50)
+        det = sme.simulate_deterministic(config, pulse, n_steps=n_steps)
         # the oracle runs in the drive frame: add the register phases
         # exp(-i (h_i - h_j) t) of the dispersive Hamiltonian
         h = config.chi.sum(axis=0) @ model.sigma_z_signs(config.n_qubits)
         h_diff = h[:, None] - h[None, :]
-        table = cavity.integrate_amplitudes(
-            config, eps, cavity.time_grid(t_final, n_steps))
-        dt = t_final / n_steps
+        table = sme.build_table(config, pulse, n_steps)
+        dt = pulse.tau / n_steps
         for t, state in snaps:
             i = int(round(t / dt))
             reduced = fock_oracle.reduce(state)

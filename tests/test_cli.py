@@ -81,6 +81,17 @@ class TestDesign:
         assert "delta_0 = 3.0000000" in out
         assert "delta_1 = -1.0000000" in out
 
+    @pytest.mark.parametrize("option,value", [
+        ("--kappa0", "nan"), ("--kappa1", "inf"), ("--chi", "-inf"),
+        ("--kappa0", "0")])
+    def test_rate_not_finite_and_positive_is_invalid_input(self, capsys,
+                                                           option, value):
+        assert cli.run(["design", f"{option}={value}"]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {option[2:]} must be finite")
+
 
 class TestValidate:
 
@@ -280,6 +291,17 @@ class TestGateModel:
         assert cli.run(argv) == cli.EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: points must be >= 1"]
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("fidelity", ["1.5", "nan", "0.5"])
+    def test_unattainable_fidelity_is_invalid_input(self, tmp_path, capsys,
+                                                    fidelity):
+        argv = ["gate-model", "--fidelity", fidelity, "--out", str(tmp_path)]
+        assert cli.run(argv) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: target fidelity must lie in")
         assert captured.out == ""
         assert not list(tmp_path.rglob("*.csv"))
 

@@ -322,8 +322,6 @@ class TestWitnessResult:
         hits = res.overlapping()
         assert len(hits) == 2
         assert res.max_rise() == pytest.approx(0.02)
-        assert res.max_rise(0.0, 13.5) == pytest.approx(0.5)
-        assert res.max_rise(11.0, 12.0) == 0.0
 
 
 class TestWitnessScan:

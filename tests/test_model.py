@@ -5,6 +5,8 @@ conventions, signed dispersive sums, the two-mode detuning design rule,
 config construction and validation, and the parity pointer states.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,13 @@ class TestDesignRules:
             model.parity_detunings(0.0, 2.0, 1.0)
         with pytest.raises(ConfigError):
             model.parity_detunings(2.0, -1.0, 1.0)
+        # NaN and infinite rates are not finite and positive either
+        for bad in (math.nan, math.inf, -math.inf):
+            for args in ((bad, 2.0, 1.0), (2.0, bad, 1.0), (2.0, 2.0, bad)):
+                with pytest.raises(ConfigError):
+                    model.parity_detunings(*args)
+            with pytest.raises(ConfigError):
+                model.kappa_star(bad)
 
     def test_kappa_star_is_twice_chi(self):
         assert model.kappa_star(1.0) == pytest.approx(2.0)

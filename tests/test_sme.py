@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paritysim import cavity, model, sme
+from paritysim import model, sme
 from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec, default_pulse
 
@@ -28,9 +28,10 @@ def staggered_gamma_config():
     return model.default_config().replace(gamma_z=np.array([0.03, 0.05, 0.07]))
 
 
-def zero_drive_table(config, t_final, grid_steps):
-    return cavity.integrate_amplitudes(config, 0.0,
-                                       cavity.time_grid(t_final, grid_steps))
+def zero_drive(t_final):
+    """A pulse of zero amplitude over [0, t_final]."""
+    return PulseSpec(t_on=0.25, t_off=0.75, sigma=0.5, eps_ss=0.0,
+                     tau=t_final)
 
 
 def random_density(rng, d):
@@ -80,8 +81,7 @@ class TestDephasingClosedForm:
         # no drive: every coherence decays at the sum of the rates of the
         # qubits whose bits differ, rho_ij(t) = rho_ij(0) e^{-r_ij t}
         cfg = staggered_gamma_config()
-        out = sme.simulate_deterministic(cfg, n_steps=300,
-                                         table=zero_drive_table(cfg, 3.0, 600))
+        out = sme.simulate_deterministic(cfg, zero_drive(3.0), n_steps=300)
         bits = model.bit_table(3)
         differ = bits[:, None, :] != bits[None, :, :]
         rates = (differ * cfg.gamma_z).sum(axis=2)
@@ -90,15 +90,13 @@ class TestDephasingClosedForm:
 
     def test_populations_exactly_frozen(self):
         cfg = staggered_gamma_config()
-        out = sme.simulate_deterministic(cfg, n_steps=100,
-                                         table=zero_drive_table(cfg, 2.0, 200))
+        out = sme.simulate_deterministic(cfg, zero_drive(2.0), n_steps=100)
         diags = np.einsum("tii->ti", out.rhos)
         assert np.all(diags == 0.125)
 
     def test_no_rates_no_drive_is_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
-        out = sme.simulate_deterministic(cfg, n_steps=50,
-                                         table=zero_drive_table(cfg, 1.0, 100))
+        out = sme.simulate_deterministic(cfg, zero_drive(1.0), n_steps=50)
         assert np.array_equal(out.rhos[-1], out.rhos[0])
 
     def test_coupling_off_is_pure_dephasing_under_drive(self):
@@ -111,12 +109,6 @@ class TestDephasingClosedForm:
         expected = model.plus_density(3) * np.exp(
             gamma * out.times[:, None, None])
         assert np.abs(out.rhos - expected).max() < 1e-12
-
-    def test_table_without_midpoints_rejected(self):
-        cfg = staggered_gamma_config()
-        table = sme.build_table(cfg, default_pulse(), 300)
-        with pytest.raises(ConfigError):
-            sme.simulate_deterministic(cfg, n_steps=300, table=table)
 
 
 @pytest.mark.parametrize("coupled", [True, False])
