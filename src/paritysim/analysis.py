@@ -16,14 +16,13 @@ degree-10 polynomial in p.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import model
 from .cavity import AmplitudeTable
-from .errors import ConfigError, DegenerateFilterError, GridMismatchError
+from .errors import (ConfigError, DegenerateFilterError, GridMismatchError,
+                     require_int)
 from .pulse import PulseSpec
 from .sme import (Diagnostics, build_table, measurement_diag, simulate_batch,
                   trajectory_noise)
@@ -219,8 +218,7 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     results are independent of the chunk size. All requested filters are
     evaluated on the same records.
     """
-    if n_traj < 1:
-        raise ConfigError("n_traj must be at least 1")
+    require_int("n_traj", n_traj, 1)
     rho0 = model.plus_density(config.n_qubits)
     psi_even = model.psi_plus(config.n_qubits)
     psi_odd = model.psi_minus(config.n_qubits)
@@ -256,21 +254,11 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
 
 
 # Exact expansion of the squared output fidelity of the circuit-based
-# ZZZ measurement with per-operation failure probability p.
-_GATE_COEFFS = (
-    Fraction(1),
-    Fraction(-128, 15),
-    Fraction(8834, 225),
-    Fraction(-74884, 675),
-    Fraction(2130272, 10125),
-    Fraction(-8409088, 30375),
-    Fraction(23153152, 91125),
-    Fraction(-43695104, 273375),
-    Fraction(53886976, 820125),
-    Fraction(-39059456, 2460375),
-    Fraction(4194304, 2460375),
-)
-_GATE_POLY = tuple(float(c) for c in _GATE_COEFFS)
+# ZZZ measurement with per-operation failure probability p; integer true
+# division rounds each exact quotient correctly.
+_GATE_POLY = (1.0, -128 / 15, 8834 / 225, -74884 / 675, 2130272 / 10125,
+              -8409088 / 30375, 23153152 / 91125, -43695104 / 273375,
+              53886976 / 820125, -39059456 / 2460375, 4194304 / 2460375)
 GATE_P_MAX = 0.1
 
 
@@ -293,12 +281,18 @@ def gate_fidelity(p):
 
 
 def solve_error_rate(fidelity: float) -> float:
-    """Per-operation error rate p with gate_fidelity(p) = fidelity."""
-    lo = gate_fidelity(GATE_P_MAX)
-    if not lo <= fidelity <= 1.0:
+    """Per-operation error rate p with gate_fidelity(p) = fidelity.
+
+    gate_fidelity decreases on [0, GATE_P_MAX], so bisection brackets p
+    down to two adjacent floats and returns the lower one.
+    """
+    floor = gate_fidelity(GATE_P_MAX)
+    if not floor <= fidelity <= 1.0:
         raise ValueError(
-            f"target fidelity must lie in [{lo:.6f}, 1]")
+            f"target fidelity must lie in [{floor:.6f}, 1]")
     if fidelity == 1.0:
         return 0.0
-    return float(brentq(lambda q: gate_fidelity(q) - fidelity,
-                        0.0, GATE_P_MAX, xtol=1e-12))
+    lo, hi = 0.0, GATE_P_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if gate_fidelity(mid) > fidelity else (lo, mid)
+    return lo

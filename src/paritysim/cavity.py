@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import model
-from .errors import ConfigError, ResonanceError
+from .errors import (ConfigError, ResonanceError, require_int,
+                     require_positive)
 from .pulse import PulseSpec, pieces as pulse_pieces
 
 #: grid nodes filled per batched product in integrate_amplitudes
@@ -34,11 +35,8 @@ _BLOCK_NODES = 256
 
 def time_grid(tau: float, n_steps: int) -> np.ndarray:
     """Uniform grid of n_steps+1 nodes covering [0, tau]."""
-    if n_steps < 1:
-        raise ConfigError("n_steps must be >= 1")
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
-    return np.linspace(0.0, float(tau), int(n_steps) + 1)
+    require_int("n_steps", n_steps, 1)
+    return np.linspace(0.0, float(require_positive("tau", tau)), n_steps + 1)
 
 
 def effective_detunings(config: model.ReadoutConfig) -> np.ndarray:
@@ -47,14 +45,8 @@ def effective_detunings(config: model.ReadoutConfig) -> np.ndarray:
 
 
 def _basis_index(config: model.ReadoutConfig, j: int) -> int:
-    """j, if it indexes a basis state; ConfigError otherwise.
-
-    A Python or numpy integer is accepted; a bool, a float (even a whole
-    one) or anything else is not, so it cannot select a state by accident.
-    """
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise ConfigError(f"basis index must be an integer, got {j!r}")
-    if not 0 <= j < config.dim:
+    """j, if it indexes a basis state; ConfigError otherwise."""
+    if require_int("basis index", j, 0) >= config.dim:
         raise ConfigError(f"basis index {j} out of range for {config.n_qubits} qubits")
     return j
 
@@ -202,7 +194,8 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
                           "of at least 2 nodes starting at 0")
     if isinstance(drive, PulseSpec):
         (starts, curvature), eps0 = pulse_pieces(drive), 0.0
-    elif isinstance(drive, (int, float, np.floating)) and np.isfinite(drive):
+    elif isinstance(drive, (int, float, np.floating)) \
+            and not isinstance(drive, bool) and np.isfinite(drive):
         starts, curvature, eps0 = [0.0], [0.0], float(drive)
     else:
         raise ConfigError("drive must be a PulseSpec or a finite real number")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, cavity, markov, model, sme
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .pulse import PulseSpec, default_pulse, validate as pulse_problems
 
 EXIT_OK = 0
@@ -117,10 +117,12 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_design(args) -> int:
+    # all three first, so a rejected value prints nothing
     d0, d1 = model.parity_detunings(args.kappa0, args.kappa1, args.chi)
+    k_star = model.kappa_star(args.chi)
     print(f"delta_0 = {d0:.7f}")
     print(f"delta_1 = {d1:.7f}")
-    print(f"kappa_star = {model.kappa_star(args.chi):.7f}")
+    print(f"kappa_star = {k_star:.7f}")
     return EXIT_OK
 
 
@@ -144,16 +146,10 @@ def _cmd_respond(args) -> int:
     # before any file is written, so a singular design leaves none behind
     even, odd = cavity.parity_outputs(config, pulse.eps_ss)
     table = sme.build_table(config, pulse, args.steps)
-    header = ["t"]
-    for j in range(config.dim):
-        label = model.bitstring(j, config.n_qubits)
-        header += [f"re_out_{label}", f"im_out_{label}"]
-    rows = []
-    for i, t in enumerate(table.times):
-        row = [t]
-        for j in range(config.dim):
-            row += [table.output[i, j].real, table.output[i, j].imag]
-        rows.append(row)
+    # a complex row viewed as floats is (re, im) per basis state
+    header = ["t"] + [f"{part}_out_{model.bitstring(j, config.n_qubits)}"
+                      for j in range(config.dim) for part in ("re", "im")]
+    rows = np.column_stack([table.times, table.output.view(float)])
     out = _out_dir(args)
     manifest.write_csv(out, "response.csv", header, rows)
     manifest.write_json(out, "response_summary.json", {
@@ -279,8 +275,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_gate_model(args) -> int:
-    if args.points < 1:
-        raise ConfigError("points must be >= 1")
+    require_int("points", args.points, 1)
     # solved first, so an unattainable fidelity prints and writes nothing
     if args.fidelity is not None:
         p_star = analysis.solve_error_rate(args.fidelity)

@@ -105,19 +105,10 @@ def increasing_intervals(times, values) -> list:
     values = np.asarray(values, dtype=float)
     dt = np.diff(times)
     rising = np.diff(values) / dt > _RISE_TOL
-    intervals = []
-    start = None
-    for i, flag in enumerate(rising):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append(Interval(times[start], times[i],
-                                      values[i] - values[start]))
-            start = None
-    if start is not None:
-        intervals.append(Interval(times[start], times[-1],
-                                  values[-1] - values[start]))
-    return intervals
+    # a run of rising steps starts and ends at a flip of the padded flags
+    edges = np.flatnonzero(np.diff(rising, prepend=False, append=False))
+    return [Interval(times[a], times[b], values[b] - values[a])
+            for a, b in zip(edges[::2], edges[1::2])]
 
 
 def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import checked, require_positive
 
 _EVEN = "even"
 _ODD = "odd"
@@ -65,7 +65,8 @@ class ReadoutConfig:
     phi: float = 0.0
 
     def __post_init__(self):
-        for name, value in _checked(
+        for name, value in checked(
+                _parse,
                 {name: getattr(self, name) for name in _CONFIG_KEYS}).items():
             object.__setattr__(self, name, value)
 
@@ -99,7 +100,7 @@ class ReadoutConfig:
         ``gamma_z`` and ``phi`` default to 0 and ``eta`` to 1 when absent.
         A ``pulse`` key is tolerated and ignored.
         """
-        return cls(**_checked(data))
+        return cls(**checked(_parse, data))
 
 
 _CONFIG_KEYS = ("n_qubits", "n_modes", "chi", "kappa", "delta", "gamma_z",
@@ -184,14 +185,6 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _checked(data) -> dict:
-    """Coerced config fields; raises ConfigError naming every problem."""
-    fields, problems = _parse(data)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return fields
-
-
 def validate(data) -> list:
     """Collect every config-invariant violation in JSON-style data.
 
@@ -252,24 +245,19 @@ def parity_detunings(kappa0: float, kappa1: float, chi: float = 1.0):
     shift chi, returns (delta0, delta1) = (chi*sqrt(3*kappa0/kappa1),
     -chi*sqrt(3*kappa1/kappa0)). With these detunings every even-popcount
     basis state produces the same steady output amplitude, and likewise
-    every odd one.
+    every odd one. ConfigError if a rate is not finite and positive, or
+    if the rates are so far apart that a detuning overflows or underflows.
     """
-    _require_rate("kappa0", kappa0)
-    _require_rate("kappa1", kappa1)
-    _require_rate("chi", chi)
-    return chi * math.sqrt(3.0 * kappa0 / kappa1), -chi * math.sqrt(3.0 * kappa1 / kappa0)
+    for name, rate in (("kappa0", kappa0), ("kappa1", kappa1), ("chi", chi)):
+        require_positive(name, rate)
+    d0 = chi * math.sqrt(3.0 * kappa0 / kappa1)
+    d1 = chi * math.sqrt(3.0 * kappa1 / kappa0)
+    return require_positive("delta_0", d0), -require_positive("|delta_1|", d1)
 
 
 def kappa_star(chi: float = 1.0) -> float:
     """Decay rate maximizing the steady-state output separation: 2*chi."""
-    _require_rate("chi", chi)
-    return 2.0 * chi
-
-
-def _require_rate(name: str, value: float):
-    """ConfigError unless value is finite and positive (NaN is neither)."""
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return require_positive("kappa_star", 2.0 * require_positive("chi", chi))
 
 
 # -- reference states --------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import checked
 
 _KEYS = ("t_on", "t_off", "sigma", "eps_ss", "tau")
 
@@ -31,7 +31,7 @@ class PulseSpec:
     tau: float
 
     def __post_init__(self):
-        for name, value in _checked(self.to_dict()).items():
+        for name, value in checked(_parse, self.to_dict()).items():
             object.__setattr__(self, name, value)
 
     def replace(self, **changes) -> "PulseSpec":
@@ -43,7 +43,7 @@ class PulseSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "PulseSpec":
         """Build a pulse from JSON-style data; raises naming every problem."""
-        return cls(**_checked(data))
+        return cls(**checked(_parse, data))
 
     def evaluate(self, t):
         """Drive amplitude at time(s) t (scalar in, scalar out)."""
@@ -102,14 +102,6 @@ def _parse(data):
         if known("t_off", "tau") and values["t_off"] + half > values["tau"]:
             problems.append("fall window ends after tau")
     return values, problems
-
-
-def _checked(data) -> dict:
-    """Coerced pulse values; raises ConfigError naming every problem."""
-    values, problems = _parse(data)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return values
 
 
 def validate(data) -> list:

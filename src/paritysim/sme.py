@@ -78,7 +78,7 @@ import numpy as np
 
 from . import model
 from .cavity import AmplitudeTable, integrate_amplitudes, time_grid
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .pulse import PulseSpec, default_pulse
 
 #: diagnostic ceilings for a healthy trajectory at desk resolution
@@ -174,12 +174,9 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     Streams are spawned from the base seed, so any subset of trajectory
     indices can be regenerated without drawing the others.
     """
-    if base_seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if index < 0:
-        raise ConfigError("index must be >= 0")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=require_int("seed", base_seed, 0),
+        spawn_key=(require_int("index", index, 0),)))
 
 
 def trajectory_noise(table: AmplitudeTable, base_seed: int, indices):
@@ -415,7 +412,8 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
         If the noise arrays or rho0 do not have the shapes above, a noise
         value is not finite, rho0 has a negative population or a trace
         off 1 by more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or
-        checkpoint_every is not an integer.
+        checkpoint_every is not an integer or is negative (0 means the
+        default cadence, max(1, n_steps // 100) steps).
     """
     times = table.times
     n_steps = len(times) - 1
@@ -447,12 +445,8 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     if not np.all(np.abs(populations.sum(axis=-1) - 1.0)
                   <= DIAGNOSTIC_THRESHOLDS["trace_dev"]):
         raise ConfigError("rho0 must have unit trace")
-    if isinstance(checkpoint_every, bool) \
-            or not isinstance(checkpoint_every, (int, np.integer)):
-        raise ConfigError("checkpoint_every must be an integer, got "
-                          f"{checkpoint_every!r}")
-    if checkpoint_every <= 0:
-        checkpoint_every = max(1, n_steps // 100)
+    checkpoint_every = require_int("checkpoint_every", checkpoint_every, 0) \
+        or max(1, n_steps // 100)
     dt = table.dt
     sqrt_dt = math.sqrt(dt)
     eta = config.eta
@@ -619,7 +613,7 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     not depend on the block size. For intrinsic dephasing alone, pass a
     config with chi = 0.
     """
-    table = build_table(config, pulse, 2 * n_steps)
+    table = build_table(config, pulse, 2 * require_int("n_steps", n_steps, 1))
     if rho0 is None:
         rho0 = model.plus_density(config.n_qubits)
 

@@ -228,6 +228,10 @@ class TestEnsembleRun:
         with pytest.raises(ConfigError):
             analysis.ensemble_run(config, n_traj=0, n_steps=100)
 
+    def test_non_integer_trajectory_count_rejected(self, config):
+        with pytest.raises(ConfigError, match="n_traj must be an integer"):
+            analysis.ensemble_run(config, n_traj=2.5, n_steps=100)
+
     def test_zero_signal_assigned_even(self, config, monkeypatch):
         monkeypatch.setattr(analysis.FilterFunction, "integrate",
                             lambda self, records: np.zeros(len(records)))

@@ -320,6 +320,15 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             cavity.time_grid(0.0, 10)
 
+    @pytest.mark.parametrize("tau, n_steps", [
+        (13.5, 2.5), (13.5, True), (13.5, 1e3), (np.nan, 10), (np.inf, 10)],
+        ids=["fractional-count", "bool-count", "whole-float-count",
+             "nan-span", "infinite-span"])
+    def test_count_not_integer_or_span_not_finite_rejected(self, tau,
+                                                          n_steps):
+        with pytest.raises(ConfigError):
+            cavity.time_grid(tau, n_steps)
+
 
 class TestIntegrateAmplitudes:
     def test_zero_drive_stays_in_vacuum(self):
@@ -414,6 +423,11 @@ class TestIntegrateAmplitudes:
         times = cavity.time_grid(1.0, 10)
         with pytest.raises(ConfigError):
             cavity.integrate_amplitudes(cfg, lambda t: 0.3, times)
+
+    def test_bool_drive_rejected(self):
+        times = cavity.time_grid(1.0, 10)
+        with pytest.raises(ConfigError, match="drive"):
+            cavity.integrate_amplitudes(single_mode_config(), True, times)
 
 
 class TestAgainstAdaptiveReference:

@@ -92,6 +92,20 @@ class TestDesign:
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {option[2:]} must be finite")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--kappa0", "1e300", "--kappa1", "1e-300"], "delta_0"),
+        # delta_0 underflows to 0 before delta_1 overflows
+        (["--kappa0", "1e-300", "--kappa1", "1e300"], "delta_0"),
+        (["--kappa0", "1e-160", "--kappa1", "1e160"], "|delta_1|"),
+        (["--chi", "1e308"], "kappa_star")])
+    def test_result_not_finite_and_nonzero_is_invalid_input(self, capsys,
+                                                            argv, name):
+        assert cli.run(["design", *argv]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {name} must be finite")
+
 
 class TestValidate:
 

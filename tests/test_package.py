@@ -1,5 +1,6 @@
-"""The package's public surface: every exported name exists, and every
-module of the package is used by the package itself."""
+"""The package's public surface: every exported name exists, every
+module of the package is used by the package itself, and importing it
+does not load scipy.optimize."""
 
 import subprocess
 import sys
@@ -28,3 +29,14 @@ def test_package_and_cli_load_every_module():
                             capture_output=True, text=True,
                             cwd=package.parent).stdout.split()
     assert loaded == expected
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the gate model solves by bisection; scipy.optimize costs a third of
+    # the package's import time
+    probe = ("import sys, paritysim, paritysim.cli; "
+             "print('scipy.optimize' in sys.modules)")
+    loaded = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            cwd=Path(paritysim.__file__).parent.parent).stdout
+    assert loaded.strip() == "False"

@@ -111,6 +111,19 @@ class TestDephasingClosedForm:
         assert np.abs(out.rhos - expected).max() < 1e-12
 
 
+def test_whole_float_step_count_rejected(config):
+    with pytest.raises(ConfigError, match="n_steps"):
+        sme.build_table(config, default_pulse(), 1e3)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, True])
+def test_deterministic_step_count_must_be_integer(config, n_steps):
+    # checked before doubling, so the error names the value passed
+    with pytest.raises(ConfigError,
+                       match=f"n_steps must be an integer, got {n_steps}"):
+        sme.simulate_deterministic(config, n_steps=n_steps)
+
+
 @pytest.mark.parametrize("coupled", [True, False])
 def test_deterministic_independent_of_block_size(config, monkeypatch,
                                                  coupled):
@@ -476,6 +489,14 @@ class TestWienerIncrements:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed, index, match", [
+        (1.5, 0, "seed"), (0, 1.5, "index"), (True, 0, "seed"),
+        (0, False, "index")])
+    def test_trajectory_rng_needs_integer_seed_and_index(self, seed, index,
+                                                          match):
+        with pytest.raises(ConfigError, match=f"{match} must be an integer"):
+            sme.trajectory_rng(seed, index)
+
 
 class TestSimulateTrajectory:
     def test_reproducible(self, config):
@@ -592,7 +613,7 @@ class TestSimulateBatch:
         with pytest.raises(ConfigError, match=match):
             sme.simulate_batch(config, table, rho0, dws, dzs)
 
-    @pytest.mark.parametrize("every", [2.5, float("nan"), True])
+    @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
         table = sme.build_table(config, default_pulse(), 100)
         dws, dzs = sme.trajectory_noise(table, 0, range(2))
