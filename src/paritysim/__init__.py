@@ -14,8 +14,9 @@ from .cavity import (AmplitudeTable, integrate_amplitudes, parity_outputs,
                      kappa_separation_scan, steady_state_amplitudes,
                      steady_state_output, transfer_matrix)
 from .sme import (DIAGNOSTIC_THRESHOLDS, DeterministicResult, Diagnostics,
-                  TrajectoryResult, build_table, simulate_batch,
-                  simulate_deterministic, simulate_trajectory, step_sde)
+                  TrajectoryResult, build_table, mixture_noise, sample_batch,
+                  simulate_batch, simulate_deterministic, simulate_trajectory,
+                  step_sde)
 from .markov import (WitnessResult, canonical_rates, trace_distance,
                      witness_scan)
 from .analysis import (EnsembleSummary, FilterFunction, assign_parity,
@@ -33,8 +34,9 @@ __all__ = [
     "kappa_separation_scan", "steady_state_amplitudes",
     "steady_state_output", "transfer_matrix",
     "DIAGNOSTIC_THRESHOLDS", "DeterministicResult", "Diagnostics",
-    "TrajectoryResult", "build_table", "simulate_batch",
-    "simulate_deterministic", "simulate_trajectory", "step_sde",
+    "TrajectoryResult", "build_table", "mixture_noise", "sample_batch",
+    "simulate_batch", "simulate_deterministic", "simulate_trajectory",
+    "step_sde",
     "WitnessResult", "canonical_rates", "trace_distance", "witness_scan",
     "EnsembleSummary", "FilterFunction", "assign_parity", "build_filter",
     "classify", "ensemble_run", "gate_fidelity", "solve_error_rate",

@@ -24,8 +24,11 @@ from .cavity import AmplitudeTable
 from .errors import (ConfigError, DegenerateFilterError, GridMismatchError,
                      require_int)
 from .pulse import PulseSpec
-from .sme import (Diagnostics, build_table, measurement_diag, simulate_batch,
-                  trajectory_noise)
+from .sme import (Diagnostics, build_table, measurement_diag, mixture_noise,
+                  sample_batch)
+# ensemble_run no longer steps S, but perfbench's tracer test patches this
+# lookup site by name, so the name stays importable from here
+from .sme import simulate_batch  # noqa: F401
 
 FILTER_KINDS = ("matched", "matched-mean", "uniform")
 
@@ -150,6 +153,8 @@ class EnsembleSummary:
 
     signals and assignments are keyed by filter kind; every filter is
     applied to the same records, so kinds are directly comparable.
+    basis_index[b] is the basis state j of the mixture component that
+    drew the record of trajectory b (ensemble_run).
     """
 
     n_traj: int
@@ -161,6 +166,7 @@ class EnsembleSummary:
     fidelity_even: np.ndarray
     fidelity_odd: np.ndarray
     diagnostics: Diagnostics
+    basis_index: np.ndarray
 
     @property
     def diagnostics_worst(self) -> dict:
@@ -213,10 +219,16 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                  filter_kinds=("matched",)) -> EnsembleSummary:
     """Run a trajectory ensemble from |+>^n and classify every record.
 
-    Trajectories are integrated in vectorized chunks of _CHUNK_SIZE; each
-    one draws its noise from a stream keyed by (base_seed, index), so
-    results are independent of the chunk size. All requested filters are
-    evaluated on the same records.
+    Without qubit decay the law of the record is a mixture over basis
+    states (sme module docstring), so each record is drawn exactly in law:
+    the stream keyed by (base_seed, index) first draws the basis state j
+    with probability rho0_jj = 2**-n and then the noise dW' of
+    dY = 2 sqrt(eta) Re c_j dt + dW' (sme.mixture_noise), and
+    sme.sample_batch sums S = int c dY and builds the conditioned states.
+    Valid only without qubit decay. Trajectories run in vectorized chunks
+    of _CHUNK_SIZE and every row is reduced on its own, so results are
+    independent of the chunk size, and (base_seed, index, n_steps) replays
+    a trajectory. All requested filters are evaluated on the same records.
     """
     require_int("n_traj", n_traj, 1)
     rho0 = model.plus_density(config.n_qubits)
@@ -226,6 +238,7 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     signals = {kind: np.empty(n_traj) for kind in filter_kinds}
     fidelity_even = np.empty(n_traj)
     fidelity_odd = np.empty(n_traj)
+    basis_index = np.empty(n_traj, dtype=int)
     diagnostics = []
     table = build_table(config, pulse, n_steps)
     filters = {kind: build_filter(config, table, kind)
@@ -233,15 +246,20 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
 
     for start in range(0, n_traj, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, n_traj)
-        dws, dzs = trajectory_noise(table, base_seed, range(start, stop))
-        rho0_batch = np.broadcast_to(rho0, (stop - start,) + rho0.shape)
-        rho_final, records, diags = simulate_batch(config, table, rho0_batch,
-                                                   dws, dzs)
+        js, dws, dzs = mixture_noise(table, rho0, base_seed,
+                                     range(start, stop))
+        rho_final, records, diags = sample_batch(config, table, rho0, js,
+                                                 dws, dzs)
+        # a chunk's noise and records are freed once used, so the filters
+        # and the next chunk's draw do not add to them
+        del dws, dzs
+        basis_index[start:stop] = js
         for kind, filt in filters.items():
             signals[kind][start:stop] = filt.integrate(records)
         fidelity_even[start:stop] = state_fidelity(rho_final, psi_even)
         fidelity_odd[start:stop] = state_fidelity(rho_final, psi_odd)
         diagnostics.append(diags)
+        del records
 
     assignments = {kind: assign_parity(signals[kind] * filt.orientation)
                    for kind, filt in filters.items()}
@@ -250,7 +268,8 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                            signals=signals, assignments=assignments,
                            fidelity_even=fidelity_even,
                            fidelity_odd=fidelity_odd,
-                           diagnostics=Diagnostics.join(diagnostics))
+                           diagnostics=Diagnostics.join(diagnostics),
+                           basis_index=basis_index)
 
 
 # Exact expansion of the squared output fidelity of the circuit-based

@@ -21,6 +21,8 @@ and no division by a pulled detuning; the piecewise-quadratic drive makes
 the time evolution exact as well (integrate_amplitudes).
 """
 
+import numbers
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -194,8 +196,8 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
                           "of at least 2 nodes starting at 0")
     if isinstance(drive, PulseSpec):
         (starts, curvature), eps0 = pulse_pieces(drive), 0.0
-    elif isinstance(drive, (int, float, np.floating)) \
-            and not isinstance(drive, bool) and np.isfinite(drive):
+    elif isinstance(drive, numbers.Real) \
+            and not isinstance(drive, (bool, np.bool_)) and np.isfinite(drive):
         starts, curvature, eps0 = [0.0], [0.0], float(drive)
     else:
         raise ConfigError("drive must be a PulseSpec or a finite real number")

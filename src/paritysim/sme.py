@@ -40,6 +40,25 @@ and builds the d x d state only at checkpoints. This holds only in the
 paper's regime, where qubit decay is neglected: a T1 term would couple
 the populations and break the elementwise solution.
 
+In the same regime the law of the record is a mixture over basis states
+(the linear-trajectory picture of Jacobs & Knight, PRA 57, 2301 (1998);
+Wiseman & Milburn, ch. 4). Under the measure on which Y is a Wiener
+process, tr rho~(T) = sum_j rho0_jj L_j(Y), where L_j is the Girsanov
+likelihood of a Wiener process with drift 2 sqrt(eta) Re c_j, because
+K_jj = 0 and E_jj = -2 eta int (Re c_j)^2. So a record is drawn exactly
+in law by drawing the basis state j with probability rho0_jj and setting
+
+    dY = 2 sqrt(eta) Re c_j dt + dW',
+
+and every S_i = int c_i dY is then a sum with no time loop. sample_batch
+builds the states from such records; mixture_noise draws them, on the
+stream of trajectory_rng(seed, index), j first and then the increments
+of wiener_increments, so (seed, index, n_steps) replays a trajectory.
+analysis.ensemble_run samples this way. simulate_trajectory, and the
+`paritysim trajectory` command with it, still steps S, so trajectory
+index I of an ensemble is not simulate_trajectory(trajectory_index=I).
+Both solvers are valid only without qubit decay.
+
 Because rho is assembled from this formula, three diagnostics are
 rounding-level by construction: trace_dev (the state is divided by its
 trace), herm_dev (E is Hermitian and S_i + conj S_j is the transpose-
@@ -57,14 +76,17 @@ scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt.
 simulate_batch writes the step in that reduced form (no diffusion calls)
 and adds the remaining terms in step_sde's order, so its results equal
 step_sde's bit for bit. The two supporting values of a step share one
-softmax evaluation, side by side in one buffer. The loop runs over blocks
-of checkpoints, the checkpoints of a block, chunks of at most
-_BLOCK_STEPS steps up to each checkpoint, and the steps of a chunk. S is
-kept at the checkpoints of one block only, and the block's states and
-diagnostics are built together, at most _BLOCK_MATRICES states at a
-time, so memory stays bounded; the block is laid out so that every
-reduction adds in the order of a lone checkpoint, and the blocks change
-no bit. The required pair of correlated Gaussians per step is
+softmax evaluation, side by side in one buffer, and the steps up to each
+checkpoint run in chunks of at most _BLOCK_STEPS steps.
+
+Both solvers check their input in _batch_inputs and hand S at each
+checkpoint to one function, _solve, which integrates E, keeps S at the
+checkpoints of one block only and builds the block's states and
+diagnostics together, at most _BLOCK_MATRICES states at a time, so memory
+stays bounded. Every sum over the entries of a state adds in an order
+fixed by the state alone, not by its memory layout, so the blocks change
+no bit, and neither does the batch a trajectory runs in. The required
+pair of correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -92,11 +114,11 @@ DIAGNOSTIC_THRESHOLDS = {
 }
 
 #: steps per block of exponent increments in _running_sum, and at most
-#: per chunk of tabulated node values in simulate_batch
+#: per chunk of tabulated node values or noise weights in the solvers
 _BLOCK_STEPS = 256
 
 #: checkpoint states (trajectories x checkpoints) built per stacked call
-#: in simulate_batch; bounds the memory of one block
+#: in _solve; bounds the memory of one block
 _BLOCK_MATRICES = 256
 
 
@@ -193,6 +215,34 @@ def trajectory_noise(table: AmplitudeTable, base_seed: int, indices):
         dws[row], dzs[row] = wiener_increments(
             trajectory_rng(base_seed, index), n_steps, table.dt)
     return dws, dzs
+
+
+def mixture_noise(table: AmplitudeTable, rho0, base_seed: int, indices):
+    """(js, dws, dzs) of the mixture records `indices`, for sample_batch.
+
+    For each index, the stream trajectory_rng(base_seed, index) first
+    draws the basis state j with probability rho0_jj (one uniform draw,
+    inverted through the cumulative populations) and then the increments
+    of wiener_increments. Row r belongs to indices[r] alone, so
+    (base_seed, index, n_steps) replays a trajectory. rho0 is one
+    (d, d) state shared by every index; ConfigError if it is not.
+    """
+    rho0 = np.asarray(rho0)
+    dim = table.output.shape[-1]
+    if rho0.shape != (dim, dim):
+        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim})")
+    cdf = np.cumsum(_populations(rho0))
+    cdf /= cdf[-1]
+    n_steps = len(table.times) - 1
+    js = np.empty(len(indices), dtype=int)
+    dws = np.empty((len(indices), n_steps))
+    dzs = np.empty((len(indices), n_steps))
+    for row, index in enumerate(indices):
+        rng = trajectory_rng(base_seed, index)
+        # side="right" never lands on a state of zero population
+        js[row] = np.searchsorted(cdf, rng.random(), side="right")
+        dws[row], dzs[row] = wiener_increments(rng, n_steps, table.dt)
+    return js, dws, dzs
 
 
 def step_sde(y, t, dt, drift_fn, diffusion_fn, dw, dz):
@@ -312,15 +362,32 @@ class DeterministicResult:
     rhos: np.ndarray            # (n_t, d, d)
 
 
+def _purity(rho) -> np.ndarray:
+    """sum_ij |rho_ij|^2, the terms added one after another in row order.
+
+    The running sum is taken in place, so it needs no buffer of its own,
+    and only its last row outlives the call.
+    """
+    squares = np.moveaxis(
+        (np.abs(rho) ** 2).reshape(rho.shape[:-2] + (-1,)), -1, 0)
+    return np.add.accumulate(squares, axis=0, out=squares)[-1].copy()
+
+
 def _checkpoint(rho, k0, t) -> dict:
-    """Health values of one checkpoint, keyed by Diagnostics field."""
+    """Health values of one checkpoint, keyed by Diagnostics field.
+
+    The trace and the purity add their terms one after another, in row
+    order, so a state rounds the same way whatever its memory layout and
+    whatever batch it is in.
+    """
     rho_dag = rho.conj().swapaxes(-1, -2)
     return {
         "times": t,
-        "trace_dev": np.abs(np.einsum("...ii->...i", rho).sum(axis=-1) - 1.0),
+        "trace_dev": np.abs(_column_sum(np.moveaxis(
+            np.einsum("...ii->...i", rho), -1, 0)) - 1.0),
         "herm_dev": np.abs(rho - rho_dag).max(axis=(-1, -2)),
         "min_eig": np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0],
-        "purity": (np.abs(rho) ** 2).sum(axis=(-1, -2)),
+        "purity": _purity(rho),
         "diag_drift": np.abs(np.einsum("...ii->...i", k0 * rho)).max(-1),
     }
 
@@ -355,6 +422,7 @@ def _column_sum(x) -> np.ndarray:
     which would make a lone trajectory round differently from the same
     trajectory in a batch. Any trailing shape is allowed: simulate_batch
     sums p and p w of every column at once from a (d, 2, columns) array.
+    The result is a view into the running sum of every row.
     """
     return np.add.accumulate(x, axis=0)[-1]
 
@@ -373,6 +441,196 @@ def _conditioned_state(rho0, e, s, sqrt_eta: float) -> np.ndarray:
     return rho / trace[..., None, None]
 
 
+def _populations(rho0) -> np.ndarray:
+    """Diagonal of rho0 (any leading axes), if it can be a state's.
+
+    Raises ConfigError if a population is negative or undefined, or the
+    trace is off 1 by more than DIAGNOSTIC_THRESHOLDS["trace_dev"].
+    """
+    populations = np.einsum("...ii->...i", rho0).real
+    if not np.all(populations >= 0.0):
+        raise ConfigError("rho0 has a negative or undefined population")
+    if not np.all(np.abs(populations.sum(axis=-1) - 1.0)
+                  <= DIAGNOSTIC_THRESHOLDS["trace_dev"]):
+        raise ConfigError("rho0 must have unit trace")
+    return populations
+
+
+def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
+    """(rho0, dws, dzs, nodes) of a batch solver, checked as simulate_batch
+    documents.
+
+    rho0 is broadcast to (n_batch, d, d); nodes are the sorted checkpoint
+    step indices, 0 and n_steps included.
+    """
+    n_steps = len(table.times) - 1
+    dim = config.dim
+    dws, dzs, rho0 = np.asarray(dws), np.asarray(dzs), np.asarray(rho0)
+    if dws.ndim != 2 or dzs.shape != dws.shape:
+        raise ConfigError(
+            f"noise arrays dws {dws.shape} and dzs {dzs.shape} must both "
+            "have shape (n_batch, n_steps)")
+    if dws.shape[1] != n_steps:
+        raise ConfigError(f"noise arrays have {dws.shape[1]} steps; the "
+                          f"amplitude grid has {n_steps}")
+    for name, noise in (("dws", dws), ("dzs", dzs)):
+        # min and max propagate NaN and need no temporary of the array's size
+        if noise.size and not (np.isfinite(noise.min())
+                               and np.isfinite(noise.max())):
+            raise ConfigError(f"noise array {name} holds a value that is not "
+                              "finite")
+    n_batch = len(dws)
+    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
+        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim}) "
+                          f"or (n_batch, {dim}, {dim})")
+    if rho0.ndim == 3 and len(rho0) != n_batch:
+        raise ConfigError(f"rho0 holds {len(rho0)} states for {n_batch} "
+                          "noise rows")
+    _populations(rho0)
+    checkpoint_every = require_int("checkpoint_every", checkpoint_every, 0) \
+        or max(1, n_steps // 100)
+    nodes = np.unique(np.append(
+        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+    return np.broadcast_to(rho0, (n_batch, dim, dim)), dws, dzs, nodes
+
+
+def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
+    """(rho_final, diagnostics) from S = int c dY at every checkpoint node.
+
+    s_at_nodes yields S of the batch as (d, n_batch) at nodes[0],
+    nodes[1], ... in turn. E is integrated by the trapezoid rule on the
+    table's nodes first; it does not depend on S. The checkpoints are
+    taken in blocks of up to _BLOCK_MATRICES states (trajectories x
+    checkpoints): S is kept at the checkpoints of one block only, and the
+    block's states and diagnostics are built at once, so the memory used
+    stays bounded however long the grid. The states and diagnostics sum
+    their entries in an order that does not depend on the layout, so the
+    blocks change no bit.
+    """
+    n_steps = len(table.times) - 1
+    dim, n_batch = config.dim, len(rho0)
+    dt, eta = table.dt, config.eta
+    sqrt_eta = math.sqrt(eta)
+    c_col = c_all[:, :, None]
+    drift_op = DriftOperator(config)
+
+    def exponent_steps(start, stop):
+        c = c_col[start:stop + 1]
+        f = (drift_op.coefficient(table.alpha[start:stop + 1])
+             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+        return (0.5 * dt) * (f[:-1] + f[1:])
+
+    exponents = _running_sum(exponent_steps, n_steps, nodes, (dim, dim))
+    # S at the nodes of one block, as (node, d, n_batch)
+    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
+    s_block = np.empty((per_block, dim, n_batch), dtype=complex)
+    checks = []
+    for first in range(0, len(nodes), per_block):
+        block = nodes[first:first + per_block]
+        for k in range(len(block)):
+            s_block[k] = s = next(s_at_nodes)
+        # the block's states are dropped once their diagnostics are taken,
+        # so they do not stay allocated while the next block is solved
+        checks.append(_checkpoint(
+            _conditioned_state(
+                rho0, exponents[first:first + len(block), None],
+                s_block[:len(block)].swapaxes(1, 2), sqrt_eta),
+            drift_op.coefficient(table.alpha[block])[:, None],
+            table.times[block]))
+
+    diagnostics = Diagnostics(**{
+        f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
+        for f in fields(Diagnostics)})
+    # the final state alone, the last checkpoint's state bit for bit
+    rho = _conditioned_state(rho0, exponents[-1], s.T, sqrt_eta)
+    return rho, diagnostics
+
+
+def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
+                       records):
+    """S at each node in turn, stepped by the reduced order-1.5 scheme.
+
+    Writes records[:, n] for every step it takes. The steps up to each
+    node are taken in chunks of at most _BLOCK_STEPS, whose node values
+    and noise factors are tabulated per chunk, so the tables stay bounded
+    however sparse the nodes.
+    """
+    dim, n_batch = config.dim, len(dws)
+    dt, eta = table.dt, config.eta
+    sqrt_dt, sqrt_eta = math.sqrt(dt), math.sqrt(eta)
+    # S is held as (d, n_batch), so each reduction over the basis runs
+    # across the batch at once and each column on its own
+    c_col = c_all[:, :, None]
+    with np.errstate(divide="ignore"):
+        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
+
+    def scaled_mean(re_s, log_p, w, r, x, pw, out=None):
+        """sqrt(eta) m = sum_i p_i w_i for exponents with real part re_s.
+
+        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node; x and
+        pw are scratch of shapes (d, columns) and (d, 2, columns), so one
+        _column_sum gives both sums of every column.
+        """
+        np.multiply(re_s, 2.0 * sqrt_eta, out=x)
+        x += log_p
+        x -= r
+        x -= np.maximum.reduce(x, axis=0)
+        p = np.exp(x, out=pw[:, 0])
+        np.multiply(p, w, out=pw[:, 1])
+        sums = _column_sum(pw)
+        return np.divide(sums[1], sums[0], out=out)
+
+    s = np.zeros((dim, n_batch), dtype=complex)
+    x1, pw1 = np.empty((dim, n_batch)), np.empty((dim, 2, n_batch))
+    # the supporting values base +- c0 sqrt(dt) side by side in columns b
+    # and n_batch + b, evaluated in one softmax
+    pair = np.empty((dim, 2 * n_batch), dtype=complex)
+    x2, pw2 = np.empty((dim, 2 * n_batch)), np.empty((dim, 2, 2 * n_batch))
+    log_p0_pair = np.tile(log_p0, 2)
+    r_carry = np.zeros((dim, 1))
+    start = 0
+    for node in nodes:
+        for lo in range(start, node, _BLOCK_STEPS):
+            hi = min(lo + _BLOCK_STEPS, node)
+            # node values of w = 2 sqrt(eta) Re c and r = 2 eta R
+            # (trapezoid rule, summed step by step from the carry) and the
+            # step factors
+            c = c_col[lo:hi + 1]
+            re_c = c.real
+            w = (2.0 * sqrt_eta) * re_c
+            sq = re_c ** 2
+            r = np.cumsum(np.concatenate(
+                [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
+            r_carry = r[-1]
+            c_sqrt_dt = c[:-1] * sqrt_dt
+            curvature = c[1:] - 2.0 * c[:-1] + c[1:]
+            dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
+            dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
+            dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
+            dw = np.ascontiguousarray(dw)
+            means = np.empty((hi - lo, n_batch))
+            for j in range(hi - lo):
+                m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1,
+                                 means[j])
+                # step_sde with the diffusion c0 at t and c1 at t + dt, its
+                # terms that vanish for noise independent of S left out, in
+                # its order
+                c0, c1 = c[j], c[j + 1]
+                a0 = m0 * c0
+                base = s + a0 * dt
+                np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
+                np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
+                a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1],
+                                     r[j + 1], x2, pw2) * c1
+                ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
+                s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
+                     + (ap - am) * dz_factor[j]
+                     + curvature[j] * dwz_factor[j])
+            records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
+        start = node
+        yield s
+
+
 def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    rho0: np.ndarray, dws: np.ndarray, dzs: np.ndarray,
                    checkpoint_every: int = 0):
@@ -380,18 +638,14 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
 
     Steps the exponents S = int c dY of every trajectory (reduced step_sde)
     and builds the state from the elementwise solution (module docstring)
-    at every checkpoint; E is integrated by the trapezoid rule on the
-    table's nodes before the loop. The loop takes the checkpoints in
-    blocks of up to _BLOCK_MATRICES states (trajectories x checkpoints);
-    within a block it steps S from one checkpoint to the next in chunks of
-    at most _BLOCK_STEPS steps, whose node values and noise factors are
-    tabulated per chunk, and keeps S at each checkpoint; at the end of the
-    block it builds the block's states and diagnostics at once. The memory
-    used thus stays bounded however long the grid. The two supporting
-    values of a step share one softmax evaluation. Valid only without
-    qubit decay, which would couple the populations. Every row is reduced
-    on its own, so a trajectory's results do not depend on the batch it
-    runs in, nor on the block sizes.
+    at every checkpoint, with E integrated by the trapezoid rule on the
+    table's nodes; checkpoints are built in blocks of up to
+    _BLOCK_MATRICES states and S is stepped in chunks of at most
+    _BLOCK_STEPS steps, so the memory used stays bounded however long the
+    grid. The two supporting values of a step share one softmax
+    evaluation. Valid only without qubit decay, which would couple the
+    populations. Every row is reduced on its own, so a trajectory's results
+    do not depend on the batch it runs in, nor on the block sizes.
 
     Parameters
     ----------
@@ -415,156 +669,123 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
         checkpoint_every is not an integer or is negative (0 means the
         default cadence, max(1, n_steps // 100) steps).
     """
-    times = table.times
-    n_steps = len(times) - 1
-    dim = config.dim
-    dws, dzs, rho0 = np.asarray(dws), np.asarray(dzs), np.asarray(rho0)
-    if dws.ndim != 2 or dzs.shape != dws.shape:
-        raise ConfigError(
-            f"noise arrays dws {dws.shape} and dzs {dzs.shape} must both "
-            "have shape (n_batch, n_steps)")
-    if dws.shape[1] != n_steps:
-        raise ConfigError(f"noise arrays have {dws.shape[1]} steps; the "
-                          f"amplitude grid has {n_steps}")
-    for name, noise in (("dws", dws), ("dzs", dzs)):
-        # min and max propagate NaN and need no temporary of the array's size
-        if noise.size and not (np.isfinite(noise.min())
-                               and np.isfinite(noise.max())):
-            raise ConfigError(f"noise array {name} holds a value that is not "
-                              "finite")
-    n_batch = len(dws)
-    if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
-        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim}) "
-                          f"or (n_batch, {dim}, {dim})")
-    if rho0.ndim == 3 and len(rho0) != n_batch:
-        raise ConfigError(f"rho0 holds {len(rho0)} states for {n_batch} "
-                          "noise rows")
-    populations = np.einsum("...ii->...i", rho0).real
-    if not np.all(populations >= 0.0):
-        raise ConfigError("rho0 has a negative or undefined population")
-    if not np.all(np.abs(populations.sum(axis=-1) - 1.0)
-                  <= DIAGNOSTIC_THRESHOLDS["trace_dev"]):
-        raise ConfigError("rho0 must have unit trace")
-    checkpoint_every = require_int("checkpoint_every", checkpoint_every, 0) \
-        or max(1, n_steps // 100)
-    dt = table.dt
-    sqrt_dt = math.sqrt(dt)
-    eta = config.eta
-    sqrt_eta = math.sqrt(eta)
-    rho0 = np.broadcast_to(rho0, (n_batch, dim, dim))
-
-    c_all = measurement_diag(config, table.output)        # (n_t, d)
-    # the loop holds S as (d, n_batch), so each reduction over the basis
-    # runs across the batch at once and each column on its own
-    c_col = c_all[:, :, None]
-    with np.errstate(divide="ignore"):
-        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
-
-    def scaled_mean(re_s, log_p, w, r, x, pw, out=None):
-        """sqrt(eta) m = sum_i p_i w_i for exponents with real part re_s.
-
-        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node; x and
-        pw are scratch of shapes (d, columns) and (d, 2, columns), so one
-        _column_sum gives both sums of every column.
-        """
-        np.multiply(re_s, 2.0 * sqrt_eta, out=x)
-        x += log_p
-        x -= r
-        x -= np.maximum.reduce(x, axis=0)
-        p = np.exp(x, out=pw[:, 0])
-        np.multiply(p, w, out=pw[:, 1])
-        sums = _column_sum(pw)
-        return np.divide(sums[1], sums[0], out=out)
-
-    # E is needed at the checkpoints only, and does not depend on S
-    nodes = np.unique(np.append(
-        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
-    drift_op = DriftOperator(config)
-
-    def exponent_steps(start, stop):
-        c = c_col[start:stop + 1]
-        f = (drift_op.coefficient(table.alpha[start:stop + 1])
-             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
-        return (0.5 * dt) * (f[:-1] + f[1:])
-
-    exponents = _running_sum(exponent_steps, n_steps, nodes, (dim, dim))
-    s = np.zeros((dim, n_batch), dtype=complex)
+    rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs,
+                                          checkpoint_every)
+    c_all = measurement_diag(config, table.output)
     records = np.empty(dws.shape, dtype=float)
-    x1, pw1 = np.empty((dim, n_batch)), np.empty((dim, 2, n_batch))
-    # the supporting values base +- c0 sqrt(dt) side by side in columns b
-    # and n_batch + b, evaluated in one softmax
-    pair = np.empty((dim, 2 * n_batch), dtype=complex)
-    x2, pw2 = np.empty((dim, 2 * n_batch)), np.empty((dim, 2, 2 * n_batch))
-    log_p0_pair = np.tile(log_p0, 2)
-    r_carry = np.zeros((dim, 1))
-    # S at the nodes of one block, as (node, d, n_batch): viewed as
-    # (node, n_batch, d) it has the strides of s.T, so every reduction in
-    # the states and their diagnostics adds in the order of a lone
-    # checkpoint
-    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
-    s_block = np.empty((per_block, dim, n_batch), dtype=complex)
-    checks = []
+    rho, diagnostics = _solve(
+        config, table, c_all, rho0, nodes,
+        _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
+                           records))
+    return rho, records, diagnostics
+
+
+def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
+    """S at each node in turn, summed exactly from the mixture record.
+
+    With dY = 2 sqrt(eta) Re c_j dt + dW' and c linear over a step,
+
+        int c_i dW' = c0_i dZ/dt + c1_i (dW - dZ/dt),
+        2 sqrt(eta) int c_i Re c_j ds = 2 sqrt(eta) dt [(c0_i Re c0_j
+            + c1_i Re c1_j)/3 + (c0_i Re c1_j + c1_i Re c0_j)/6].
+
+    The drift part depends on (i, j) only and is summed once into a
+    (d, d) table at the nodes. The noise part is a real weight per grid
+    node times c at that node, summed over chunks of at most _BLOCK_STEPS
+    steps as two real products, on Re c and on Im c. Writes records[:, n]
+    = 2 sqrt(eta) Re c_j(t_n) + dW_n / dt for every step.
+    """
+    n_steps = len(table.times) - 1
+    dim, n_batch = config.dim, len(dws)
+    dt = table.dt
+    sqrt_eta = math.sqrt(config.eta)
+
+    def drift_steps(start, stop):
+        c = c_all[start:stop + 1, :, None]
+        re_c = c.real.swapaxes(-1, -2)
+        return (2.0 * sqrt_eta * dt) * (
+            (c[:-1] * re_c[:-1] + c[1:] * re_c[1:]) / 3.0
+            + (c[:-1] * re_c[1:] + c[1:] * re_c[:-1]) / 6.0)
+
+    drift = _running_sum(drift_steps, n_steps, nodes, (dim, dim))
+    re_c, im_c = c_all.real, c_all.imag
+    s_re, s_im = np.zeros((n_batch, dim)), np.zeros((n_batch, dim))
     start = 0
+    for k, node in enumerate(nodes):
+        for lo in range(start, node, _BLOCK_STEPS):
+            hi = min(lo + _BLOCK_STEPS, node)
+            dw = dws[:, lo:hi]
+            dz = dzs[:, lo:hi] / dt
+            # weight of c at nodes lo..hi: dZ/dt of the step it starts and
+            # dW - dZ/dt of the step it ends
+            weights = np.zeros((n_batch, hi - lo + 1))
+            weights[:, :-1] = dz
+            weights[:, 1:] += dw - dz
+            # einsum without optimize reduces each row on its own (a BLAS
+            # product rounds a lone row differently from a batched one)
+            s_re += np.einsum("bl,li->bi", weights, re_c[lo:hi + 1])
+            s_im += np.einsum("bl,li->bi", weights, im_c[lo:hi + 1])
+            records[:, lo:hi] = ((2.0 * sqrt_eta) * re_c[lo:hi, js].T
+                                 + dw / dt)
+        start = node
+        yield (s_re + 1j * s_im).T + drift[k][:, js]
 
-    for first in range(0, len(nodes), per_block):
-        block = nodes[first:first + per_block]
-        for k, node in enumerate(block):
-            # chunks of at most _BLOCK_STEPS steps bound the per-chunk
-            # tables however sparse the checkpoints
-            for lo in range(start, node, _BLOCK_STEPS):
-                hi = min(lo + _BLOCK_STEPS, node)
-                # node values of w = 2 sqrt(eta) Re c and r = 2 eta R
-                # (trapezoid rule, summed step by step from the carry) and
-                # the step factors
-                c = c_col[lo:hi + 1]
-                re_c = c.real
-                w = (2.0 * sqrt_eta) * re_c
-                sq = re_c ** 2
-                r = np.cumsum(np.concatenate(
-                    [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
-                r_carry = r[-1]
-                c_sqrt_dt = c[:-1] * sqrt_dt
-                curvature = c[1:] - 2.0 * c[:-1] + c[1:]
-                dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
-                dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
-                dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
-                dw = np.ascontiguousarray(dw)
-                means = np.empty((hi - lo, n_batch))
-                for j in range(hi - lo):
-                    m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1,
-                                     means[j])
-                    # step_sde with the diffusion c0 at t and c1 at t + dt,
-                    # its terms that vanish for noise independent of S left
-                    # out, in its order
-                    c0, c1 = c[j], c[j + 1]
-                    a0 = m0 * c0
-                    base = s + a0 * dt
-                    np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
-                    np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
-                    a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1],
-                                         r[j + 1], x2, pw2) * c1
-                    ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
-                    s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
-                         + (ap - am) * dz_factor[j]
-                         + curvature[j] * dwz_factor[j])
-                records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
-            s_block[k] = s
-            start = node
-        # the block's states are dropped once their diagnostics are taken,
-        # so they do not stay allocated while the next block is stepped
-        checks.append(_checkpoint(
-            _conditioned_state(
-                rho0, exponents[first:first + len(block), None],
-                s_block[:len(block)].swapaxes(1, 2), sqrt_eta),
-            drift_op.coefficient(table.alpha[block])[:, None],
-            times[block]))
 
-    diagnostics = Diagnostics(**{
-        f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
-        for f in fields(Diagnostics)})
-    # the final state alone; a block adds in the order of a lone state, so
-    # this is the last checkpoint's state bit for bit
-    rho = _conditioned_state(rho0, exponents[-1], s.T, sqrt_eta)
+def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
+                 rho0: np.ndarray, js, dws: np.ndarray, dzs: np.ndarray,
+                 checkpoint_every: int = 0):
+    """Conditioned states of records drawn exactly in law from the mixture.
+
+    Without qubit decay the law of the record is a mixture over basis
+    states (module docstring): row b is the record of basis state js[b],
+    dY = 2 sqrt(eta) Re c_j dt + dW', with dW' given by (dws[b], dzs[b]).
+    S = int c dY is then a sum with no time loop (exact for c linear over
+    a step), and the states, E and the diagnostics are built as in
+    simulate_batch, by the same code. Draw js, dws and dzs with
+    mixture_noise. Every row is reduced on its own, so a trajectory's
+    results do not depend on the batch it runs in, nor on _BLOCK_MATRICES.
+    S is summed per chunk, and a chunk ends at every checkpoint and every
+    _BLOCK_STEPS steps, so the checkpoint cadence moves the states at the
+    rounding level; the records do not depend on it.
+
+    Parameters
+    ----------
+    rho0 : ndarray, shape (n_batch, d, d), or (d, d) shared by the batch
+    js : integer array, shape (n_batch,)
+        Basis state of each record; rho0 must populate it.
+    dws, dzs : ndarray, shape (n_batch, n_steps)
+        As for simulate_batch.
+
+    Returns
+    -------
+    (rho_final, records, diagnostics)
+        As simulate_batch; records[:, n] = 2 sqrt(eta) Re c_j(t_n)
+        + dW_n / dt.
+
+    Raises
+    ------
+    ConfigError
+        Where simulate_batch raises, and if js is not one integer per
+        noise row, indexes no basis state, or indexes one that rho0 does
+        not populate.
+    """
+    rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs,
+                                          checkpoint_every)
+    js = np.asarray(js)
+    if js.shape != (len(dws),) or js.dtype.kind not in "iu":
+        raise ConfigError(f"js has shape {js.shape} and dtype {js.dtype}; "
+                          "need one integer per noise row")
+    if js.size and not (js.min() >= 0 and js.max() < config.dim):
+        raise ConfigError(f"js holds a basis index outside 0..{config.dim - 1}")
+    if not np.all(rho0[np.arange(len(js)), js, js].real > 0.0):
+        raise ConfigError("js holds a basis state that rho0 does not "
+                          "populate")
+    c_all = measurement_diag(config, table.output)
+    records = np.empty(dws.shape, dtype=float)
+    rho, diagnostics = _solve(
+        config, table, c_all, rho0, nodes,
+        _sampled_exponents(config, table, c_all, js, dws, dzs, nodes,
+                           records))
     return rho, records, diagnostics
 
 

@@ -429,6 +429,16 @@ class TestIntegrateAmplitudes:
         with pytest.raises(ConfigError, match="drive"):
             cavity.integrate_amplitudes(single_mode_config(), True, times)
 
+    def test_numpy_integer_drive_accepted(self):
+        # a numpy integer is a real number; numpy's bool is not
+        cfg, times = single_mode_config(), cavity.time_grid(1.0, 10)
+        table = cavity.integrate_amplitudes(cfg, np.int64(1), times)
+        assert np.array_equal(
+            table.alpha, cavity.integrate_amplitudes(cfg, 1, times).alpha)
+        for drive in (True, np.bool_(True)):
+            with pytest.raises(ConfigError, match="drive"):
+                cavity.integrate_amplitudes(cfg, drive, times)
+
 
 class TestAgainstAdaptiveReference:
     """The exact table against adaptive DOP853 at rtol 1e-12."""

@@ -4,9 +4,10 @@ Covers: elementwise drift coefficients in the rotating frame, the pure-
 dephasing closed form (also under drive with the coupling off, chi = 0),
 measurement superoperator identities, the strong order-1.5 step on cases
 with exact solutions, noise-increment statistics, seeded reproducibility,
-batch/single-trajectory equivalence, the batch loop against its S loop
-written through step_sde (records, states and all five diagnostics, bit
-for bit), results independent of block sizes and checkpoint cadence,
+batch/single-trajectory equivalence (diagnostics included), the batch
+loop against its S loop written through step_sde (records, states and
+all five diagnostics, bit for bit), results independent of block sizes
+and checkpoint cadence,
 typed errors on malformed batch input, the elementwise conditioned
 solver against the dense d x d stepper at fine steps, and property tests
 of its state over register size, mode count, eta and phi.
@@ -539,6 +540,37 @@ def spiked_noise(position, value):
     return noise
 
 
+def assert_rows_equal(got, want, rows):
+    """(rho, records, diagnostics) of got equal rows of want bit for bit."""
+    assert np.array_equal(got[0], want[0][rows])
+    assert np.array_equal(got[1], want[1][rows])
+    assert np.array_equal(got[2].times, want[2].times)
+    for field in fields(sme.Diagnostics)[1:]:
+        assert np.array_equal(getattr(got[2], field.name),
+                              getattr(want[2], field.name)[rows]), field.name
+
+
+#: malformed batch inputs with the ConfigError message each must raise, on
+#: a 100-step grid of the default design
+DEGENERATE_BATCHES = [
+    (model.plus_density(3), np.zeros(100), np.zeros(100), "shape"),
+    (np.eye(4) / 4, np.zeros((1, 100)), np.zeros((1, 100)), "rho0 has shape"),
+    (np.stack([model.plus_density(3)] * 3), np.zeros((1, 100)),
+     np.zeros((1, 100)), "3 states for 1"),
+    (model.plus_density(3), spiked_noise(37, np.nan), np.zeros((1, 100)),
+     "dws"),
+    (model.plus_density(3), np.zeros((1, 100)), spiked_noise(99, -np.inf),
+     "dzs"),
+    (-model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
+     "negative"),
+    (2 * model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
+     "unit trace"),
+]
+DEGENERATE_IDS = ["1d_noise", "rho0_of_other_register",
+                  "rho0_rows_not_noise_rows", "nan_in_dws", "inf_in_dzs",
+                  "negative_rho0", "rho0_trace_two"]
+
+
 class TestSimulateBatch:
     def test_rows_match_single_runs(self, config):
         table = sme.build_table(config, default_pulse(), 250)
@@ -554,6 +586,18 @@ class TestSimulateBatch:
                 config, table, rho0[b:b + 1], dws[b:b + 1], dzs[b:b + 1])
             assert np.array_equal(rho[b], rho_b[0])
             assert np.array_equal(rec[b], rec_b[0])
+
+    def test_lone_rows_match_batch_diagnostics(self, config):
+        # the diagnostics too: a lone row's state must have the layout of
+        # the same row in a batch, or trace_dev and purity round apart
+        table = sme.build_table(config, default_pulse(), 300)
+        dws, dzs = sme.trajectory_noise(table, 4, range(13))
+        rho0 = model.plus_density(3)
+        want = sme.simulate_batch(config, table, rho0, dws, dzs)
+        for b in range(13):
+            got = sme.simulate_batch(config, table, rho0, dws[b:b + 1],
+                                     dzs[b:b + 1])
+            assert_rows_equal(got, want, slice(b, b + 1))
 
     def test_shared_initial_state(self, config):
         table = sme.build_table(config, default_pulse(), 200)
@@ -592,22 +636,8 @@ class TestSimulateBatch:
             sme.simulate_batch(config, table, rho0, np.zeros((1, 99)),
                                np.zeros((1, 99)))
 
-    @pytest.mark.parametrize("rho0, dws, dzs, match", [
-        (model.plus_density(3), np.zeros(100), np.zeros(100), "shape"),
-        (np.eye(4) / 4, np.zeros((1, 100)), np.zeros((1, 100)),
-         "rho0 has shape"),
-        (np.stack([model.plus_density(3)] * 3), np.zeros((1, 100)),
-         np.zeros((1, 100)), "3 states for 1"),
-        (model.plus_density(3), spiked_noise(37, np.nan), np.zeros((1, 100)),
-         "dws"),
-        (model.plus_density(3), np.zeros((1, 100)), spiked_noise(99, -np.inf),
-         "dzs"),
-        (-model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
-         "negative"),
-        (2 * model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
-         "unit trace"),
-    ], ids=["1d_noise", "rho0_of_other_register", "rho0_rows_not_noise_rows",
-            "nan_in_dws", "inf_in_dzs", "negative_rho0", "rho0_trace_two"])
+    @pytest.mark.parametrize("rho0, dws, dzs, match", DEGENERATE_BATCHES,
+                             ids=DEGENERATE_IDS)
     def test_degenerate_input_rejected(self, config, rho0, dws, dzs, match):
         table = sme.build_table(config, default_pulse(), 100)
         with pytest.raises(ConfigError, match=match):
