@@ -732,8 +732,7 @@ def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
 
 
 def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
-                 rho0: np.ndarray, js, dws: np.ndarray, dzs: np.ndarray,
-                 checkpoint_every: int = 0):
+                 rho0: np.ndarray, js, dws: np.ndarray, dzs: np.ndarray):
     """Conditioned states of records drawn exactly in law from the mixture.
 
     Without qubit decay the law of the record is a mixture over basis
@@ -744,9 +743,10 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     simulate_batch, by the same code. Draw js, dws and dzs with
     mixture_noise. Every row is reduced on its own, so a trajectory's
     results do not depend on the batch it runs in, nor on _BLOCK_MATRICES.
-    S is summed per chunk, and a chunk ends at every checkpoint and every
-    _BLOCK_STEPS steps, so the checkpoint cadence moves the states at the
-    rounding level; the records do not depend on it.
+    Checkpoints fall at simulate_batch's default cadence. S is summed per
+    chunk, and a chunk ends at every checkpoint and every _BLOCK_STEPS
+    steps, so _BLOCK_STEPS moves the states at the rounding level; the
+    records do not depend on it.
 
     Parameters
     ----------
@@ -765,12 +765,11 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        Where simulate_batch raises, and if js is not one integer per
-        noise row, indexes no basis state, or indexes one that rho0 does
-        not populate.
+        Where simulate_batch raises on the noise arrays or rho0, and if
+        js is not one integer per noise row, indexes no basis state, or
+        indexes one that rho0 does not populate.
     """
-    rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs,
-                                          checkpoint_every)
+    rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs, 0)
     js = np.asarray(js)
     if js.shape != (len(dws),) or js.dtype.kind not in "iu":
         raise ConfigError(f"js has shape {js.shape} and dtype {js.dtype}; "

@@ -122,8 +122,7 @@ class TestRowsIndependent:
     def batch(self, config, pulse, rho0):
         table = sme.build_table(config, pulse, 500)
         js, dws, dzs = sme.mixture_noise(table, rho0, 6, range(100))
-        out = sme.sample_batch(config, table, rho0, js, dws, dzs,
-                               checkpoint_every=7)
+        out = sme.sample_batch(config, table, rho0, js, dws, dzs)
         return table, js, dws, dzs, out
 
     @pytest.mark.parametrize("size", [1, 7])
@@ -133,7 +132,7 @@ class TestRowsIndependent:
         for lo in range(0, 100, size):
             rows = slice(lo, lo + size)
             got = sme.sample_batch(config, table, rho0, js[rows], dws[rows],
-                                   dzs[rows], checkpoint_every=7)
+                                   dzs[rows])
             assert_rows_equal(got, want, rows)
 
     @pytest.mark.parametrize("value", [1, 7, 10 ** 6])
@@ -142,19 +141,18 @@ class TestRowsIndependent:
         table, js, dws, dzs, want = batch
         monkeypatch.setattr(sme, "_BLOCK_MATRICES", value)
         got = sme.sample_batch(config, table, rho0, js[:13], dws[:13],
-                               dzs[:13], checkpoint_every=7)
+                               dzs[:13])
         assert_rows_equal(got, want, slice(0, 13))
 
-    @pytest.mark.parametrize("every, block_steps", [
-        (1, 256), (0, 256), (505, 256), (7, 5)])
+    @pytest.mark.parametrize("block_steps", [1, 2, 3])
     def test_chunk_ends_move_states_by_rounding_only(
-            self, config, rho0, batch, monkeypatch, every, block_steps):
-        # S is summed per chunk, and chunks end at checkpoints and every
-        # _BLOCK_STEPS steps; the records do not depend on S
+            self, config, rho0, batch, monkeypatch, block_steps):
+        # S is summed per chunk, and chunks end at the checkpoints (every 5
+        # steps here) and every _BLOCK_STEPS steps; the records do not
+        # depend on S
         table, js, dws, dzs, want = batch
         monkeypatch.setattr(sme, "_BLOCK_STEPS", block_steps)
-        got = sme.sample_batch(config, table, rho0, js, dws, dzs,
-                               checkpoint_every=every)
+        got = sme.sample_batch(config, table, rho0, js, dws, dzs)
         assert np.abs(got[0] - want[0]).max() < 1e-13
         assert np.array_equal(got[1], want[1])
 
@@ -167,14 +165,6 @@ class TestRejected:
         with pytest.raises(ConfigError, match=match):
             sme.sample_batch(config, table, state, np.zeros(1, dtype=int),
                              dws, dzs)
-
-    @pytest.mark.parametrize("every", [2.5, True, -5])
-    def test_non_integer_cadence_rejected(self, config, rho0, every):
-        table = sme.build_table(config, default_pulse(), 100)
-        js, dws, dzs = sme.mixture_noise(table, rho0, 0, range(2))
-        with pytest.raises(ConfigError, match="checkpoint_every"):
-            sme.sample_batch(config, table, rho0, js, dws, dzs,
-                             checkpoint_every=every)
 
     @pytest.mark.parametrize("js, match", [
         (np.zeros(3, dtype=int), "one integer per noise row"),
