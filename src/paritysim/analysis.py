@@ -243,6 +243,8 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     table = build_table(config, pulse, n_steps)
     filters = {kind: build_filter(config, table, kind)
                for kind in filter_kinds}
+    # a filter that cannot be oriented fails here, before any sampling
+    orientations = {kind: filt.orientation for kind, filt in filters.items()}
 
     for start in range(0, n_traj, _CHUNK_SIZE):
         stop = min(start + _CHUNK_SIZE, n_traj)
@@ -261,8 +263,8 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
         diagnostics.append(diags)
         del records
 
-    assignments = {kind: assign_parity(signals[kind] * filt.orientation)
-                   for kind, filt in filters.items()}
+    assignments = {kind: assign_parity(signals[kind] * orientations[kind])
+                   for kind in filters}
     return EnsembleSummary(n_traj=n_traj, n_steps=n_steps,
                            base_seed=base_seed, filters=filters,
                            signals=signals, assignments=assignments,

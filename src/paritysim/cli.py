@@ -382,12 +382,13 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
+    # numpy's LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def main(argv=None):

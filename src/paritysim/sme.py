@@ -48,12 +48,17 @@ likelihood of a Wiener process with drift 2 sqrt(eta) Re c_j, because
 K_jj = 0 and E_jj = -2 eta int (Re c_j)^2. So a record is drawn exactly
 in law by drawing the basis state j with probability rho0_jj and setting
 
-    dY = 2 sqrt(eta) Re c_j dt + dW',
+    dY = r dt + dW',    r = 2 sqrt(eta) Re c_j,
 
-and every S_i = int c_i dY is then a sum with no time loop. sample_batch
-builds the states from such records; mixture_noise draws them, on the
-stream of trajectory_rng(seed, index), j first and then the increments
-of wiener_increments, so (seed, index, n_steps) replays a trajectory.
+and every S_i = int c_i dY is then a sum with no time loop: with c and r
+linear over a step, a step adds c0_i w0 + c1_i w1 with the node weights
+
+    w0 = dZ/dt + dt (r0/3 + r1/6),    w1 = dW - dZ/dt + dt (r1/3 + r0/6).
+
+sample_batch builds the states from such records; mixture_noise draws
+them, on the stream of trajectory_rng(seed, index), j first and then the
+increments of wiener_increments, so (seed, index, n_steps) replays a
+trajectory.
 analysis.ensemble_run samples this way. simulate_trajectory, and the
 `paritysim trajectory` command with it, still steps S, so trajectory
 index I of an ensemble is not simulate_trajectory(trajectory_index=I).
@@ -114,7 +119,7 @@ DIAGNOSTIC_THRESHOLDS = {
 }
 
 #: steps per block of exponent increments in _running_sum, and at most
-#: per chunk of tabulated node values or noise weights in the solvers
+#: per chunk of tabulated node values and noise factors in the stepper
 _BLOCK_STEPS = 256
 
 #: checkpoint states (trajectories x checkpoints) built per stacked call
@@ -388,7 +393,8 @@ def _checkpoint(rho, k0, t) -> dict:
         "herm_dev": np.abs(rho - rho_dag).max(axis=(-1, -2)),
         "min_eig": np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0],
         "purity": _purity(rho),
-        "diag_drift": np.abs(np.einsum("...ii->...i", k0 * rho)).max(-1),
+        "diag_drift": np.abs(np.einsum("...ii->...i", k0)
+                             * np.einsum("...ii->...i", rho)).max(-1),
     }
 
 
@@ -465,6 +471,10 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
     """
     n_steps = len(table.times) - 1
     dim = config.dim
+    if table.alpha.shape[1:] != (config.n_modes, dim):
+        raise ConfigError(
+            f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
+            f"states) per node; the config needs ({config.n_modes}, {dim})")
     dws, dzs, rho0 = np.asarray(dws), np.asarray(dzs), np.asarray(rho0)
     if dws.ndim != 2 or dzs.shape != dws.shape:
         raise ConfigError(
@@ -541,7 +551,10 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     diagnostics = Diagnostics(**{
         f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
         for f in fields(Diagnostics)})
-    # the final state alone, the last checkpoint's state bit for bit
+    # the final state alone, the last checkpoint's state bit for bit.
+    # Keeping the last block's states instead would hold each block across
+    # the next; that made the high mode of a 150 x 10^4 ensemble's bimodal
+    # peak RSS (about 100 MB against 94, by glibc heap layout) the usual one
     rho = _conditioned_state(rho0, exponents[-1], s.T, sqrt_eta)
     return rho, diagnostics
 
@@ -663,9 +676,11 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        If the noise arrays or rho0 do not have the shapes above, a noise
-        value is not finite, rho0 has a negative population or a trace
-        off 1 by more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or
+        If the table is not one of (n_modes, d) amplitudes per node (a
+        table of that shape built from other physics goes undetected), the
+        noise arrays or rho0 do not have the shapes above, a noise value
+        is not finite, rho0 has a negative population or a trace off 1
+        by more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or
         checkpoint_every is not an integer or is negative (0 means the
         default cadence, max(1, n_steps // 100) steps).
     """
@@ -683,52 +698,36 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
 def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
     """S at each node in turn, summed exactly from the mixture record.
 
-    With dY = 2 sqrt(eta) Re c_j dt + dW' and c linear over a step,
+    With dY = r dt + dW', r = 2 sqrt(eta) Re c_j, and c and r linear over a
+    step from node 0 to node 1,
 
-        int c_i dW' = c0_i dZ/dt + c1_i (dW - dZ/dt),
-        2 sqrt(eta) int c_i Re c_j ds = 2 sqrt(eta) dt [(c0_i Re c0_j
-            + c1_i Re c1_j)/3 + (c0_i Re c1_j + c1_i Re c0_j)/6].
+        int c_i dY = c0_i w0 + c1_i w1,
+        w0 = dZ/dt + dt (r0/3 + r1/6),
+        w1 = dW - dZ/dt + dt (r1/3 + r0/6),
 
-    The drift part depends on (i, j) only and is summed once into a
-    (d, d) table at the nodes. The noise part is a real weight per grid
-    node times c at that node, summed over chunks of at most _BLOCK_STEPS
-    steps as two real products, on Re c and on Im c. Writes records[:, n]
-    = 2 sqrt(eta) Re c_j(t_n) + dW_n / dt for every step.
+    so S is one real weight per grid node times c at that node, summed
+    over each checkpoint interval as two real products, on Re c and on
+    Im c. Writes records[:, n] = r(t_n) + dW_n / dt for every step.
     """
-    n_steps = len(table.times) - 1
-    dim, n_batch = config.dim, len(dws)
     dt = table.dt
     sqrt_eta = math.sqrt(config.eta)
-
-    def drift_steps(start, stop):
-        c = c_all[start:stop + 1, :, None]
-        re_c = c.real.swapaxes(-1, -2)
-        return (2.0 * sqrt_eta * dt) * (
-            (c[:-1] * re_c[:-1] + c[1:] * re_c[1:]) / 3.0
-            + (c[:-1] * re_c[1:] + c[1:] * re_c[:-1]) / 6.0)
-
-    drift = _running_sum(drift_steps, n_steps, nodes, (dim, dim))
     re_c, im_c = c_all.real, c_all.imag
-    s_re, s_im = np.zeros((n_batch, dim)), np.zeros((n_batch, dim))
-    start = 0
-    for k, node in enumerate(nodes):
-        for lo in range(start, node, _BLOCK_STEPS):
-            hi = min(lo + _BLOCK_STEPS, node)
-            dw = dws[:, lo:hi]
-            dz = dzs[:, lo:hi] / dt
-            # weight of c at nodes lo..hi: dZ/dt of the step it starts and
-            # dW - dZ/dt of the step it ends
-            weights = np.zeros((n_batch, hi - lo + 1))
-            weights[:, :-1] = dz
-            weights[:, 1:] += dw - dz
-            # einsum without optimize reduces each row on its own (a BLAS
-            # product rounds a lone row differently from a batched one)
-            s_re += np.einsum("bl,li->bi", weights, re_c[lo:hi + 1])
-            s_im += np.einsum("bl,li->bi", weights, im_c[lo:hi + 1])
-            records[:, lo:hi] = ((2.0 * sqrt_eta) * re_c[lo:hi, js].T
-                                 + dw / dt)
-        start = node
-        yield (s_re + 1j * s_im).T + drift[k][:, js]
+    s_re, s_im = np.zeros((2, len(dws), config.dim))
+    lo = 0
+    for hi in nodes:
+        r = (2.0 * sqrt_eta) * re_c[lo:hi + 1, js].T
+        dw = dws[:, lo:hi]
+        dz = dzs[:, lo:hi] / dt
+        weights = np.zeros(r.shape)
+        weights[:, :-1] = dz + dt * (r[:, :-1] / 3.0 + r[:, 1:] / 6.0)
+        weights[:, 1:] += dw - dz + dt * (r[:, 1:] / 3.0 + r[:, :-1] / 6.0)
+        # einsum without optimize reduces each row on its own (a BLAS
+        # product rounds a lone row differently from a batched one)
+        s_re += np.einsum("bl,li->bi", weights, re_c[lo:hi + 1])
+        s_im += np.einsum("bl,li->bi", weights, im_c[lo:hi + 1])
+        records[:, lo:hi] = r[:, :-1] + dw / dt
+        lo = hi
+        yield (s_re + 1j * s_im).T
 
 
 def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
@@ -738,15 +737,14 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Without qubit decay the law of the record is a mixture over basis
     states (module docstring): row b is the record of basis state js[b],
     dY = 2 sqrt(eta) Re c_j dt + dW', with dW' given by (dws[b], dzs[b]).
-    S = int c dY is then a sum with no time loop (exact for c linear over
-    a step), and the states, E and the diagnostics are built as in
-    simulate_batch, by the same code. Draw js, dws and dzs with
-    mixture_noise. Every row is reduced on its own, so a trajectory's
-    results do not depend on the batch it runs in, nor on _BLOCK_MATRICES.
-    Checkpoints fall at simulate_batch's default cadence. S is summed per
-    chunk, and a chunk ends at every checkpoint and every _BLOCK_STEPS
-    steps, so _BLOCK_STEPS moves the states at the rounding level; the
-    records do not depend on it.
+    S = int c dY is then a sum with no time loop, one real weight per grid
+    node times c at that node (exact for c linear over a step), and the
+    states, E and the diagnostics are built as in simulate_batch, by the
+    same code. Draw js, dws and dzs with mixture_noise. Checkpoints fall
+    at simulate_batch's default cadence, and S is summed over each
+    checkpoint interval at once. Every row is reduced on its own, so a
+    trajectory's results do not depend on the batch it runs in, nor on
+    _BLOCK_MATRICES or _BLOCK_STEPS.
 
     Parameters
     ----------
@@ -765,9 +763,9 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        Where simulate_batch raises on the noise arrays or rho0, and if
-        js is not one integer per noise row, indexes no basis state, or
-        indexes one that rho0 does not populate.
+        Where simulate_batch raises on the table, the noise arrays or
+        rho0, and if js is not one integer per noise row, indexes no basis
+        state, or indexes one that rho0 does not populate.
     """
     rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs, 0)
     js = np.asarray(js)

@@ -232,6 +232,19 @@ class TestEnsembleRun:
         with pytest.raises(ConfigError, match="n_traj must be an integer"):
             analysis.ensemble_run(config, n_traj=2.5, n_steps=100)
 
+    def test_unorientable_filter_fails_before_sampling(self, config,
+                                                       monkeypatch):
+        # with eta = 0 the uniform filter sees no signal, so its
+        # orientation is undefined; that must surface before any record
+        # is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_batch was called")
+
+        monkeypatch.setattr(analysis, "sample_batch", no_sampling)
+        with pytest.raises(DegenerateFilterError, match="oriented"):
+            analysis.ensemble_run(config.replace(eta=0.0), n_traj=300,
+                                  n_steps=200, filter_kinds=("uniform",))
+
     def test_zero_signal_assigned_even(self, config, monkeypatch):
         monkeypatch.setattr(analysis.FilterFunction, "integrate",
                             lambda self, records: np.zeros(len(records)))

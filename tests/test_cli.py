@@ -486,6 +486,20 @@ def test_rerun_writes_identical_bytes_manifest_included(tmp_path, capsys,
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["trajectory", "witness"])
+def test_overflowing_drive_is_numerical_failure(tmp_path, capsys, command):
+    # the config validates, but |alpha|^2 overflows in the drift
+    # coefficient and a linear-algebra routine then fails to converge;
+    # numpy's LinAlgError is a ValueError, yet it is no invalid input
+    path = write_config(tmp_path / "config.json",
+                        pulse=default_pulse().replace(eps_ss=1e160))
+    rc = cli.run([command, "--steps", "200", "--config", str(path),
+                  "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "numerical failure: " in capsys.readouterr().err
+
+
 class TestEnsemble:
 
     def test_outputs_and_summary(self, tmp_path, capsys):

@@ -3,12 +3,14 @@
 Covers: the basis-state draw against diag(rho0) and its place in the
 stream, the sampler against the order-1.5 stepper in law (KS on the
 matched-filter signals, mean F^2), its pathwise order on coarsened noise,
-rows independent of the batch and of the block of states, states moved
-only by rounding where the chunks of S end, typed errors on malformed
-input, and the eta = 0 limit. No seed here was chosen to pass.
+rows independent of the batch, of the block of states and of the block
+of steps, the one node-weight sum of S against the noise and drift parts
+summed apart, typed errors on malformed input, and the eta = 0 limit. No
+seed here was chosen to pass.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from paritysim.errors import ConfigError
 from paritysim.pulse import default_pulse
 
 from test_sme import (DEGENERATE_BATCHES, DEGENERATE_IDS, assert_rows_equal,
-                      coarsen)
+                      coarsen, reference_designs)
 
 
 @pytest.fixture(scope="module")
@@ -144,17 +146,74 @@ class TestRowsIndependent:
                                dzs[:13])
         assert_rows_equal(got, want, slice(0, 13))
 
-    @pytest.mark.parametrize("block_steps", [1, 2, 3])
-    def test_chunk_ends_move_states_by_rounding_only(
-            self, config, rho0, batch, monkeypatch, block_steps):
-        # S is summed per chunk, and chunks end at the checkpoints (every 5
-        # steps here) and every _BLOCK_STEPS steps; the records do not
-        # depend on S
+    @pytest.mark.parametrize("block_steps", [1, 2, 3, 7])
+    def test_step_block_invisible(self, config, rho0, batch, monkeypatch,
+                                  block_steps):
+        # S is summed over each checkpoint interval (5 steps here) at once,
+        # and E's running sum carries across blocks in order, so no output
+        # depends on _BLOCK_STEPS
         table, js, dws, dzs, want = batch
         monkeypatch.setattr(sme, "_BLOCK_STEPS", block_steps)
         got = sme.sample_batch(config, table, rho0, js, dws, dzs)
-        assert np.abs(got[0] - want[0]).max() < 1e-13
-        assert np.array_equal(got[1], want[1])
+        assert_rows_equal(got, want, slice(None))
+
+
+def two_part_exponents(config, table, c_all, js, dws, dzs, nodes, records):
+    """S at each node as a noise part plus a drift part, summed apart.
+
+    The noise part int c_i dW' = c0_i dZ/dt + c1_i (dW - dZ/dt) is a node
+    weight times c; the drift part 2 sqrt(eta) int c_i Re c_j ds depends
+    on (i, j) only and is summed into a (d, d) table at the nodes, indexed
+    by j.
+    """
+    dt = table.dt
+    sqrt_eta = math.sqrt(config.eta)
+
+    def drift_steps(start, stop):
+        c = c_all[start:stop + 1, :, None]
+        re_c = c.real.swapaxes(-1, -2)
+        return (2.0 * sqrt_eta * dt) * (
+            (c[:-1] * re_c[:-1] + c[1:] * re_c[1:]) / 3.0
+            + (c[:-1] * re_c[1:] + c[1:] * re_c[:-1]) / 6.0)
+
+    drift = sme._running_sum(drift_steps, len(table.times) - 1, nodes,
+                             (config.dim, config.dim))
+    noise = np.zeros((len(dws), config.dim), dtype=complex)
+    lo = 0
+    for k, hi in enumerate(nodes):
+        dw, dz = dws[:, lo:hi], dzs[:, lo:hi] / dt
+        weights = np.zeros((len(dws), hi - lo + 1))
+        weights[:, :-1] = dz
+        weights[:, 1:] += dw - dz
+        noise += weights @ c_all[lo:hi + 1]
+        records[:, lo:hi] = ((2.0 * sqrt_eta) * c_all[lo:hi, js].real.T
+                             + dw / dt)
+        lo = hi
+        yield noise.T + drift[k][:, js]
+
+
+@pytest.mark.parametrize("name", ["default", "4q_3m"])
+def test_one_node_weight_equals_two_part_sum(name, pulse):
+    # the same E, states and diagnostics from S summed in two parts: the
+    # records are the same numbers, S differs by rounding
+    config = reference_designs()[name]
+    table = sme.build_table(config, pulse, 1500)
+    rho0 = model.plus_density(config.n_qubits)
+    js, dws, dzs = sme.mixture_noise(table, rho0, 4, range(13))
+    got = sme.sample_batch(config, table, rho0, js, dws, dzs)
+    rho0s, dws, dzs, nodes = sme._batch_inputs(config, table, rho0, dws,
+                                               dzs, 0)
+    c_all = sme.measurement_diag(config, table.output)
+    records = np.empty(dws.shape)
+    rho, diagnostics = sme._solve(
+        config, table, c_all, rho0s, nodes,
+        two_part_exponents(config, table, c_all, js, dws, dzs, nodes,
+                           records))
+    assert np.array_equal(got[1], records)
+    assert np.abs(got[0] - rho).max() < 1e-13
+    for field in fields(sme.Diagnostics):
+        assert np.abs(getattr(got[2], field.name)
+                      - getattr(diagnostics, field.name)).max() < 1e-13
 
 
 class TestRejected:
@@ -165,6 +224,16 @@ class TestRejected:
         with pytest.raises(ConfigError, match=match):
             sme.sample_batch(config, table, state, np.zeros(1, dtype=int),
                              dws, dzs)
+
+    def test_table_of_other_register_rejected(self, config):
+        table = sme.build_table(config, default_pulse(), 100)
+        small = model.ReadoutConfig(n_qubits=2, n_modes=1, chi=[[1.0, 1.0]],
+                                    delta=[0.5], kappa=[2.0],
+                                    gamma_z=[0.0, 0.0])
+        with pytest.raises(ConfigError, match="amplitude table"):
+            sme.sample_batch(small, table, model.plus_density(2),
+                             np.arange(2), np.zeros((2, 100)),
+                             np.zeros((2, 100)))
 
     @pytest.mark.parametrize("js, match", [
         (np.zeros(3, dtype=int), "one integer per noise row"),

@@ -643,6 +643,15 @@ class TestSimulateBatch:
         with pytest.raises(ConfigError, match=match):
             sme.simulate_batch(config, table, rho0, dws, dzs)
 
+    def test_table_of_other_register_rejected(self, config):
+        table = sme.build_table(config, default_pulse(), 100)
+        small = model.ReadoutConfig(n_qubits=2, n_modes=1, chi=[[1.0, 1.0]],
+                                    delta=[0.5], kappa=[2.0],
+                                    gamma_z=[0.0, 0.0])
+        dws, dzs = sme.trajectory_noise(table, 0, range(2))
+        with pytest.raises(ConfigError, match="amplitude table"):
+            sme.simulate_batch(small, table, model.plus_density(2), dws, dzs)
+
     @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
         table = sme.build_table(config, default_pulse(), 100)
