@@ -34,6 +34,10 @@ from .pulse import PulseSpec, pieces as pulse_pieces
 #: grid nodes filled per batched product in integrate_amplitudes
 _BLOCK_NODES = 256
 
+#: largest |alpha| whose square is a finite float; the drift coefficient
+#: and the record's mean square every amplitude
+_MAX_AMPLITUDE = float(np.sqrt(np.finfo(float).max))
+
 
 def time_grid(tau: float, n_steps: int) -> np.ndarray:
     """Uniform grid of n_steps+1 nodes covering [0, tau]."""
@@ -85,6 +89,15 @@ def _resolvent(config: model.ReadoutConfig, s=0.0) -> np.ndarray:
         + (config.kappa[:, None] * others).sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         return -2j * np.sqrt(config.kappa)[:, None] * others / det2
+
+
+def require_bounded(alpha):
+    """alpha, if every |alpha|^2 is finite; ConfigError otherwise."""
+    largest = float(np.abs(alpha).max()) if np.size(alpha) else 0.0
+    if not largest <= _MAX_AMPLITUDE:
+        raise ConfigError(f"the drive takes a mode amplitude to |alpha| = "
+                          f"{largest:.3g}, whose square is not finite")
+    return alpha
 
 
 def _finite(values):
@@ -186,6 +199,7 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     piece start (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)). Node
     k of a piece from a is expm(M_j (t_lo - a)) expm(M_j h)^k z(a), with the
     powers formed once; nothing is diagonalized, so a defective A_j is exact.
+    Raises ConfigError if an amplitude's |alpha|^2 is not finite.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times) if times.ndim == 1 else 0
@@ -238,5 +252,6 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
             node = np.einsum("jab,jb->ja", advance, node)
         z = np.einsum("jab,jb->ja", expm(gen * (b - a)), z)
 
+    require_bounded(alpha)
     output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
     return AmplitudeTable(times=times, alpha=alpha, output=output)

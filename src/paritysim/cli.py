@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, cavity, markov, model, sme
-from .errors import ConfigError, require_int
+from .errors import ConfigError, ResonanceError, require_int
 from .pulse import PulseSpec, default_pulse, validate as pulse_problems
 
 EXIT_OK = 0
@@ -296,6 +296,21 @@ def _cmd_gate_model(args) -> int:
     return EXIT_OK
 
 
+def _drive_problems(config, pulse) -> list:
+    """The overflow integrate_amplitudes raises on, found from the steady
+    amplitudes of every basis state at the plateau drive eps_ss; a basis
+    state without a steady state (ResonanceError) is skipped."""
+    for j in range(config.dim):
+        try:
+            cavity.require_bounded(
+                cavity.steady_state_amplitudes(config, j, pulse.eps_ss))
+        except ResonanceError:
+            continue
+        except ConfigError as exc:
+            return [f"pulse: {exc}"]
+    return []
+
+
 def _cmd_validate(args) -> int:
     with open(args.config) as fh:
         data = json.load(fh)
@@ -303,11 +318,13 @@ def _cmd_validate(args) -> int:
     if isinstance(data, dict) and "pulse" in data:
         problems += [f"pulse: {problem}"
                      for problem in pulse_problems(data["pulse"])]
+    if not problems:
+        config, pulse = _load_inputs(args)
+        problems = _drive_problems(config, pulse)
     if problems:
         for problem in problems:
             print(f"violation: {problem}", file=sys.stderr)
         return EXIT_INVALID
-    config = model.ReadoutConfig.from_dict(data)
     print(f"ok: {config.n_qubits} qubits, {config.n_modes} modes")
     return EXIT_OK
 

@@ -79,10 +79,24 @@ by augmenting the state with time (all supporting values are evaluated at
 t + dt). The noise of S is additive, so with c linear over a step the
 scheme's noise terms reduce exactly to c1 dW - (c1 - c0) dZ / dt.
 simulate_batch writes the step in that reduced form (no diffusion calls)
-and adds the remaining terms in step_sde's order, so its results equal
-step_sde's bit for bit. The two supporting values of a step share one
-softmax evaluation, side by side in one buffer, and the steps up to each
-checkpoint run in chunks of at most _BLOCK_STEPS steps.
+and adds the remaining terms in step_sde's order.
+
+It does not take the steps one at a time. The recurrence is solved a
+window of up to _BLOCK_STEPS steps at a time (fewer for a batch wider
+than 4 trajectories, so the buffers stay bounded) by an exact fixed-point
+sweep, a waveform relaxation (Lelarasmee, Ruehli & Sangiovanni-
+Vincentelli, IEEE Trans. CAD 1, 131 (1982)). Only Re S feeds the means,
+and every product in the step has one real factor, so the sweep runs on
+real arrays: from the current iterate of Re S it evaluates the means of
+every step of the window at once and rebuilds Re S from the window's
+first node, which is exact. The sweep is causal: a step is exact when
+the node it starts from is. So where the sweep reproduces the iterate on
+the first k nodes, the first k + 1 steps are exact by induction, bit for
+bit the values of the one-step-at-a-time loop; they are committed, at
+least one per sweep, and the window slides on. S itself is built once
+per commit from the committed means, in step_sde's term order, so
+simulate_batch's results equal step_sde's bit for bit at any batch and
+any checkpoint cadence.
 
 Both solvers check their input in _batch_inputs and hand S at each
 checkpoint to one function, _solve, which integrates E, keeps S at the
@@ -118,8 +132,11 @@ DIAGNOSTIC_THRESHOLDS = {
     "diag_drift": 1e-10,
 }
 
-#: steps per block of exponent increments in _running_sum, and at most
-#: per chunk of tabulated node values and noise factors in the stepper
+#: steps per block of exponent increments in _running_sum, and per window
+#: of the fixed-point solve of S in _stepped_exponents for up to 4
+#: trajectories; a wider batch gets a window of 4 * _BLOCK_STEPS // n_batch
+#: steps, so a window spans at most 4 * _BLOCK_STEPS trajectory-steps (or
+#: one step of a batch wider than that)
 _BLOCK_STEPS = 256
 
 #: checkpoint states (trajectories x checkpoints) built per stacked call
@@ -157,6 +174,17 @@ class DriftOperator:
         """
         p = alpha_t[..., :, :, None] * alpha_t.conj()[..., :, None, :]
         return self.gamma_mat - 1j * (self.w * p).sum(axis=-3)
+
+    def diagonal(self, alpha_t: np.ndarray) -> np.ndarray:
+        """The diagonal of coefficient(alpha_t), shape (..., 2**n), alone.
+
+        The same terms in the same order, so it equals the diagonal of the
+        full K bit for bit: 0 wherever alpha_t is finite, NaN where an
+        amplitude is not.
+        """
+        p = alpha_t * alpha_t.conj()
+        return (np.einsum("ii->i", self.gamma_mat)
+                - 1j * (np.einsum("kii->ki", self.w) * p).sum(axis=-2))
 
 
 def measurement_diag(config: model.ReadoutConfig, output_t: np.ndarray) -> np.ndarray:
@@ -378,8 +406,11 @@ def _purity(rho) -> np.ndarray:
     return np.add.accumulate(squares, axis=0, out=squares)[-1].copy()
 
 
-def _checkpoint(rho, k0, t) -> dict:
+def _checkpoint(rho, k0_diag, t) -> dict:
     """Health values of one checkpoint, keyed by Diagnostics field.
+
+    k0_diag is the diagonal of the drift coefficient K at the checkpoint
+    (DriftOperator.diagonal).
 
     The trace and the purity add their terms one after another, in row
     order, so a state rounds the same way whatever its memory layout and
@@ -393,7 +424,7 @@ def _checkpoint(rho, k0, t) -> dict:
         "herm_dev": np.abs(rho - rho_dag).max(axis=(-1, -2)),
         "min_eig": np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0],
         "purity": _purity(rho),
-        "diag_drift": np.abs(np.einsum("...ii->...i", k0)
+        "diag_drift": np.abs(k0_diag
                              * np.einsum("...ii->...i", rho)).max(-1),
     }
 
@@ -422,15 +453,19 @@ def _running_sum(increments, n_steps: int, nodes, shape) -> np.ndarray:
 
 
 def _column_sum(x) -> np.ndarray:
-    """Sum over axis 0, added row by row for any number of columns.
+    """Sum over axis 0, the rows added one after another.
 
     x.sum(axis=0) switches to pairwise summation when x has one column,
     which would make a lone trajectory round differently from the same
-    trajectory in a batch. Any trailing shape is allowed: simulate_batch
-    sums p and p w of every column at once from a (d, 2, columns) array.
-    The result is a view into the running sum of every row.
+    trajectory in a batch. Any trailing shape is allowed. One add per row
+    over every column at once: _checkpoint sums each state's trace with
+    it, and the S solve the softmax over the basis, where an
+    add.accumulate along the rows costs two to eight times as much.
     """
-    return np.add.accumulate(x, axis=0)[-1]
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
 
 
 def _conditioned_state(rho0, e, s, sqrt_eta: float) -> np.ndarray:
@@ -545,7 +580,7 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
             _conditioned_state(
                 rho0, exponents[first:first + len(block), None],
                 s_block[:len(block)].swapaxes(1, 2), sqrt_eta),
-            drift_op.coefficient(table.alpha[block])[:, None],
+            drift_op.diagonal(table.alpha[block])[:, None],
             table.times[block]))
 
     diagnostics = Diagnostics(**{
@@ -559,89 +594,155 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     return rho, diagnostics
 
 
+def _step_nodes(first, a0, a_pair, c0, curvature, dw, dz_factor,
+                dwz_factor, dt):
+    """Exponents at the nodes of consecutive reduced steps, from first.
+
+    Basis-major: first is (d, columns), and every step array broadcasts
+    to (d, steps, columns), a_pair to twice the columns. Step j adds
+    (((T0 + T1) + T2) + T3) in step_sde's order, with T0 from
+    a0 = sqrt(eta) m c0 and the supporting drifts a_pair = [ap, am] side
+    by side; one add.accumulate over the interleaved terms [first, T0, T1,
+    T2, T3, T0, ...] adds every term in that order. Real or complex alike.
+    Returns (d, steps + 1, columns), node 0 being first.
+    """
+    n_batch = first.shape[-1]
+    ap, am = a_pair[..., :n_batch], a_pair[..., n_batch:]
+    terms = np.empty((len(first), 4 * a0.shape[1] + 1, n_batch),
+                     dtype=np.result_type(first, a0))
+    terms[:, 0] = first
+    np.multiply(0.25 * (ap + 2.0 * a0 + am), dt, out=terms[:, 1::4])
+    np.multiply(c0, dw, out=terms[:, 2::4])
+    np.multiply(ap - am, dz_factor, out=terms[:, 3::4])
+    np.multiply(curvature, dwz_factor, out=terms[:, 4::4])
+    return np.add.accumulate(terms, axis=1, out=terms)[:, ::4]
+
+
 def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
                        records):
     """S at each node in turn, stepped by the reduced order-1.5 scheme.
 
-    Writes records[:, n] for every step it takes. The steps up to each
-    node are taken in chunks of at most _BLOCK_STEPS, whose node values
-    and noise factors are tabulated per chunk, so the tables stay bounded
-    however sparse the nodes.
+    Writes records[:, n] for every step. The recurrence is solved a window
+    of steps at a time by a fixed-point (Picard) sweep over the whole
+    window. Only Re S feeds the means, so the sweep runs on real arrays:
+    from the current iterate of Re S at every node of the window it
+    evaluates every step's mean and supporting means at once, and rebuilds
+    Re S from the window's exact first node in the loop's term order
+    (_step_nodes). The sweep is causal, so where its values equal the
+    iterate's on the first k nodes (NaN counted equal to the same NaN),
+    the steps up to node k + 1 started from exact values and are exact;
+    they are committed, at least one per sweep. The window then slides to
+    the first uncommitted step: steps already in it keep their last
+    iterate, and new ones are guessed with the last committed mean held
+    fixed. Complex S of the committed steps is built once from their
+    means, in the same term order, so every output is the one-step-at-a-
+    time loop's bit for bit. The arrays are basis-major, (d, steps,
+    columns), so each softmax reduces over whole contiguous blocks; node
+    values and noise factors are tabulated two windows at a time.
     """
+    n_steps = len(table.times) - 1
     dim, n_batch = config.dim, len(dws)
     dt, eta = table.dt, config.eta
     sqrt_dt, sqrt_eta = math.sqrt(dt), math.sqrt(eta)
-    # S is held as (d, n_batch), so each reduction over the basis runs
-    # across the batch at once and each column on its own
-    c_col = c_all[:, :, None]
     with np.errstate(divide="ignore"):
-        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
+        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)[:, None]
+    log_p0_pair = np.tile(log_p0, 2)
 
-    def scaled_mean(re_s, log_p, w, r, x, pw, out=None):
-        """sqrt(eta) m = sum_i p_i w_i for exponents with real part re_s.
+    def scaled_means(re_s, log_p, w, r):
+        """sqrt(eta) m = sum_i p_i w_i at every step of a window.
 
-        w = 2 sqrt(eta) Re c and r = 2 eta R, both at the same node; x and
-        pw are scratch of shapes (d, columns) and (d, 2, columns), so one
-        _column_sum gives both sums of every column.
+        re_s has shape (d, steps, columns); w = 2 sqrt(eta) Re c and
+        r = 2 eta R are each step's node values, shape (d, steps, 1).
+        Returns (steps, columns).
         """
-        np.multiply(re_s, 2.0 * sqrt_eta, out=x)
+        x = np.multiply(re_s, 2.0 * sqrt_eta)
         x += log_p
         x -= r
         x -= np.maximum.reduce(x, axis=0)
-        p = np.exp(x, out=pw[:, 0])
-        np.multiply(p, w, out=pw[:, 1])
-        sums = _column_sum(pw)
-        return np.divide(sums[1], sums[0], out=out)
+        p = np.exp(x, out=x)
+        return _column_sum(p * w) / _column_sum(p)
 
+    # a window holds window x n_batch columns of every buffer, and each
+    # step is evaluated several times before it is committed; past 4
+    # trajectories that arithmetic outweighs the calls saved, so a wider
+    # batch gets a shorter window
+    window = max(1, min(_BLOCK_STEPS, 4 * _BLOCK_STEPS // max(1, n_batch)))
+    # Re S at the window's first node, exact, then the iterate at the rest
+    re_s = np.zeros((dim, window + 1, n_batch))
+    n_iterate = 0
     s = np.zeros((dim, n_batch), dtype=complex)
-    x1, pw1 = np.empty((dim, n_batch)), np.empty((dim, 2, n_batch))
-    # the supporting values base +- c0 sqrt(dt) side by side in columns b
-    # and n_batch + b, evaluated in one softmax
-    pair = np.empty((dim, 2 * n_batch), dtype=complex)
-    x2, pw2 = np.empty((dim, 2 * n_batch)), np.empty((dim, 2, 2 * n_batch))
-    log_p0_pair = np.tile(log_p0, 2)
-    r_carry = np.zeros((dim, 1))
-    start = 0
-    for node in nodes:
-        for lo in range(start, node, _BLOCK_STEPS):
-            hi = min(lo + _BLOCK_STEPS, node)
-            # node values of w = 2 sqrt(eta) Re c and r = 2 eta R
-            # (trapezoid rule, summed step by step from the carry) and the
-            # step factors
-            c = c_col[lo:hi + 1]
+    m_last = np.zeros(n_batch)
+    r = np.zeros((dim, 1, 1))
+    tab_lo = tab_hi = 0
+    yield s
+    k = 1
+    a = 0
+    while a < n_steps:
+        n_win = min(window, n_steps - a)
+        if a + n_win > tab_hi:
+            # node values of c, w = 2 sqrt(eta) Re c and r = 2 eta R
+            # (trapezoid rule, summed step by step from r at node a) and
+            # the step factors, for up to two windows from step a on
+            r_lo = r[:, a - tab_lo, None]
+            tab_lo, tab_hi = a, min(a + 2 * window, n_steps)
+            c = c_all[tab_lo:tab_hi + 1].T[:, :, None]
             re_c = c.real
             w = (2.0 * sqrt_eta) * re_c
             sq = re_c ** 2
             r = np.cumsum(np.concatenate(
-                [r_carry[None], (eta * dt) * (sq[:-1] + sq[1:])]), axis=0)
-            r_carry = r[-1]
-            c_sqrt_dt = c[:-1] * sqrt_dt
-            curvature = c[1:] - 2.0 * c[:-1] + c[1:]
-            dw, dz = dws[:, lo:hi].T, dzs[:, lo:hi].T
-            dz_factor = np.divide(dz, 2.0 * sqrt_dt, order="C")
-            dwz_factor = np.divide(dw * dt - dz, 2.0 * dt, order="C")
-            dw = np.ascontiguousarray(dw)
-            means = np.empty((hi - lo, n_batch))
-            for j in range(hi - lo):
-                m0 = scaled_mean(s.real, log_p0, w[j], r[j], x1, pw1,
-                                 means[j])
-                # step_sde with the diffusion c0 at t and c1 at t + dt, its
-                # terms that vanish for noise independent of S left out, in
-                # its order
-                c0, c1 = c[j], c[j + 1]
-                a0 = m0 * c0
-                base = s + a0 * dt
-                np.add(base, c_sqrt_dt[j], out=pair[:, :n_batch])
-                np.subtract(base, c_sqrt_dt[j], out=pair[:, n_batch:])
-                a_pair = scaled_mean(pair.real, log_p0_pair, w[j + 1],
-                                     r[j + 1], x2, pw2) * c1
-                ap, am = a_pair[:, :n_batch], a_pair[:, n_batch:]
-                s = (s + 0.25 * (ap + 2.0 * a0 + am) * dt + c0 * dw[j]
-                     + (ap - am) * dz_factor[j]
-                     + curvature[j] * dwz_factor[j])
-            records[:, lo:hi] = means.T + dws[:, lo:hi] / dt
-        start = node
-        yield s
+                [r_lo, (eta * dt) * (sq[:, :-1] + sq[:, 1:])], axis=1),
+                axis=1)
+            c_sqrt_dt = (c[:, :-1] * sqrt_dt).real
+            curvature = c[:, 1:] - 2.0 * c[:, :-1] + c[:, 1:]
+            dw = dws[:, tab_lo:tab_hi].T[None]
+            dz = dzs[:, tab_lo:tab_hi].T[None]
+            dz_factor = dz / (2.0 * sqrt_dt)
+            dwz_factor = (dw * dt - dz) / (2.0 * dt)
+        o = a - tab_lo
+        if n_iterate < n_win:
+            # guess the new steps with the last committed mean held fixed
+            new = slice(o + n_iterate, o + n_win)
+            guess = re_s[:, n_iterate + 1:n_win + 1]
+            np.multiply(re_c[:, new], m_last * dt + dw[:, new], out=guess)
+            guess[:, 0] += re_s[:, n_iterate]
+            np.cumsum(guess, axis=1, out=guess)
+
+        # one sweep: the reduced step_sde update of every step at once
+        win, ends = slice(o, o + n_win), slice(o + 1, o + n_win + 1)
+        start, iterate = re_s[:, :n_win], re_s[:, 1:n_win + 1]
+        m0 = scaled_means(start, log_p0, w[:, win], r[:, win])
+        a0 = m0 * re_c[:, win]
+        base = start + a0 * dt
+        m_pair = scaled_means(
+            np.concatenate([base + c_sqrt_dt[:, win],
+                            base - c_sqrt_dt[:, win]], axis=-1),
+            log_p0_pair, w[:, ends], r[:, ends])
+        swept = _step_nodes(start[:, 0], a0, m_pair * re_c[:, ends],
+                            re_c[:, win], curvature[:, win].real, dw[:, win],
+                            dz_factor[:, win], dwz_factor[:, win], dt)[:, 1:]
+        # equal bits: NaN counts as equal to the same NaN
+        agree = (swept.view(np.int64) == iterate.view(np.int64)).all(
+            axis=(0, 2))
+        n_exact = n_win if agree.all() else int(agree.argmin()) + 1
+
+        # commit the exact steps: records, and complex S from their means
+        done = slice(o, o + n_exact)
+        records[:, a:a + n_exact] = m0[:n_exact].T + dws[:, a:a + n_exact] / dt
+        s_nodes = _step_nodes(
+            s, m0[:n_exact] * c[:, done],
+            m_pair[:n_exact] * c[:, o + 1:o + n_exact + 1], c[:, done],
+            curvature[:, done], dw[:, done], dz_factor[:, done],
+            dwz_factor[:, done], dt)
+        while k < len(nodes) and nodes[k] <= a + n_exact:
+            yield s_nodes[:, nodes[k] - a]
+            k += 1
+        s = s_nodes[:, -1]
+        m_last = m0[n_exact - 1]
+
+        # slide the window to the first uncommitted step
+        n_iterate = n_win - n_exact
+        re_s[:, :n_iterate + 1] = swept[:, n_exact - 1:]
+        a += n_exact
 
 
 def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
@@ -652,11 +753,13 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Steps the exponents S = int c dY of every trajectory (reduced step_sde)
     and builds the state from the elementwise solution (module docstring)
     at every checkpoint, with E integrated by the trapezoid rule on the
-    table's nodes; checkpoints are built in blocks of up to
-    _BLOCK_MATRICES states and S is stepped in chunks of at most
-    _BLOCK_STEPS steps, so the memory used stays bounded however long the
-    grid. The two supporting values of a step share one softmax
-    evaluation. Valid only without qubit decay, which would couple the
+    table's nodes. S is solved a window of steps at a time by
+    an exact fixed-point sweep: every step of the window is evaluated at
+    once, and the steps that started from exact values are committed.
+    The sweep is causal, so those are bit for bit the values of step_sde
+    taken one step at a time. Checkpoints are built in blocks of up to
+    _BLOCK_MATRICES states, so the memory used stays bounded however long
+    the grid. Valid only without qubit decay, which would couple the
     populations. Every row is reduced on its own, so a trajectory's results
     do not depend on the batch it runs in, nor on the block sizes.
 

@@ -429,6 +429,15 @@ class TestIntegrateAmplitudes:
         with pytest.raises(ConfigError, match="drive"):
             cavity.integrate_amplitudes(single_mode_config(), True, times)
 
+    @pytest.mark.parametrize("drive", [
+        1e160, default_pulse().replace(eps_ss=1e160)], ids=["step", "pulse"])
+    def test_overflowing_amplitudes_rejected(self, config, drive):
+        # |alpha|^2 would not be finite in the drift coefficient
+        times = cavity.time_grid(13.5, 50)
+        with pytest.raises(ConfigError, match="square is not finite"):
+            cavity.integrate_amplitudes(config, drive, times)
+        cavity.integrate_amplitudes(config, 1e150, times)
+
     def test_numpy_integer_drive_accepted(self):
         # a numpy integer is a real number; numpy's bool is not
         cfg, times = single_mode_config(), cavity.time_grid(1.0, 10)

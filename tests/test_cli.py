@@ -157,6 +157,34 @@ class TestValidate:
         for line, part in zip(lines, ("width", "'tau'", "sigma")):
             assert part in line
 
+    @pytest.mark.parametrize("eps_ss, rc", [(1e160, cli.EXIT_INVALID),
+                                            (1e100, cli.EXIT_OK)])
+    def test_overflowing_drive_is_a_violation(self, tmp_path, capsys, eps_ss,
+                                              rc):
+        # the steady amplitudes at the plateau show the overflow that
+        # every simulating command refuses
+        path = write_config(tmp_path / "config.json",
+                            pulse=default_pulse().replace(eps_ss=eps_ss))
+        assert cli.run(["validate", "--config", str(path)]) == rc
+        err = capsys.readouterr().err.splitlines()
+        if rc == cli.EXIT_INVALID:
+            [line] = err
+            assert line.startswith("violation: pulse: the drive takes a mode "
+                                   "amplitude to")
+        else:
+            assert err == []
+
+    def test_design_without_steady_state_passes(self, tmp_path, capsys):
+        # both modes at zero pulled detuning in basis state 0: A_0 is
+        # singular, so that state has no steady amplitudes to check
+        config = model.ReadoutConfig(n_qubits=1, n_modes=2,
+                                     chi=[[1.0], [0.5]], delta=[-1.0, -0.5],
+                                     kappa=[2.0, 2.0], gamma_z=[0.0])
+        path = write_config(tmp_path / "config.json", config=config,
+                            pulse=default_pulse())
+        assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_OK
+        assert "ok: 1 qubits, 2 modes" in capsys.readouterr().out
+
     def test_malformed_json_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -486,18 +514,19 @@ def test_rerun_writes_identical_bytes_manifest_included(tmp_path, capsys,
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["trajectory", "witness"])
-def test_overflowing_drive_is_numerical_failure(tmp_path, capsys, command):
-    # the config validates, but |alpha|^2 overflows in the drift
-    # coefficient and a linear-algebra routine then fails to converge;
-    # numpy's LinAlgError is a ValueError, yet it is no invalid input
+@pytest.mark.parametrize("command", ["trajectory", "witness", "ensemble"])
+def test_overflowing_drive_is_invalid(tmp_path, capsys, command):
+    # |alpha|^2 would overflow in the drift coefficient; the amplitude
+    # table is refused before any of it is used, with one line and no
+    # RuntimeWarning (the test settings make one an error)
     path = write_config(tmp_path / "config.json",
                         pulse=default_pulse().replace(eps_ss=1e160))
     rc = cli.run([command, "--steps", "200", "--config", str(path),
-                  "--out", str(tmp_path / "out")])
-    assert rc == cli.EXIT_NUMERICAL
-    assert "numerical failure: " in capsys.readouterr().err
+                  "--out", str(tmp_path / "out"),
+                  *(["--trajectories", "2"] if command == "ensemble" else [])])
+    assert rc == cli.EXIT_INVALID
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the drive takes a mode amplitude to")
 
 
 class TestEnsemble:

@@ -6,8 +6,9 @@ measurement superoperator identities, the strong order-1.5 step on cases
 with exact solutions, noise-increment statistics, seeded reproducibility,
 batch/single-trajectory equivalence (diagnostics included), the batch
 loop against its S loop written through step_sde (records, states and
-all five diagnostics, bit for bit), results independent of block sizes
-and checkpoint cadence,
+all five diagnostics, bit for bit, also around the solver's window edges
+and, NaN for NaN, on a table with a NaN node), results independent of
+block sizes and checkpoint cadence,
 typed errors on malformed batch input, the elementwise conditioned
 solver against the dense d x d stepper at fine steps, and property tests
 of its state over register size, mode count, eta and phi.
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paritysim import model, sme
+from paritysim.cavity import AmplitudeTable
 from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec, default_pulse
 
@@ -46,6 +48,20 @@ class TestDriftOperator:
         alpha = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
         k = sme.DriftOperator(config).coefficient(alpha)
         assert np.all(np.diagonal(k) == 0.0)
+
+    def test_diagonal_alone_is_the_full_diagonal(self, rng):
+        # bit for bit, NaN where an amplitude is not finite
+        drift_op = sme.DriftOperator(staggered_gamma_config())
+        alpha = rng.normal(size=(6, 2, 8)) + 1j * rng.normal(size=(6, 2, 8))
+        alpha[1, 0, 3] = np.nan
+        alpha[2, 1, 5] = np.inf
+        alpha[3] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.einsum("...ii->...i", drift_op.coefficient(alpha))
+            alone = drift_op.diagonal(alpha)
+        assert alone.tobytes() == full.tobytes()
+        assert np.isnan(alone[1:4]).any(axis=-1).all()
+        assert np.all(alone[[0, 4, 5]] == 0.0)
 
     def test_dephasing_entries(self):
         cfg = staggered_gamma_config()
@@ -182,15 +198,12 @@ def dense_reference(config, table, rho0, dws, dzs):
     return rho
 
 
-def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
-    """simulate_batch's S loop with each step taken by the general step_sde.
+def step_sde_exponents(config, table, rho0, dws, dzs):
+    """S at every node of simulate_batch's loop, each step by step_sde.
 
     The drift closure returns the mean already computed for the record at
     t and sqrt(eta) m(y) c1 at t + dt; the diffusion closure returns c at t
-    or at t + dt. E and the checkpoint states use the module's own helpers,
-    one checkpoint at a time, so a difference can only come from the
-    stepping or from building checkpoints in blocks. Returns (rho_final,
-    records, diagnostics), the last a dict keyed by Diagnostics field.
+    or at t + dt. Returns (S as (n_steps + 1, d, n_batch), records).
     """
     times, dt, eta = table.times, table.dt, config.eta
     sqrt_eta = math.sqrt(eta)
@@ -208,30 +221,9 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
         p = np.exp(x, out=x)
         return sme._column_sum(p * w) / sme._column_sum(p)
 
-    nodes = np.unique(np.append(
-        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
-    drift_op = sme.DriftOperator(config)
-
-    def exponent_steps(start, stop):
-        c = c_col[start:stop + 1]
-        f = (drift_op.coefficient(table.alpha[start:stop + 1])
-             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
-        return (0.5 * dt) * (f[:-1] + f[1:])
-
-    exponents = sme._running_sum(exponent_steps, n_steps, nodes,
-                                 (config.dim, config.dim))
-    checks = []
-
-    def checkpoint(node, s):
-        rho = sme._conditioned_state(rho0, exponents[len(checks)], s.T,
-                                     sqrt_eta)
-        checks.append(sme._checkpoint(
-            rho, drift_op.coefficient(table.alpha[node]), times[node]))
-        return rho
-
-    s = np.zeros((config.dim, len(dws)), dtype=complex)
+    s_nodes = np.zeros((n_steps + 1, config.dim, len(dws)), dtype=complex)
+    s = s_nodes[0]
     records = np.empty(dws.shape)
-    rho = checkpoint(0, s)
     w1 = (2.0 * sqrt_eta) * re_c[0]
     sq1 = re_c[0] ** 2
     r1 = np.zeros_like(sq1)
@@ -253,10 +245,44 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
         def diffusion_fn(y, tt, _n=n, _t=t):
             return c_col[_n] if tt == _t else c_col[_n + 1]
 
-        s = sme.step_sde(s, t, dt, drift_fn, diffusion_fn,
-                         dws[:, n], dzs[:, n])
-        if n + 1 == nodes[len(checks)]:
-            rho = checkpoint(n + 1, s)
+        s = s_nodes[n + 1] = sme.step_sde(s, t, dt, drift_fn, diffusion_fn,
+                                          dws[:, n], dzs[:, n])
+    return s_nodes, records
+
+
+def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
+    """simulate_batch with S stepped by step_sde_exponents.
+
+    E and the checkpoint states use the module's own helpers, one
+    checkpoint at a time, with K's diagonal read off the full coefficient,
+    so a difference can only come from the stepping or from building
+    checkpoints in blocks. Returns (rho_final, records, diagnostics), the
+    last a dict keyed by Diagnostics field.
+    """
+    times, dt, eta = table.times, table.dt, config.eta
+    n_steps = len(times) - 1
+    rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
+    c_col = sme.measurement_diag(config, table.output)[:, :, None]
+    nodes = np.unique(np.append(
+        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+    drift_op = sme.DriftOperator(config)
+
+    def exponent_steps(start, stop):
+        c = c_col[start:stop + 1]
+        f = (drift_op.coefficient(table.alpha[start:stop + 1])
+             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+        return (0.5 * dt) * (f[:-1] + f[1:])
+
+    exponents = sme._running_sum(exponent_steps, n_steps, nodes,
+                                 (config.dim, config.dim))
+    s_nodes, records = step_sde_exponents(config, table, rho0, dws, dzs)
+    checks = []
+    for e, node in zip(exponents, nodes):
+        rho = sme._conditioned_state(rho0, e, s_nodes[node].T,
+                                     math.sqrt(eta))
+        checks.append(sme._checkpoint(
+            rho, np.einsum("ii->i", drift_op.coefficient(table.alpha[node])),
+            times[node]))
     return rho, records, {name: np.stack([check[name] for check in checks],
                                          axis=-1) for name in checks[0]}
 
@@ -302,6 +328,57 @@ def test_batch_loop_is_step_sde_on_additive_noise(name, pulse):
             got = getattr(diagnostics, field.name)
             assert got.shape == want.shape, (checkpoint_every, field.name)
             assert np.array_equal(got, want), (checkpoint_every, field.name)
+
+
+#: grids around the window of the S solve (_BLOCK_STEPS steps for one
+#: trajectory): one step, a window less one, one window, one window and a
+#: step, and past the two windows tabulated at a time; a batch of 13 gets
+#: a shorter window, so its grids end windows elsewhere
+WINDOW_EDGES = [1, sme._BLOCK_STEPS - 1, sme._BLOCK_STEPS,
+                sme._BLOCK_STEPS + 1, 2 * sme._BLOCK_STEPS + 1]
+
+
+@pytest.mark.parametrize("checkpoint_every", [1, 0])
+@pytest.mark.parametrize("n_batch", [1, 13])
+@pytest.mark.parametrize("n_steps", WINDOW_EDGES)
+def test_window_edges_are_step_sde(config, pulse, n_steps, n_batch,
+                                   checkpoint_every):
+    # the windowed fixed-point solve ends windows and commits where the
+    # step loop has no boundary; none of that may show in a bit
+    table = sme.build_table(config, pulse, n_steps)
+    dws, dzs = sme.trajectory_noise(table, 9, range(n_batch))
+    rho0 = model.plus_density(config.n_qubits)
+    rho, records, diagnostics = sme.simulate_batch(
+        config, table, rho0, dws, dzs, checkpoint_every=checkpoint_every)
+    ref_rho, ref_records, ref_diagnostics = step_sde_reference(
+        config, table, rho0, dws, dzs,
+        checkpoint_every=checkpoint_every or max(1, n_steps // 100))
+    assert np.array_equal(records, ref_records)
+    assert np.array_equal(rho, ref_rho)
+    for field in fields(sme.Diagnostics):
+        assert np.array_equal(getattr(diagnostics, field.name),
+                              ref_diagnostics[field.name]), field.name
+
+
+def test_nan_output_node_is_step_sde(config, pulse):
+    # a NaN in c turns every later mean NaN; the solve must still end, on
+    # the loop's values (NaN where it has NaN)
+    built = sme.build_table(config, pulse, 600)
+    output = built.output.copy()
+    output[300, 5] = np.nan
+    table = AmplitudeTable(built.times, built.alpha, output)
+    dws, dzs = sme.trajectory_noise(table, 4, range(3))
+    rho0, dws, dzs, nodes = sme._batch_inputs(
+        config, table, model.plus_density(3), dws, dzs, 1)
+    records = np.empty(dws.shape)
+    s_nodes = np.array(list(sme._stepped_exponents(
+        config, table, sme.measurement_diag(config, output), rho0, dws, dzs,
+        nodes, records)))
+    ref_s, ref_records = step_sde_exponents(config, table, rho0, dws, dzs)
+    assert np.isnan(ref_records[:, 300:]).all()
+    assert np.isfinite(ref_records[:, :300]).all()
+    assert np.array_equal(records, ref_records, equal_nan=True)
+    assert np.array_equal(s_nodes, ref_s, equal_nan=True)
 
 
 def coarsen(dws, dzs, ratio, h):
