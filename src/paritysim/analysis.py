@@ -124,10 +124,12 @@ def build_filter(config: model.ReadoutConfig, table: AmplitudeTable,
 def assign_parity(signal):
     """Sign rule on oriented integrated signal(s): positive means even.
 
-    A scalar gives one label, an array an array of labels. A signal that
-    is exactly zero is assigned even, with one warning per call.
+    A scalar gives one label, an array an array of labels. A non-finite
+    signal raises ConfigError; a zero one is even, warned once per call.
     """
     signal = np.asarray(signal, dtype=float)
+    if not np.isfinite(signal).all():
+        raise ConfigError("integrated signal is not finite")
     if np.any(signal == 0.0):
         warnings.warn("integrated signal is exactly zero; assigning even")
     labels = np.where(signal < 0.0, "odd", "even")
@@ -154,7 +156,8 @@ class EnsembleSummary:
     signals and assignments are keyed by filter kind; every filter is
     applied to the same records, so kinds are directly comparable.
     basis_index[b] is the basis state j of the mixture component that
-    drew the record of trajectory b (ensemble_run).
+    drew the record of trajectory b (ensemble_run). A class statistic is
+    None, with no warning, where its class is too small to define it.
     """
 
     n_traj: int
@@ -182,28 +185,33 @@ class EnsembleSummary:
                         self.fidelity_even, self.fidelity_odd)
 
     def rms_fidelity(self, kind: str = "matched",
-                     parity: str = None) -> float:
-        """Root-mean-square assigned fidelity, optionally within a class."""
+                     parity: str = None) -> float | None:
+        """RMS assigned fidelity, within a class if given; None if empty."""
         fid = self.assigned_fidelity(kind)
         if parity is not None:
-            mask = self.assignments[kind] == parity
-            if not mask.any():
-                return float("nan")
-            fid = fid[mask]
+            fid = fid[self.assignments[kind] == model.require_parity(parity)]
+            if not fid.size:
+                return None
         return float(np.sqrt(np.mean(fid ** 2)))
 
-    def class_means(self, kind: str = "matched") -> tuple:
-        s = self.signals[kind]
-        mask = self.assignments[kind] == "even"
-        return float(s[mask].mean()), float(s[~mask].mean())
+    def _classes(self, kind: str) -> tuple:
+        """Raw signals of the records assigned even, and of those odd."""
+        even = self.assignments[kind] == "even"
+        return self.signals[kind][even], self.signals[kind][~even]
 
-    def separation(self, kind: str = "matched") -> float:
-        """Distance of class means in units of the pooled deviation."""
-        s = self.signals[kind]
-        mask = self.assignments[kind] == "even"
-        se, so = s[mask], s[~mask]
-        if len(se) < 2 or len(so) < 2:
-            raise ConfigError("separation needs two trajectories per class")
+    def class_means(self, kind: str = "matched") -> tuple | None:
+        """(even, odd) mean raw signals; None if either class is empty."""
+        se, so = self._classes(kind)
+        if not (se.size and so.size):
+            return None
+        return float(se.mean()), float(so.mean())
+
+    def separation(self, kind: str = "matched") -> float | None:
+        """Distance of class means in units of the pooled deviation; None
+        unless both classes have two members."""
+        se, so = self._classes(kind)
+        if min(se.size, so.size) < 2:
+            return None
         pooled = ((len(se) - 1) * se.var(ddof=1)
                   + (len(so) - 1) * so.var(ddof=1)) / (len(se) + len(so) - 2)
         return abs(se.mean() - so.mean()) / math.sqrt(pooled)
@@ -291,7 +299,7 @@ def gate_fidelity(p):
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > GATE_P_MAX):
-        raise ValueError(f"p must lie in [0, {GATE_P_MAX}]")
+        raise ConfigError(f"p must lie in [0, {GATE_P_MAX}]")
     acc = np.zeros_like(arr)
     for coeff in reversed(_GATE_POLY):
         acc = acc * arr + coeff
@@ -309,7 +317,7 @@ def solve_error_rate(fidelity: float) -> float:
     """
     floor = gate_fidelity(GATE_P_MAX)
     if not floor <= fidelity <= 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"target fidelity must lie in [{floor:.6f}, 1]")
     if fidelity == 1.0:
         return 0.0

@@ -40,30 +40,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _parse_inputs(data):
+    """(config, pulse) from loaded --config JSON; no pulse means nominal."""
+    return (model.ReadoutConfig.from_dict(data),
+            PulseSpec.from_dict(data["pulse"]) if "pulse" in data
+            else default_pulse())
+
+
 def _load_inputs(args):
     """(config, pulse) from --config JSON, or the nominal defaults."""
-    path = getattr(args, "config", None)
-    if path is None:
+    if args.config is None:
         return model.default_config(), default_pulse()
-    with open(path) as fh:
-        data = json.load(fh)
-    config = model.ReadoutConfig.from_dict(data)
-    pulse = PulseSpec.from_dict(data["pulse"]) if "pulse" in data \
-        else default_pulse()
-    return config, pulse
+    with open(args.config) as fh:
+        return _parse_inputs(json.load(fh))
 
 
 def _write_atomic(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal form for CSV cells."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 class Manifest:
@@ -88,9 +83,13 @@ class Manifest:
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def write_csv(self, out_dir: Path, name: str, header, rows):
+    def write_csv(self, out_dir: Path, name: str, header, columns):
+        """Write equal-length columns (else ValueError) below the hash and
+        header. A cell is the repr of the Python float or int its column's
+        buffer yields, one at a time: shortest round-trip form, or plain."""
+        cells = [map(repr, memoryview(np.array(col))) for col in columns]
         lines = [f"# manifest: {self.hash}", ",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(map(",".join, zip(*cells, strict=True)))
         _write_atomic(out_dir / name, "\n".join(lines) + "\n")
         self.data["outputs"].append(name)
 
@@ -101,8 +100,7 @@ class Manifest:
         self.data["outputs"].append(name)
 
     def finalize(self, out_dir: Path):
-        body = dict(self.data)
-        body["hash"] = self.hash
+        body = {**self.data, "hash": self.hash}
         _write_atomic(out_dir / "manifest.json",
                       json.dumps(body, indent=2, sort_keys=True) + "\n")
 
@@ -111,6 +109,16 @@ def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", ".") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _finish(diagnostics, message: str) -> int:
+    """EXIT_NUMERICAL, naming each breached health bound on stderr, or
+    EXIT_OK once message is printed."""
+    if breaches := diagnostics.violations():
+        print(f"diagnostics breached: {', '.join(breaches)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    print(message)
+    return EXIT_OK
 
 
 # -- subcommands ---------------------------------------------------------
@@ -131,9 +139,9 @@ def _cmd_pulse_preview(args) -> int:
     manifest = Manifest("pulse-preview", None, pulse, None,
                         {"steps": args.steps})
     times = cavity.time_grid(pulse.tau, args.steps)
-    rows = [(t, pulse.evaluate(t)) for t in times]
     out = _out_dir(args)
-    manifest.write_csv(out, "pulse.csv", ("t", "eps"), rows)
+    manifest.write_csv(out, "pulse.csv", ("t", "eps"),
+                       (times, pulse.evaluate(times)))
     manifest.finalize(out)
     print(f"wrote pulse.csv ({args.steps + 1} samples)")
     return EXIT_OK
@@ -149,9 +157,9 @@ def _cmd_respond(args) -> int:
     # a complex row viewed as floats is (re, im) per basis state
     header = ["t"] + [f"{part}_out_{model.bitstring(j, config.n_qubits)}"
                       for j in range(config.dim) for part in ("re", "im")]
-    rows = np.column_stack([table.times, table.output.view(float)])
     out = _out_dir(args)
-    manifest.write_csv(out, "response.csv", header, rows)
+    manifest.write_csv(out, "response.csv", header,
+                       (table.times, *table.output.view(float).T))
     manifest.write_json(out, "response_summary.json", {
         "steady_even": [even[0].real, even[0].imag],
         "steady_odd": [odd[0].real, odd[0].imag],
@@ -174,8 +182,7 @@ def _cmd_trajectory(args) -> int:
     parity, signal = analysis.classify(filt, result.photocurrent)
     out = _out_dir(args)
     manifest.write_csv(out, "trajectory.csv", ("t", "photocurrent"),
-                       zip(result.table.times[:-1], result.photocurrent))
-    worst = result.diagnostics.worst()
+                       (result.table.times[:-1], result.photocurrent))
     manifest.write_json(out, "trajectory_summary.json", {
         "assigned_parity": parity,
         "integrated_signal": signal,
@@ -183,15 +190,10 @@ def _cmd_trajectory(args) -> int:
             result.rho_final, model.psi_plus(config.n_qubits))),
         "fidelity_odd": float(analysis.state_fidelity(
             result.rho_final, model.psi_minus(config.n_qubits))),
-        "diagnostics": worst,
+        "diagnostics": result.diagnostics.worst(),
     })
     manifest.finalize(out)
-    breaches = result.diagnostics.violations()
-    if breaches:
-        print(f"diagnostics breached: {', '.join(breaches)}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"assigned {parity} (s = {signal:.4f})")
-    return EXIT_OK
+    return _finish(result.diagnostics, f"assigned {parity} (s = {signal:.4f})")
 
 
 def _cmd_ensemble(args) -> int:
@@ -208,51 +210,36 @@ def _cmd_ensemble(args) -> int:
     counts, edges = summary.histogram(kind)
     manifest.write_csv(out, "signal_histogram.csv",
                        ("bin_left", "bin_right", "count"),
-                       zip(edges[:-1], edges[1:], counts))
+                       (edges[:-1], edges[1:], counts))
     fid = summary.assigned_fidelity(kind)
     odd_mask = summary.assignments[kind] == "odd"
-    f_counts, f_edges = np.histogram(fid, bins="fd")
+    f_edges = np.histogram_bin_edges(fid, bins="fd")
     f_even = np.histogram(fid[~odd_mask], bins=f_edges)[0]
     f_odd = np.histogram(fid[odd_mask], bins=f_edges)[0]
     manifest.write_csv(out, "fidelity_histogram.csv",
                        ("bin_left", "bin_right", "count_even", "count_odd"),
-                       zip(f_edges[:-1], f_edges[1:], f_even, f_odd))
-    # degenerate tiny runs leave some statistics undefined; report them
-    # as null rather than aborting with the output set half written
-    def defined(value):
-        return None if value != value else value
-
-    n_even = int((~odd_mask).sum())
-    n_odd = int(odd_mask.sum())
-    try:
-        sep = summary.separation(kind)
-    except ConfigError:
-        sep = None
+                       (f_edges[:-1], f_edges[1:], f_even, f_odd))
     payload = {
         "trajectories": summary.n_traj,
         "steps": summary.n_steps,
         "seed": summary.base_seed,
         "filter": kind,
         "odd_fraction": summary.odd_fraction(kind),
-        "rms_fidelity_even": defined(summary.rms_fidelity(kind, "even")),
-        "rms_fidelity_odd": defined(summary.rms_fidelity(kind, "odd")),
+        "rms_fidelity_even": summary.rms_fidelity(kind, "even"),
+        "rms_fidelity_odd": summary.rms_fidelity(kind, "odd"),
         "rms_fidelity": summary.rms_fidelity(kind),
-        "class_means": (list(summary.class_means(kind))
-                        if min(n_even, n_odd) > 0 else None),
-        "separation": sep,
+        "class_means": summary.class_means(kind),
+        "separation": summary.separation(kind),
         "diagnostics": summary.diagnostics_worst,
     }
     manifest.write_json(out, "ensemble_summary.json", payload)
     manifest.finalize(out)
 
-    breaches = summary.diagnostics.violations()
-    if breaches:
-        print(f"diagnostics breached: {', '.join(breaches)}", file=sys.stderr)
-        return EXIT_NUMERICAL
     rms_odd = payload["rms_fidelity_odd"]
-    print(f"odd fraction {payload['odd_fraction']:.3f}, rms fidelity (odd) "
-          + ("n/a" if rms_odd is None else f"{rms_odd:.4f}"))
-    return EXIT_OK
+    return _finish(summary.diagnostics,
+                   f"odd fraction {payload['odd_fraction']:.3f}, "
+                   "rms fidelity (odd) "
+                   + ("n/a" if rms_odd is None else f"{rms_odd:.4f}"))
 
 
 def _cmd_witness(args) -> int:
@@ -262,7 +249,7 @@ def _cmd_witness(args) -> int:
     result = markov.witness_scan(config, pulse, n_steps=args.steps)
     out = _out_dir(args)
     manifest.write_csv(out, "witness.csv", ("t", "trace_distance"),
-                       zip(result.times, result.distance))
+                       (result.times, result.distance))
     manifest.write_json(out, "witness_summary.json", {
         "window": list(result.window),
         "intervals": [{"t_start": iv.t_start, "t_end": iv.t_end,
@@ -290,8 +277,7 @@ def _cmd_gate_model(args) -> int:
                             {"points": args.points,
                              "fidelity": args.fidelity})
         out = _out_dir(args)
-        manifest.write_csv(out, "gate_model.csv", ("p", "fidelity"),
-                           zip(ps, fs))
+        manifest.write_csv(out, "gate_model.csv", ("p", "fidelity"), (ps, fs))
         manifest.finalize(out)
     return EXIT_OK
 
@@ -319,7 +305,7 @@ def _cmd_validate(args) -> int:
         problems += [f"pulse: {problem}"
                      for problem in pulse_problems(data["pulse"])]
     if not problems:
-        config, pulse = _load_inputs(args)
+        config, pulse = _parse_inputs(data)
         problems = _drive_problems(config, pulse)
     if problems:
         for problem in problems:

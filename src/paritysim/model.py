@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import checked, require_positive
+from .errors import ConfigError, checked, require_positive
 
 _EVEN = "even"
 _ODD = "odd"
@@ -214,11 +214,16 @@ def popcounts(n_qubits: int) -> np.ndarray:
     return bit_table(n_qubits).sum(axis=1)
 
 
+def require_parity(parity: str) -> str:
+    """parity, if it is 'even' or 'odd'; ConfigError otherwise."""
+    if parity not in (_EVEN, _ODD):
+        raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return parity
+
+
 def parity_indices(n_qubits: int, parity: str) -> np.ndarray:
     """Basis indices of the requested parity class ('even' or 'odd')."""
-    if parity not in (_EVEN, _ODD):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == _EVEN else 1
+    want = 0 if require_parity(parity) == _EVEN else 1
     return np.nonzero(popcounts(n_qubits) % 2 == want)[0]
 
 

@@ -137,6 +137,16 @@ class TestClassification:
         assert len(caught) == 1
         assert "exactly zero" in str(caught[0].message)
 
+    def test_non_finite_signal_rejected(self, config, small_table):
+        filt = analysis.build_filter(config, small_table, "matched")
+        record = analysis.nominal_record(config, small_table, "even")
+        record[500] = np.nan
+        with pytest.raises(ConfigError, match="not finite"):
+            analysis.classify(filt, record)
+        for signal in ([np.nan], [0.3, -np.inf]):
+            with pytest.raises(ConfigError, match="not finite"):
+                analysis.assign_parity(signal)
+
 
 class TestStateFidelity:
     def test_pure_match(self):
@@ -245,6 +255,19 @@ class TestEnsembleRun:
             analysis.ensemble_run(config.replace(eta=0.0), n_traj=300,
                                   n_steps=200, filter_kinds=("uniform",))
 
+    def test_undefined_class_statistics_are_none(self, config, pulse):
+        # the 3-trajectory seed-7 run assigns every record even, so no
+        # statistic of the odd class, nor the separation, is defined; the
+        # test settings turn any RuntimeWarning into an error
+        tiny = analysis.ensemble_run(config, pulse, n_traj=3, n_steps=1000,
+                                     base_seed=7)
+        assert tiny.odd_fraction("matched") == 0.0
+        assert tiny.class_means("matched") is None
+        assert tiny.separation("matched") is None
+        assert tiny.rms_fidelity("matched", "odd") is None
+        assert tiny.rms_fidelity("matched", "even") == \
+            tiny.rms_fidelity("matched")
+
     def test_zero_signal_assigned_even(self, config, monkeypatch):
         monkeypatch.setattr(analysis.FilterFunction, "integrate",
                             lambda self, records: np.zeros(len(records)))
@@ -296,3 +319,15 @@ class TestGateModel:
     def test_target_error_rate_band(self):
         p = analysis.solve_error_rate(0.94)
         assert 0.014 <= p <= 0.015
+
+
+@pytest.mark.parametrize("call", [
+    lambda summary: model.parity_indices(3, "Even"),
+    lambda summary: analysis.gate_fidelity(0.2),
+    lambda summary: analysis.solve_error_rate(0.5),
+    lambda summary: summary.rms_fidelity("matched", "Odd"),
+], ids=["parity_indices", "gate_fidelity", "solve_error_rate",
+        "rms_fidelity"])
+def test_bad_argument_raises_config_error(summary, call):
+    with pytest.raises(ConfigError):
+        call(summary)

@@ -36,6 +36,34 @@ def write_config(path, config=None, pulse=None):
     return path
 
 
+class TestWriteCsv:
+
+    def test_cells_are_shortest_round_trip_and_plain_ints(self, tmp_path):
+        manifest = cli.Manifest("test", None, None, None, {})
+        floats = np.array([0.1, 1e-05, 1e16, -0.0, 5e-324, np.nan])
+        counts = np.arange(6, dtype=np.int64) * 10 ** 12
+        manifest.write_csv(tmp_path, "t.csv", ("x", "count", "n"),
+                           (floats, counts, [7, 0, -3, 12, 1, 2]))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            f"# manifest: {manifest.hash}\n"
+            "x,count,n\n"
+            "0.1,0,7\n"
+            "1e-05,1000000000000,0\n"
+            "1e+16,2000000000000,-3\n"
+            "-0.0,3000000000000,12\n"
+            "5e-324,4000000000000,1\n"
+            "nan,5000000000000,2\n").encode()
+        assert manifest.data["outputs"] == ["t.csv"]
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        manifest = cli.Manifest("test", None, None, None, {})
+        with pytest.raises(ValueError):
+            manifest.write_csv(tmp_path, "t.csv", ("a", "b"),
+                               (np.zeros(3), np.zeros(2)))
+        assert list(tmp_path.iterdir()) == []
+        assert manifest.data["outputs"] == []
+
+
 class TestUsage:
 
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -115,6 +143,18 @@ class TestValidate:
         config = model.default_config()
         assert f"ok: {config.n_qubits} qubits, {config.n_modes} modes" \
             in capsys.readouterr().out
+
+    def test_config_file_read_once(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path / "config.json", pulse=default_pulse())
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert cli.run(["validate", "--config", str(path)]) == cli.EXIT_OK
+        assert opened == [str(path)]
 
     def test_violations_reported_on_stderr(self, tmp_path, capsys):
         data = model.default_config().to_dict()
@@ -498,9 +538,15 @@ class TestTrajectory:
             != (b / "trajectory.csv").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["trajectory", "--steps", "2000"],
-                                  ["witness", "--steps", "200"]],
-                         ids=["trajectory", "witness"])
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--steps", "2000"],
+    ["witness", "--steps", "200"],
+    ["ensemble", "--trajectories", "5", "--steps", "500"],
+    ["respond", "--steps", "300"],
+    ["pulse-preview", "--steps", "300"],
+    ["gate-model", "--points", "11", "--fidelity", "0.94"],
+], ids=["trajectory", "witness", "ensemble", "respond", "pulse-preview",
+        "gate-model"])
 def test_rerun_writes_identical_bytes_manifest_included(tmp_path, capsys,
                                                          argv):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -549,6 +595,19 @@ class TestEnsemble:
         counts = [int(line.split(",")[2]) for line
                   in csv_lines(tmp_path / "signal_histogram.csv")[2:]]
         assert sum(counts) == 8
+
+    def test_diagnostics_breach_exits_two_but_writes_outputs(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sme.DIAGNOSTIC_THRESHOLDS, "min_eig", 1.0)
+        rc = cli.run(["ensemble", "--trajectories", "3", "--steps", "500",
+                      "--out", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "diagnostics breached: min_eig\n"
+        assert sorted(manifest_of(tmp_path)["outputs"]) == [
+            "ensemble_summary.json", "fidelity_histogram.csv",
+            "signal_histogram.csv"]
 
     def test_tiny_run_reports_undefined_statistics_as_null(
             self, tmp_path, capsys):
