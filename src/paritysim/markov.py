@@ -122,7 +122,10 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     intrinsic dephasing switched off (gamma_z = 0), so any trace-distance
     growth is due to the measurement-induced coupling alone. The evolution
     rho0 o exp(int K) is linear in rho0, so their difference is evolved
-    once and the distance is half its trace norm. The reporting
+    once and the distance is half its trace norm. The difference is zero
+    on every same-parity entry, so its singular values are those of its
+    (even, odd) block, each twice, and the distance is that block's trace
+    norm. The reporting
     window is [t_off - sigma/2, tau]: the pulse turn-off, where amplitude
     information stored in the modes flows back into the register.
     """
@@ -135,7 +138,12 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     psi_b = (psi_p - psi_m) / np.sqrt(2.0)
     diff = np.outer(psi_a, psi_a.conj()) - np.outer(psi_b, psi_b.conj())
     ev = simulate_deterministic(clean, pulse, n_steps, diff)
-    dist = trace_distance(ev.rhos, 0.0)
+    # [[0, B], [B^H, 0]] in parity order has the singular values of B
+    # twice, so D is twice trace_distance(B, 0), an SVD of a quarter of the
+    # entries; B goes through trace_distance, the function perfbench times
+    even = model.parity_indices(config.n_qubits, "even")
+    odd = model.parity_indices(config.n_qubits, "odd")
+    dist = 2.0 * trace_distance(ev.rhos[:, even[:, None], odd], 0.0)
     intervals = increasing_intervals(ev.times, dist)
     window = (pulse.t_off - pulse.sigma / 2.0, pulse.tau)
     return WitnessResult(times=ev.times, distance=dist,

@@ -64,6 +64,16 @@ analysis.ensemble_run samples this way. simulate_trajectory, and the
 index I of an ensemble is not simulate_trajectory(trajectory_index=I).
 Both solvers are valid only without qubit decay.
 
+E is the trapezoid rule on the table's nodes, taken at the checkpoints
+only. Its integrand is the constant gamma part of K plus rank-one
+products of the node vectors (alpha_0, ..., alpha_{m-1}, c), so
+_node_exponents forms each integral as one matrix product over its nodes,
+with no d x d K per node: E at a node is the running sum of the integrals
+over fixed sub-blocks of _SUB_STEPS steps counted from step 0, plus one
+partial integral from the node's sub-anchor. It depends on the node
+alone, so neither the checkpoint cadence nor the batch changes a bit of
+it, and it is exactly Hermitian (each integral is G + G^H).
+
 Because rho is assembled from this formula, three diagnostics are
 rounding-level by construction: trace_dev (the state is divided by its
 trace), herm_dev (E is Hermitian and S_i + conj S_j is the transpose-
@@ -99,13 +109,14 @@ simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
 Both solvers check their input in _batch_inputs and hand S at each
-checkpoint to one function, _solve, which integrates E, keeps S at the
-checkpoints of one block only and builds the block's states and
-diagnostics together, at most _BLOCK_MATRICES states at a time, so memory
-stays bounded. Every sum over the entries of a state adds in an order
-fixed by the state alone, not by its memory layout, so the blocks change
-no bit, and neither does the batch a trajectory runs in. The required
-pair of correlated Gaussians per step is
+checkpoint to one function, _solve, which takes E at the checkpoints from
+_node_exponents, keeps S at the checkpoints of one block only and builds
+the block's states and diagnostics together, at most _BLOCK_MATRICES
+states at a time, so memory stays bounded. Every sum over the entries of
+a state adds in an order fixed by the state alone, not by its memory
+layout, so the blocks change no bit, and neither does the batch a
+trajectory runs in. The required pair of correlated Gaussians per step
+is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -132,12 +143,18 @@ DIAGNOSTIC_THRESHOLDS = {
     "diag_drift": 1e-10,
 }
 
-#: steps per block of exponent increments in _running_sum, and per window
-#: of the fixed-point solve of S in _stepped_exponents for up to 4
+#: steps per block of exponent increments in _running_sum and (rounded
+#: down to whole sub-blocks, at least one) in _node_exponents, and per
+#: window of the fixed-point solve of S in _stepped_exponents for up to 4
 #: trajectories; a wider batch gets a window of 4 * _BLOCK_STEPS // n_batch
 #: steps, so a window spans at most 4 * _BLOCK_STEPS trajectory-steps (or
 #: one step of a batch wider than that)
 _BLOCK_STEPS = 256
+
+#: steps per sub-block of _node_exponents, counted from step 0: E at a node
+#: is the running sum of the whole sub-blocks before it plus one partial
+#: integral from the last sub-anchor, so it depends on the node alone
+_SUB_STEPS = 16
 
 #: checkpoint states (trajectories x checkpoints) built per stacked call
 #: in _solve; bounds the memory of one block
@@ -437,6 +454,9 @@ def _running_sum(increments, n_steps: int, nodes, shape) -> np.ndarray:
     a time to bound the temporaries, and the running sum is carried across
     blocks in order, so the result does not depend on the block size. Only
     the values at the sorted node indices `nodes` are kept.
+    simulate_deterministic, which needs E at every node, is its caller;
+    the conditioned solvers take E at their checkpoints from
+    _node_exponents.
     """
     nodes = np.asarray(nodes)
     out = np.zeros((len(nodes),) + shape, dtype=complex)
@@ -449,6 +469,76 @@ def _running_sum(increments, n_steps: int, nodes, shape) -> np.ndarray:
         lo, hi = np.searchsorted(nodes, (start, stop), side="right")
         out[lo:hi] = step[nodes[lo:hi] - start - 1]
         carry = step[-1]
+    return out
+
+
+def _node_exponents(config, table, c_all, nodes) -> np.ndarray:
+    """E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] at the sorted nodes.
+
+    The trapezoid rule on the table's nodes, from rank-one products instead
+    of a d x d K per node. With W_k,ij = s_k,i - s_k,j (DriftOperator), the
+    integrand is gamma_mat + F + F^H with
+
+        F = -i sum_k (s_k o alpha_k) alpha_k^H - (eta/2) (c c^H + c^2 1^T),
+
+    so with trapezoid weights w_n the integral over nodes a..b is
+
+        gamma_mat (t_b - t_a) + G + G^H,
+        G = sum_n w_n sum_r a_{r,n} b_{r,n}^H,
+
+    the pairs (a_r, b_r) being (-i s_k o alpha_k, alpha_k) for each mode,
+    (-(eta/2) c, c) and (-(eta/2) c^2, 1): one matrix product over the
+    nodes and pairs, and exactly Hermitian. E at node n is the in-order
+    running sum of the integrals over the whole sub-blocks of _SUB_STEPS
+    steps before it, counted from step 0, plus the integral from its
+    sub-anchor to n. Every integral is formed over _SUB_STEPS + 1 gathered
+    nodes, those past b repeating node b with weight 0, so E at a node
+    depends on the node alone, not on the other nodes asked for nor on the
+    block size. Only the carry and the integrals of one block of at most
+    _BLOCK_STEPS steps (whole sub-blocks, at least one) are held at a
+    time. Returns (len(nodes), d, d).
+    """
+    n_steps = len(table.times) - 1
+    dim, half_eta = config.dim, 0.5 * config.eta
+    minus_i_s = -1j * model.signed_chi_sums(config)
+    gamma_dt = table.dt * DriftOperator(config).gamma_mat
+    sub = _SUB_STEPS
+    offsets = np.arange(sub + 1)
+    # row o: the trapezoid weights of o steps from node 0, then zeros
+    weights = table.dt * ((offsets <= offsets[:, None]) - 0.5 * (
+        (offsets == 0) + (offsets == offsets[:, None])))
+    block = max(1, _BLOCK_STEPS // sub) * sub
+    nodes = np.asarray(nodes)
+    out = np.zeros((len(nodes), dim, dim), dtype=complex)
+    carry = np.zeros((dim, dim), dtype=complex)
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
+        first, last = np.searchsorted(nodes, (lo, hi), side="right")
+        ends = nodes[first:last]
+        anchor = (ends - lo) // sub
+        partial = ends - lo > anchor * sub
+        whole = np.arange(lo, hi - sub + 1, sub)
+        starts = np.append(whole, lo + anchor[partial] * sub)
+        stops = np.append(whole + sub, ends[partial])
+        # the pairs (a_r, b_r) at nodes lo..hi, as (node, r, d)
+        c = c_all[lo:hi + 1, None]
+        pair_a = np.concatenate([minus_i_s * table.alpha[lo:hi + 1],
+                                 -half_eta * c, -half_eta * c ** 2], axis=1)
+        pair_b = np.concatenate([table.alpha[lo:hi + 1], c,
+                                 np.ones(c.shape)], axis=1)
+        gather = np.minimum(starts[:, None] + offsets, stops[:, None]) - lo
+        flat = (len(starts), -1, dim)
+        g = pair_a[gather].reshape(flat).swapaxes(-1, -2) @ (
+            pair_b[gather].conj()
+            * weights[stops - starts][:, :, None, None]).reshape(flat)
+        e = g + g.conj().swapaxes(-1, -2)
+        e += np.multiply.outer(stops - starts, gamma_dt)
+        # E at the sub-anchors lo, lo + sub, ..., summed in order
+        at_anchor = np.concatenate([carry[None], e[:len(whole)]])
+        np.cumsum(at_anchor, axis=0, out=at_anchor)
+        out[first:last] = at_anchor[anchor]
+        out[first + np.flatnonzero(partial)] += e[len(whole):]
+        carry = at_anchor[-1]
     return out
 
 
@@ -543,29 +633,21 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     """(rho_final, diagnostics) from S = int c dY at every checkpoint node.
 
     s_at_nodes yields S of the batch as (d, n_batch) at nodes[0],
-    nodes[1], ... in turn. E is integrated by the trapezoid rule on the
-    table's nodes first; it does not depend on S. The checkpoints are
-    taken in blocks of up to _BLOCK_MATRICES states (trajectories x
-    checkpoints): S is kept at the checkpoints of one block only, and the
-    block's states and diagnostics are built at once, so the memory used
-    stays bounded however long the grid. The states and diagnostics sum
-    their entries in an order that does not depend on the layout, so the
-    blocks change no bit.
+    nodes[1], ... in turn. E is integrated first, at the nodes only, by
+    the trapezoid rule on the table's nodes (_node_exponents); it does not
+    depend on S, and its value at a node not on the other nodes, so the
+    cadence changes no bit of it. The checkpoints are taken in blocks of
+    up to _BLOCK_MATRICES states (trajectories x checkpoints): S is kept
+    at the checkpoints of one block only, and the block's states and
+    diagnostics are built at once, so the memory used stays bounded
+    however long the grid. The states and diagnostics sum their entries
+    in an order that does not depend on the layout, so the blocks change
+    no bit.
     """
-    n_steps = len(table.times) - 1
     dim, n_batch = config.dim, len(rho0)
-    dt, eta = table.dt, config.eta
-    sqrt_eta = math.sqrt(eta)
-    c_col = c_all[:, :, None]
+    sqrt_eta = math.sqrt(config.eta)
     drift_op = DriftOperator(config)
-
-    def exponent_steps(start, stop):
-        c = c_col[start:stop + 1]
-        f = (drift_op.coefficient(table.alpha[start:stop + 1])
-             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
-        return (0.5 * dt) * (f[:-1] + f[1:])
-
-    exponents = _running_sum(exponent_steps, n_steps, nodes, (dim, dim))
+    exponents = _node_exponents(config, table, c_all, nodes)
     # S at the nodes of one block, as (node, d, n_batch)
     per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
     s_block = np.empty((per_block, dim, n_batch), dtype=complex)
@@ -753,9 +835,10 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Steps the exponents S = int c dY of every trajectory (reduced step_sde)
     and builds the state from the elementwise solution (module docstring)
     at every checkpoint, with E integrated by the trapezoid rule on the
-    table's nodes. S is solved a window of steps at a time by
-    an exact fixed-point sweep: every step of the window is evaluated at
-    once, and the steps that started from exact values are committed.
+    table's nodes (_node_exponents). S is solved a window of steps at a
+    time by an exact fixed-point sweep: every step of the window is
+    evaluated at once, and the steps that started from exact values are
+    committed.
     The sweep is causal, so those are bit for bit the values of step_sde
     taken one step at a time. Checkpoints are built in blocks of up to
     _BLOCK_MATRICES states, so the memory used stays bounded however long

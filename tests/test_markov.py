@@ -4,7 +4,8 @@ Covers: the canonical rates of the drift (one-mode coupling term against
 a Gram-Schmidt closed form, single qubit, degenerate inputs, the sign of
 the rates at the steady state and in the transient), trace distance,
 increasing-interval extraction, and the trace-distance witness between
-the parity reference states.
+the parity reference states (its (even, odd) block against the full
+trace distance on 1-3 qubits).
 """
 
 import numpy as np
@@ -370,6 +371,24 @@ class TestWitnessScan:
                                                       rho0=rho0).rhos)
         reference = markov.trace_distance(*evolved)
         assert np.max(np.abs(res.distance - reference)) < 1e-14
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_parity_block_gives_full_trace_distance(self, n_qubits):
+        # the evolved difference vanishes on same-parity entries, so the
+        # (even, odd) block alone carries the distance
+        rng = np.random.default_rng(n_qubits)
+        cfg = model.ReadoutConfig(
+            n_qubits=n_qubits, n_modes=2,
+            chi=rng.uniform(0.5, 1.5, (2, n_qubits)),
+            kappa=rng.uniform(1.0, 3.0, 2), delta=rng.uniform(-3.0, 3.0, 2),
+            gamma_z=np.zeros(n_qubits))
+        res = markov.witness_scan(cfg, n_steps=400)
+        psi_p, psi_m = model.psi_plus(n_qubits), model.psi_minus(n_qubits)
+        diff = np.outer(psi_p, psi_m.conj()) + np.outer(psi_m, psi_p.conj())
+        full = markov.trace_distance(
+            sme.simulate_deterministic(cfg, n_steps=400, rho0=diff).rhos, 0.0)
+        assert np.abs(res.distance - full).max() < 1e-13
+        assert res.distance[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dephasing_excluded_from_witness(self, config):
         # the scan zeroes gamma_z internally; a lossy config gives the

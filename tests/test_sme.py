@@ -8,13 +8,17 @@ batch/single-trajectory equivalence (diagnostics included), the batch
 loop against its S loop written through step_sde (records, states and
 all five diagnostics, bit for bit, also around the solver's window edges
 and, NaN for NaN, on a table with a NaN node), results independent of
-block sizes and checkpoint cadence,
+block sizes and checkpoint cadence, the exponent E at the checkpoints
+against a step-by-step trapezoid sum of the full d x d integrand (bit
+for bit the same at a node whatever the cadence, in memory that does not
+grow with the grid),
 typed errors on malformed batch input, the elementwise conditioned
 solver against the dense d x d stepper at fine steps, and property tests
 of its state over register size, mode count, eta and phi.
 """
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -250,6 +254,11 @@ def step_sde_exponents(config, table, rho0, dws, dzs):
     return s_nodes, records
 
 
+def cadence_nodes(n_steps, every):
+    """Checkpoint nodes of simulate_batch at cadence `every`."""
+    return np.unique(np.append(np.arange(0, n_steps + 1, every), n_steps))
+
+
 def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
     """simulate_batch with S stepped by step_sde_exponents.
 
@@ -259,22 +268,13 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
     checkpoints in blocks. Returns (rho_final, records, diagnostics), the
     last a dict keyed by Diagnostics field.
     """
-    times, dt, eta = table.times, table.dt, config.eta
+    times, eta = table.times, config.eta
     n_steps = len(times) - 1
     rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
-    c_col = sme.measurement_diag(config, table.output)[:, :, None]
-    nodes = np.unique(np.append(
-        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+    nodes = cadence_nodes(n_steps, checkpoint_every)
     drift_op = sme.DriftOperator(config)
-
-    def exponent_steps(start, stop):
-        c = c_col[start:stop + 1]
-        f = (drift_op.coefficient(table.alpha[start:stop + 1])
-             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
-        return (0.5 * dt) * (f[:-1] + f[1:])
-
-    exponents = sme._running_sum(exponent_steps, n_steps, nodes,
-                                 (config.dim, config.dim))
+    exponents = sme._node_exponents(
+        config, table, sme.measurement_diag(config, table.output), nodes)
     s_nodes, records = step_sde_exponents(config, table, rho0, dws, dzs)
     checks = []
     for e, node in zip(exponents, nodes):
@@ -304,6 +304,65 @@ def reference_designs():
             "eta_phi": default.replace(eta=0.37, phi=0.9),
             "1q_1m": random_design(1, 1),
             "4q_3m": random_design(4, 3)}
+
+
+def trapezoid_exponents(config, table, nodes):
+    """E at the nodes as a running sum of per-step trapezoid terms.
+
+    Each step adds (dt/2) (f(t_n) + f(t_n+1)) with the full d x d
+    integrand f = K - (eta/2) (c_i + conj c_j)^2 built by
+    DriftOperator.coefficient at every node: the quadrature that
+    _node_exponents forms from rank-one products, summed step by step.
+    """
+    dt, eta = table.dt, config.eta
+    c_col = sme.measurement_diag(config, table.output)[:, :, None]
+    drift_op = sme.DriftOperator(config)
+
+    def exponent_steps(start, stop):
+        c = c_col[start:stop + 1]
+        f = (drift_op.coefficient(table.alpha[start:stop + 1])
+             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+        return (0.5 * dt) * (f[:-1] + f[1:])
+
+    return sme._running_sum(exponent_steps, len(table.times) - 1, nodes,
+                            (config.dim, config.dim))
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs()))
+@pytest.mark.parametrize("n_steps", [1, 1500, 2 * sme._SUB_STEPS + 3])
+def test_node_exponents_are_the_trapezoid_rule(name, pulse, n_steps):
+    # the same quadrature in another summation order; and E at a node may
+    # not depend on which other nodes are asked for, so the cadence is
+    # invisible bit for bit (n_steps is not a multiple of _SUB_STEPS)
+    config = reference_designs()[name]
+    table = sme.build_table(config, pulse, n_steps)
+    c_all = sme.measurement_diag(config, table.output)
+    by_node = {}
+    for every in (1, 7, max(1, n_steps // 100), n_steps):
+        nodes = cadence_nodes(n_steps, every)
+        got = sme._node_exponents(config, table, c_all, nodes)
+        want = trapezoid_exponents(config, table, nodes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+        for node, e in zip(nodes, got):
+            want_bits = by_node.setdefault(node, e)
+            assert np.array_equal(e, want_bits), (every, node)
+
+
+def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
+    # one block of nodes and the carry are held, whatever the grid length
+    peaks = []
+    for n_steps in (10 ** 4, 10 ** 5):
+        table = sme.build_table(config, pulse, n_steps)
+        c_all = sme.measurement_diag(config, table.output)
+        nodes = cadence_nodes(n_steps, n_steps // 100)
+        tracemalloc.start()
+        try:
+            sme._node_exponents(config, table, c_all, nodes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("name", sorted(reference_designs()))
