@@ -64,15 +64,17 @@ analysis.ensemble_run samples this way. simulate_trajectory, and the
 index I of an ensemble is not simulate_trajectory(trajectory_index=I).
 Both solvers are valid only without qubit decay.
 
-E is the trapezoid rule on the table's nodes, taken at the checkpoints
-only. Its integrand is the constant gamma part of K plus rank-one
-products of the node vectors (alpha_0, ..., alpha_{m-1}, c), so
-_node_exponents forms each integral as one matrix product over its nodes,
-with no d x d K per node: E at a node is the running sum of the integrals
-over fixed sub-blocks of _SUB_STEPS steps counted from step 0, plus one
+E has one integrator, _node_exponents, and no solver builds a d x d K
+per node: the integrand is the constant gamma part of K plus rank-one
+products of the node vectors (alpha_0, ..., alpha_{m-1}, c), so each
+integral is one matrix product over its nodes. E at a node is the running
+sum of the integrals over fixed sub-blocks counted from step 0, plus one
 partial integral from the node's sub-anchor. It depends on the node
 alone, so neither the checkpoint cadence nor the batch changes a bit of
-it, and it is exactly Hermitian (each integral is G + G^H).
+it, and it is exactly Hermitian (each integral is G + G^H). The
+conditioned solvers take it at their checkpoints by the trapezoid rule;
+simulate_deterministic, whose integrand is K alone, at every step by
+Simpson's rule on a table that carries the step midpoints.
 
 Because rho is assembled from this formula, three diagnostics are
 rounding-level by construction: trace_dev (the state is divided by its
@@ -143,18 +145,25 @@ DIAGNOSTIC_THRESHOLDS = {
     "diag_drift": 1e-10,
 }
 
-#: steps per block of exponent increments in _running_sum and (rounded
-#: down to whole sub-blocks, at least one) in _node_exponents, and per
-#: window of the fixed-point solve of S in _stepped_exponents for up to 4
-#: trajectories; a wider batch gets a window of 4 * _BLOCK_STEPS // n_batch
-#: steps, so a window spans at most 4 * _BLOCK_STEPS trajectory-steps (or
-#: one step of a batch wider than that)
+#: steps per block of _node_exponents (rounded down to whole sub-blocks,
+#: at least one), and per window of the fixed-point solve of S in
+#: _stepped_exponents for up to 4 trajectories; a wider batch gets a window
+#: of 4 * _BLOCK_STEPS // n_batch steps, so a window spans at most
+#: 4 * _BLOCK_STEPS trajectory-steps (or one step of a batch wider than
+#: that)
 _BLOCK_STEPS = 256
 
-#: steps per sub-block of _node_exponents, counted from step 0: E at a node
-#: is the running sum of the whole sub-blocks before it plus one partial
-#: integral from the last sub-anchor, so it depends on the node alone
+#: steps per sub-block of the conditioned solvers' E (_TRAPEZOID)
 _SUB_STEPS = 16
+
+#: quadrature tables of _node_exponents: row o holds the node weights, in
+#: units of dt, of an integral over o steps, and a sub-block spans
+#: len(table) - 1 steps. The trapezoid rule for the conditioned solvers,
+#: and Simpson's rule over one two-step panel for simulate_deterministic,
+#: whose nodes are all panel ends (row 1 is never read)
+_TRAPEZOID = (np.tri(_SUB_STEPS + 1)
+              - 0.5 * (np.eye(_SUB_STEPS + 1) + np.eye(1, _SUB_STEPS + 1)))
+_SIMPSON = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [1.0, 4.0, 1.0]]) / 3.0
 
 #: checkpoint states (trajectories x checkpoints) built per stacked call
 #: in _solve; bounds the memory of one block
@@ -187,7 +196,10 @@ class DriftOperator:
         """K(t) for mode amplitudes alpha_t of shape (..., n_modes, 2**n).
 
         Leading axes of alpha_t (a block of time nodes) carry over to the
-        result, which has shape (..., 2**n, 2**n).
+        result, which has shape (..., 2**n, 2**n). No solver calls it: they
+        integrate E from rank-one products (_node_exponents). It gives K
+        itself, for markov.canonical_rates, for the step-by-step quadrature
+        references in the tests and for the benchmark tracer.
         """
         p = alpha_t[..., :, :, None] * alpha_t.conj()[..., :, None, :]
         return self.gamma_mat - 1j * (self.w * p).sum(axis=-3)
@@ -277,11 +289,7 @@ def mixture_noise(table: AmplitudeTable, rho0, base_seed: int, indices):
     (base_seed, index, n_steps) replays a trajectory. rho0 is one
     (d, d) state shared by every index; ConfigError if it is not.
     """
-    rho0 = np.asarray(rho0)
-    dim = table.output.shape[-1]
-    if rho0.shape != (dim, dim):
-        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim})")
-    cdf = np.cumsum(_populations(rho0))
+    cdf = np.cumsum(_populations(_square(rho0, table.output.shape[-1])))
     cdf /= cdf[-1]
     n_steps = len(table.times) - 1
     js = np.empty(len(indices), dtype=int)
@@ -446,67 +454,41 @@ def _checkpoint(rho, k0_diag, t) -> dict:
     }
 
 
-def _running_sum(increments, n_steps: int, nodes, shape) -> np.ndarray:
-    """E_n = sum_{m < n} increments of a d x d exponent, at the given nodes.
-
-    increments(start, stop) returns the terms of steps start..stop-1, with
-    shape (stop - start,) + shape. They are requested _BLOCK_STEPS steps at
-    a time to bound the temporaries, and the running sum is carried across
-    blocks in order, so the result does not depend on the block size. Only
-    the values at the sorted node indices `nodes` are kept.
-    simulate_deterministic, which needs E at every node, is its caller;
-    the conditioned solvers take E at their checkpoints from
-    _node_exponents.
-    """
-    nodes = np.asarray(nodes)
-    out = np.zeros((len(nodes),) + shape, dtype=complex)
-    carry = np.zeros(shape, dtype=complex)
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
-        step = increments(start, stop)
-        step[0] += carry
-        step = np.cumsum(step, axis=0)
-        lo, hi = np.searchsorted(nodes, (start, stop), side="right")
-        out[lo:hi] = step[nodes[lo:hi] - start - 1]
-        carry = step[-1]
-    return out
-
-
-def _node_exponents(config, table, c_all, nodes) -> np.ndarray:
+def _node_exponents(config, table, c_all, nodes, weights) -> np.ndarray:
     """E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] at the sorted nodes.
 
-    The trapezoid rule on the table's nodes, from rank-one products instead
-    of a d x d K per node. With W_k,ij = s_k,i - s_k,j (DriftOperator), the
-    integrand is gamma_mat + F + F^H with
+    The quadrature of the table `weights` (_TRAPEZOID or _SIMPSON) on the
+    table's nodes, from rank-one products instead of a d x d K per node.
+    With W_k,ij = s_k,i - s_k,j (DriftOperator), the integrand is
+    gamma_mat + F + F^H with
 
         F = -i sum_k (s_k o alpha_k) alpha_k^H - (eta/2) (c c^H + c^2 1^T),
 
-    so with trapezoid weights w_n the integral over nodes a..b is
+    so with node weights w_n the integral over nodes a..b is
 
         gamma_mat (t_b - t_a) + G + G^H,
         G = sum_n w_n sum_r a_{r,n} b_{r,n}^H,
 
     the pairs (a_r, b_r) being (-i s_k o alpha_k, alpha_k) for each mode,
     (-(eta/2) c, c) and (-(eta/2) c^2, 1): one matrix product over the
-    nodes and pairs, and exactly Hermitian. E at node n is the in-order
-    running sum of the integrals over the whole sub-blocks of _SUB_STEPS
-    steps before it, counted from step 0, plus the integral from its
-    sub-anchor to n. Every integral is formed over _SUB_STEPS + 1 gathered
-    nodes, those past b repeating node b with weight 0, so E at a node
-    depends on the node alone, not on the other nodes asked for nor on the
-    block size. Only the carry and the integrals of one block of at most
-    _BLOCK_STEPS steps (whole sub-blocks, at least one) are held at a
-    time. Returns (len(nodes), d, d).
+    nodes and pairs, and exactly Hermitian. c_all None drops the last two
+    pairs, leaving K alone. E at node n is the in-order running sum of the
+    integrals over the whole sub-blocks of len(weights) - 1 steps before
+    it, counted from step 0, plus the integral from its sub-anchor to n.
+    The integral from node a to node b takes row b - a of `weights`, over
+    len(weights) gathered nodes, those past b repeating node b with weight
+    0, so E at a node depends on the node alone, not on the other nodes
+    asked for nor on the block size. Only the carry and the integrals of
+    one block of at most _BLOCK_STEPS steps (whole sub-blocks, at least
+    one) are held at a time. Returns (len(nodes), d, d).
     """
     n_steps = len(table.times) - 1
     dim, half_eta = config.dim, 0.5 * config.eta
     minus_i_s = -1j * model.signed_chi_sums(config)
     gamma_dt = table.dt * DriftOperator(config).gamma_mat
-    sub = _SUB_STEPS
+    sub = len(weights) - 1
     offsets = np.arange(sub + 1)
-    # row o: the trapezoid weights of o steps from node 0, then zeros
-    weights = table.dt * ((offsets <= offsets[:, None]) - 0.5 * (
-        (offsets == 0) + (offsets == offsets[:, None])))
+    weights = table.dt * weights
     block = max(1, _BLOCK_STEPS // sub) * sub
     nodes = np.asarray(nodes)
     out = np.zeros((len(nodes), dim, dim), dtype=complex)
@@ -521,11 +503,14 @@ def _node_exponents(config, table, c_all, nodes) -> np.ndarray:
         starts = np.append(whole, lo + anchor[partial] * sub)
         stops = np.append(whole + sub, ends[partial])
         # the pairs (a_r, b_r) at nodes lo..hi, as (node, r, d)
-        c = c_all[lo:hi + 1, None]
-        pair_a = np.concatenate([minus_i_s * table.alpha[lo:hi + 1],
-                                 -half_eta * c, -half_eta * c ** 2], axis=1)
-        pair_b = np.concatenate([table.alpha[lo:hi + 1], c,
-                                 np.ones(c.shape)], axis=1)
+        alpha = table.alpha[lo:hi + 1]
+        pair_a, pair_b = [minus_i_s * alpha], [alpha]
+        if c_all is not None:
+            c = c_all[lo:hi + 1, None]
+            pair_a += [-half_eta * c, -half_eta * c ** 2]
+            pair_b += [c, np.ones(c.shape)]
+        pair_a = np.concatenate(pair_a, axis=1)
+        pair_b = np.concatenate(pair_b, axis=1)
         gather = np.minimum(starts[:, None] + offsets, stops[:, None]) - lo
         flat = (len(starts), -1, dim)
         g = pair_a[gather].reshape(flat).swapaxes(-1, -2) @ (
@@ -570,6 +555,15 @@ def _conditioned_state(rho0, e, s, sqrt_eta: float) -> np.ndarray:
     # a contiguous copy, so each row is summed the same way in any batch
     trace = np.einsum("...ii->...i", rho).real.copy().sum(axis=-1)
     return rho / trace[..., None, None]
+
+
+def _square(rho0, dim: int) -> np.ndarray:
+    """rho0 as an array, if it is one (dim, dim) matrix; ConfigError
+    otherwise."""
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (dim, dim):
+        raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim})")
+    return rho0
 
 
 def _populations(rho0) -> np.ndarray:
@@ -647,7 +641,7 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     dim, n_batch = config.dim, len(rho0)
     sqrt_eta = math.sqrt(config.eta)
     drift_op = DriftOperator(config)
-    exponents = _node_exponents(config, table, c_all, nodes)
+    exponents = _node_exponents(config, table, c_all, nodes, _TRAPEZOID)
     # S at the nodes of one block, as (node, d, n_batch)
     per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
     s_block = np.empty((per_block, dim, n_batch), dtype=complex)
@@ -1013,24 +1007,19 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
     so the amplitude table carries the step midpoints: it is built on
-    2 n_steps steps. The running sum is _running_sum's, so the result does
-    not depend on the block size. For intrinsic dephasing alone, pass a
-    config with chi = 0.
+    2 n_steps steps. _node_exponents takes each step's integral from
+    rank-one products (_SIMPSON) and sums them in order, so the result
+    does not depend on the block size. For intrinsic dephasing alone, pass
+    a config with chi = 0. rho0 (default |+>^n) is any (d, d) array, not
+    necessarily a state; ConfigError if it has another shape.
     """
-    table = build_table(config, pulse, 2 * require_int("n_steps", n_steps, 1))
-    if rho0 is None:
-        rho0 = model.plus_density(config.n_qubits)
-
-    drift_op = DriftOperator(config)
-    h = 2.0 * table.dt
-
-    def simpson_steps(start, stop):
-        k = drift_op.coefficient(table.alpha[2 * start:2 * stop + 1])
-        return (h / 6.0) * (k[:-1:2] + 4.0 * k[1::2] + k[2::2])
-
+    n_steps = require_int("n_steps", n_steps, 1)
+    rho0 = (model.plus_density(config.n_qubits) if rho0 is None
+            else _square(rho0, config.dim))
+    table = build_table(config, pulse, 2 * n_steps)
     # rhos holds the exponents E_n until the final in-place exp
-    rhos = _running_sum(simpson_steps, n_steps, np.arange(n_steps + 1),
-                        rho0.shape)
+    rhos = _node_exponents(config, table, None,
+                           np.arange(0, 2 * n_steps + 1, 2), _SIMPSON)
     np.exp(rhos, out=rhos)
     rhos *= rho0
     return DeterministicResult(times=table.times[::2], rhos=rhos)

@@ -21,7 +21,7 @@ from paritysim.errors import ConfigError
 from paritysim.pulse import default_pulse
 
 from test_sme import (DEGENERATE_BATCHES, DEGENERATE_IDS, assert_rows_equal,
-                      coarsen, reference_designs)
+                      coarsen, reference_designs, running_sum)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ class TestRowsIndependent:
     def test_step_block_invisible(self, config, rho0, batch, monkeypatch,
                                   block_steps):
         # S is summed over each checkpoint interval (5 steps here) at once,
-        # and E's running sum carries across blocks in order, so no output
+        # and E at a node sums sub-blocks counted from step 0, so no output
         # depends on _BLOCK_STEPS
         table, js, dws, dzs, want = batch
         monkeypatch.setattr(sme, "_BLOCK_STEPS", block_steps)
@@ -169,15 +169,12 @@ def two_part_exponents(config, table, c_all, js, dws, dzs, nodes, records):
     dt = table.dt
     sqrt_eta = math.sqrt(config.eta)
 
-    def drift_steps(start, stop):
-        c = c_all[start:stop + 1, :, None]
-        re_c = c.real.swapaxes(-1, -2)
-        return (2.0 * sqrt_eta * dt) * (
-            (c[:-1] * re_c[:-1] + c[1:] * re_c[1:]) / 3.0
-            + (c[:-1] * re_c[1:] + c[1:] * re_c[:-1]) / 6.0)
-
-    drift = sme._running_sum(drift_steps, len(table.times) - 1, nodes,
-                             (config.dim, config.dim))
+    c = c_all[:, :, None]
+    re_c = c.real.swapaxes(-1, -2)
+    drift_steps = (2.0 * sqrt_eta * dt) * (
+        (c[:-1] * re_c[:-1] + c[1:] * re_c[1:]) / 3.0
+        + (c[:-1] * re_c[1:] + c[1:] * re_c[:-1]) / 6.0)
+    drift = running_sum(drift_steps, nodes)
     noise = np.zeros((len(dws), config.dim), dtype=complex)
     lo = 0
     for k, hi in enumerate(nodes):

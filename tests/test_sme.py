@@ -11,13 +11,17 @@ and, NaN for NaN, on a table with a NaN node), results independent of
 block sizes and checkpoint cadence, the exponent E at the checkpoints
 against a step-by-step trapezoid sum of the full d x d integrand (bit
 for bit the same at a node whatever the cadence, in memory that does not
-grow with the grid),
-typed errors on malformed batch input, the elementwise conditioned
-solver against the dense d x d stepper at fine steps, and property tests
-of its state over register size, mode count, eta and phi.
+grow with the grid), the unconditional evolution against a step-by-step
+Simpson sum of the full K (in at most 1.6 times the memory of its result
+at the register cap), no solver building K per node, typed errors on
+malformed batch input and on a deterministic rho0 of the wrong shape,
+the elementwise conditioned solver against the dense d x d stepper at
+fine steps, and property tests of its state over register size, mode
+count, eta and phi.
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paritysim import model, sme
+from paritysim import markov, model, sme
 from paritysim.cavity import AmplitudeTable
 from paritysim.errors import ConfigError
 from paritysim.pulse import PulseSpec, default_pulse
@@ -274,7 +278,8 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
     nodes = cadence_nodes(n_steps, checkpoint_every)
     drift_op = sme.DriftOperator(config)
     exponents = sme._node_exponents(
-        config, table, sme.measurement_diag(config, table.output), nodes)
+        config, table, sme.measurement_diag(config, table.output), nodes,
+        sme._TRAPEZOID)
     s_nodes, records = step_sde_exponents(config, table, rho0, dws, dzs)
     checks = []
     for e, node in zip(exponents, nodes):
@@ -306,6 +311,12 @@ def reference_designs():
             "4q_3m": random_design(4, 3)}
 
 
+def running_sum(steps, nodes) -> np.ndarray:
+    """E_n = sum_{m < n} steps[m] at the nodes, the terms added in order."""
+    return np.cumsum(np.concatenate([np.zeros_like(steps[:1]), steps]),
+                     axis=0)[nodes]
+
+
 def trapezoid_exponents(config, table, nodes):
     """E at the nodes as a running sum of per-step trapezoid terms.
 
@@ -314,18 +325,23 @@ def trapezoid_exponents(config, table, nodes):
     DriftOperator.coefficient at every node: the quadrature that
     _node_exponents forms from rank-one products, summed step by step.
     """
-    dt, eta = table.dt, config.eta
-    c_col = sme.measurement_diag(config, table.output)[:, :, None]
-    drift_op = sme.DriftOperator(config)
+    c = sme.measurement_diag(config, table.output)[:, :, None]
+    f = (sme.DriftOperator(config).coefficient(table.alpha)
+         - (0.5 * config.eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
+    return running_sum((0.5 * table.dt) * (f[:-1] + f[1:]), nodes)
 
-    def exponent_steps(start, stop):
-        c = c_col[start:stop + 1]
-        f = (drift_op.coefficient(table.alpha[start:stop + 1])
-             - (0.5 * eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
-        return (0.5 * dt) * (f[:-1] + f[1:])
 
-    return sme._running_sum(exponent_steps, len(table.times) - 1, nodes,
-                            (config.dim, config.dim))
+def simpson_exponents(config, table):
+    """E at every step end of a midpoint table, summed step by step.
+
+    The table carries the step midpoints, so step n of size h = 2 dt adds
+    (h/6) (K(t_2n) + 4 K(t_2n+1) + K(t_2n+2)) with the full d x d K built
+    by DriftOperator.coefficient at every node: the composite Simpson rule
+    that simulate_deterministic forms from rank-one products.
+    """
+    k = sme.DriftOperator(config).coefficient(table.alpha)
+    steps = (2.0 * table.dt / 6.0) * (k[:-1:2] + 4.0 * k[1::2] + k[2::2])
+    return running_sum(steps, np.arange(len(steps) + 1))
 
 
 @pytest.mark.parametrize("name", sorted(reference_designs()))
@@ -340,7 +356,8 @@ def test_node_exponents_are_the_trapezoid_rule(name, pulse, n_steps):
     by_node = {}
     for every in (1, 7, max(1, n_steps // 100), n_steps):
         nodes = cadence_nodes(n_steps, every)
-        got = sme._node_exponents(config, table, c_all, nodes)
+        got = sme._node_exponents(config, table, c_all, nodes,
+                                   sme._TRAPEZOID)
         want = trapezoid_exponents(config, table, nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.conj().swapaxes(-1, -2))
@@ -358,11 +375,65 @@ def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
         nodes = cadence_nodes(n_steps, n_steps // 100)
         tracemalloc.start()
         try:
-            sme._node_exponents(config, table, c_all, nodes)
+            sme._node_exponents(config, table, c_all, nodes, sme._TRAPEZOID)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs()))
+@pytest.mark.parametrize("n_steps", [1, 7, 600])
+def test_deterministic_is_the_simpson_running_sum(name, pulse, n_steps):
+    # the same quadrature as the step-by-step sum of the full d x d K, in
+    # another summation order
+    config = reference_designs()[name]
+    got = sme.simulate_deterministic(config, pulse, n_steps=n_steps)
+    table = sme.build_table(config, pulse, 2 * n_steps)
+    want = model.plus_density(config.n_qubits) * np.exp(
+        simpson_exponents(config, table))
+    assert np.array_equal(got.times, table.times[::2])
+    assert np.abs(got.rhos - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 8, 8), (4, 4)])
+def test_deterministic_rho0_must_be_one_matrix(config, shape):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"rho0 has shape {shape}; need (8, 8)")):
+        sme.simulate_deterministic(config, n_steps=3, rho0=np.zeros(shape))
+
+
+def test_no_solver_builds_a_drift_coefficient_per_node(config, pulse,
+                                                       monkeypatch):
+    # every solver takes E from rank-one products of the node vectors
+    def refuse(self, alpha_t):
+        raise AssertionError("a solver built the d x d drift coefficient")
+
+    monkeypatch.setattr(sme.DriftOperator, "coefficient", refuse)
+    sme.simulate_deterministic(config, pulse, n_steps=40)
+    markov.witness_scan(config, pulse, n_steps=40)
+    table = sme.build_table(config, pulse, 60)
+    rho0 = model.plus_density(config.n_qubits)
+    dws, dzs = sme.trajectory_noise(table, 0, [0, 1])
+    sme.simulate_batch(config, table, rho0, dws, dzs, checkpoint_every=7)
+    js, dws, dzs = sme.mixture_noise(table, rho0, 0, [0, 1])
+    sme.sample_batch(config, table, rho0, js, dws, dzs)
+
+
+def test_deterministic_memory_at_the_register_cap(config, pulse):
+    # E is summed straight into the returned array, one block of step
+    # integrals at a time, with no d x d K per node
+    n = model.MAX_QUBITS
+    wide = config.replace(n_qubits=n, chi=np.ones((config.n_modes, n)),
+                          gamma_z=np.full(n, config.gamma_z[0]))
+    tracemalloc.start()
+    try:
+        rhos = sme.simulate_deterministic(wide, pulse, n_steps=2000).rhos
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rhos.shape == (2001, 2 ** n, 2 ** n)
+    assert peak <= 1.6 * rhos.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(reference_designs()))
