@@ -36,7 +36,7 @@ so simulate_batch steps the d complex exponents S of each trajectory,
 
     dS = sqrt(eta) c(t) m(S, t) dt + c(t) dW,
 
-and builds the d x d state only at checkpoints. This holds only in the
+and builds the d x d state only at the end. This holds only in the
 paper's regime, where qubit decay is neglected: a T1 term would couple
 the populations and break the elementwise solution.
 
@@ -77,12 +77,18 @@ simulate_deterministic, whose integrand is K alone, at every step by
 Simpson's rule on a table that carries the step midpoints.
 
 Because rho is assembled from this formula, three diagnostics are
-rounding-level by construction: trace_dev (the state is divided by its
-trace), herm_dev (E is Hermitian and S_i + conj S_j is the transpose-
-conjugate of S_j + conj S_i) and diag_drift (K_ii = 0). The state is a
-congruence D rho_det D^dag of the noise-free factor rho0 o exp(E) with
-D = diag(exp(sqrt(eta) S)), so it is positive as far as that factor is;
-only the quadrature of E limits min_eig.
+rounding-level at every checkpoint by construction: trace_dev (the state
+is divided by its trace), herm_dev (E is Hermitian and S_i + conj S_j is
+the transpose-conjugate of S_j + conj S_i) and diag_drift (K_ii = 0); so
+are they and the purity measured on the final state alone. The state is a
+congruence D A D^dag / tr of the noise-free factor A = rho0 o exp(E) with
+D = diag(exp(sqrt(eta) S)), so it is positive as far as A is, and only
+the quadrature of E limits min_eig. By Sylvester's law of inertia and
+Ostrowski's theorem one eigvalsh per checkpoint, of a unit-diagonal
+rescaling of A shared by every trajectory from the same rho0, bounds the
+smallest eigenvalue of every trajectory's state from below, with its
+exact sign, in O(d) work per trajectory (_solve): min_eig certifies
+positivity at every checkpoint without building the states.
 
 S is stepped with the explicit strong order-1.5 scheme for a single
 scalar Wiener process from Kloeden & Platen, "Numerical Solution of
@@ -111,14 +117,15 @@ simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
 Both solvers check their input in _batch_inputs and hand S at each
-checkpoint to one function, _solve, which takes E at the checkpoints from
-_node_exponents, keeps S at the checkpoints of one block only and builds
-the block's states and diagnostics together, at most _BLOCK_MATRICES
-states at a time, so memory stays bounded. Every sum over the entries of
-a state adds in an order fixed by the state alone, not by its memory
-layout, so the blocks change no bit, and neither does the batch a
-trajectory runs in. The required pair of correlated Gaussians per step
-is
+checkpoint to one function, _solve, which takes E from _node_exponents
+in blocks of checkpoints, up to _BLOCK_MATRICES trajectories x
+checkpoints at a time, reduces each block at once to the positivity
+certificate and bounds min_eig from the populations, and builds the
+final states alone, so memory stays bounded. Every sum over the basis
+or over the entries of a state adds in an order fixed by the trajectory
+alone, not by the memory layout, so the blocks change no bit, and
+neither does the batch a trajectory runs in. The required pair of
+correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -165,8 +172,9 @@ _TRAPEZOID = (np.tri(_SUB_STEPS + 1)
               - 0.5 * (np.eye(_SUB_STEPS + 1) + np.eye(1, _SUB_STEPS + 1)))
 _SIMPSON = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [1.0, 4.0, 1.0]]) / 3.0
 
-#: checkpoint states (trajectories x checkpoints) built per stacked call
-#: in _solve; bounds the memory of one block
+#: rows x checkpoints whose positivity bounds _solve forms per stacked
+#: call (the checkpoints of one block of E, at least one); bounds the
+#: memory of one block
 _BLOCK_MATRICES = 256
 
 
@@ -356,9 +364,14 @@ def step_sde(y, t, dt, drift_fn, diffusion_fn, dw, dz):
 
 @dataclass
 class Diagnostics:
-    """Per-checkpoint health numbers for a batch of trajectories.
+    """Health numbers of a batch of trajectories.
 
-    All arrays have shape (n_batch, n_checkpoints).
+    times has shape (n_checkpoints,). min_eig, shape (n_batch,
+    n_checkpoints), is a lower bound on the smallest eigenvalue of each
+    trajectory's state at each checkpoint, with that eigenvalue's sign
+    (sme._solve). trace_dev, herm_dev, purity and diag_drift, shape
+    (n_batch,), are measured on the final states; the module docstring
+    gives why they are rounding-level at every checkpoint.
     """
 
     times: np.ndarray
@@ -431,30 +444,25 @@ def _purity(rho) -> np.ndarray:
     return np.add.accumulate(squares, axis=0, out=squares)[-1].copy()
 
 
-def _checkpoint(rho, k0_diag, t) -> dict:
-    """Health values of one checkpoint, keyed by Diagnostics field.
+def _final_checks(rho, k_diag) -> dict:
+    """Health values of final states, keyed by Diagnostics field.
 
-    k0_diag is the diagonal of the drift coefficient K at the checkpoint
-    (DriftOperator.diagonal).
-
-    The trace and the purity add their terms one after another, in row
-    order, so a state rounds the same way whatever its memory layout and
-    whatever batch it is in.
+    k_diag is the diagonal of the drift coefficient K at the final node
+    (DriftOperator.diagonal). The trace and the purity add their terms
+    one after another, in row order, so a state rounds the same way
+    whatever its memory layout and whatever batch it is in.
     """
-    rho_dag = rho.conj().swapaxes(-1, -2)
     return {
-        "times": t,
         "trace_dev": np.abs(_column_sum(np.moveaxis(
             np.einsum("...ii->...i", rho), -1, 0)) - 1.0),
-        "herm_dev": np.abs(rho - rho_dag).max(axis=(-1, -2)),
-        "min_eig": np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0],
+        "herm_dev": np.abs(rho - rho.conj().swapaxes(-1, -2)).max(
+            axis=(-1, -2)),
         "purity": _purity(rho),
-        "diag_drift": np.abs(k0_diag
-                             * np.einsum("...ii->...i", rho)).max(-1),
+        "diag_drift": np.abs(k_diag * np.einsum("...ii->...i", rho)).max(-1),
     }
 
 
-def _node_exponents(config, table, c_all, nodes, weights) -> np.ndarray:
+def _node_exponents(config, table, c_all, nodes, weights):
     """E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] at the sorted nodes.
 
     The quadrature of the table `weights` (_TRAPEZOID or _SIMPSON) on the
@@ -480,7 +488,9 @@ def _node_exponents(config, table, c_all, nodes, weights) -> np.ndarray:
     0, so E at a node depends on the node alone, not on the other nodes
     asked for nor on the block size. Only the carry and the integrals of
     one block of at most _BLOCK_STEPS steps (whole sub-blocks, at least
-    one) are held at a time. Returns (len(nodes), d, d).
+    one) are held at a time. Yields E at the nodes one block at a time,
+    as (nodes in the block, d, d), in node order; a block of no node
+    yields nothing.
     """
     n_steps = len(table.times) - 1
     dim, half_eta = config.dim, 0.5 * config.eta
@@ -491,12 +501,13 @@ def _node_exponents(config, table, c_all, nodes, weights) -> np.ndarray:
     weights = table.dt * weights
     block = max(1, _BLOCK_STEPS // sub) * sub
     nodes = np.asarray(nodes)
-    out = np.zeros((len(nodes), dim, dim), dtype=complex)
     carry = np.zeros((dim, dim), dtype=complex)
+    first = 0
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
-        first, last = np.searchsorted(nodes, (lo, hi), side="right")
+        last = np.searchsorted(nodes, hi, side="right")
         ends = nodes[first:last]
+        first = last
         anchor = (ends - lo) // sub
         partial = ends - lo > anchor * sub
         whole = np.arange(lo, hi - sub + 1, sub)
@@ -521,10 +532,28 @@ def _node_exponents(config, table, c_all, nodes, weights) -> np.ndarray:
         # E at the sub-anchors lo, lo + sub, ..., summed in order
         at_anchor = np.concatenate([carry[None], e[:len(whole)]])
         np.cumsum(at_anchor, axis=0, out=at_anchor)
-        out[first:last] = at_anchor[anchor]
-        out[first + np.flatnonzero(partial)] += e[len(whole):]
         carry = at_anchor[-1]
-    return out
+        out = at_anchor[anchor]
+        out[partial] += e[len(whole):]
+        if len(out):
+            yield out
+
+
+def _regroup(blocks, size: int):
+    """The arrays of `blocks`, joined along axis 0 and cut into pieces of
+    `size` rows, the last one shorter if it must be."""
+    pending, held = [], 0
+    for block in blocks:
+        pending.append(block)
+        held += len(block)
+        if held >= size:
+            joined = np.concatenate(pending)
+            cut = held - held % size
+            for lo in range(0, cut, size):
+                yield joined[lo:lo + size]
+            pending, held = [joined[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
 
 
 def _column_sum(x) -> np.ndarray:
@@ -533,8 +562,8 @@ def _column_sum(x) -> np.ndarray:
     x.sum(axis=0) switches to pairwise summation when x has one column,
     which would make a lone trajectory round differently from the same
     trajectory in a batch. Any trailing shape is allowed. One add per row
-    over every column at once: _checkpoint sums each state's trace with
-    it, and the S solve the softmax over the basis, where an
+    over every column at once: _final_checks sums each state's trace with
+    it, and the S solve and _solve the softmax over the basis, where an
     add.accumulate along the rows costs two to eight times as much.
     """
     total = x[0].copy()
@@ -627,47 +656,78 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     """(rho_final, diagnostics) from S = int c dY at every checkpoint node.
 
     s_at_nodes yields S of the batch as (d, n_batch) at nodes[0],
-    nodes[1], ... in turn. E is integrated first, at the nodes only, by
-    the trapezoid rule on the table's nodes (_node_exponents); it does not
-    depend on S, and its value at a node not on the other nodes, so the
-    cadence changes no bit of it. The checkpoints are taken in blocks of
-    up to _BLOCK_MATRICES states (trajectories x checkpoints): S is kept
-    at the checkpoints of one block only, and the block's states and
-    diagnostics are built at once, so the memory used stays bounded
-    however long the grid. The states and diagnostics sum their entries
-    in an order that does not depend on the layout, so the blocks change
-    no bit.
+    nodes[1], ... in turn. E comes from _node_exponents in blocks of up
+    to _BLOCK_MATRICES // n_batch nodes (at least one); it does not depend
+    on S, and its value at a node not on the other nodes, so the cadence
+    changes no bit of it. No checkpoint state is built. Each block of E is
+    reduced at once to the smallest eigenvalue lambda_n of the
+    unit-diagonal coherence matrix
+
+        C_n = (rho0 / sqrt(p0 p0^T)) o exp(E_n - (E_n,ii + E_n,jj) / 2),
+
+    one eigvalsh per node and distinct rho0, shared by the rows that start
+    from it (p0 = diag rho0, with 1 in place of a zero population). The
+    state is rho = Q C_n Q^dag / tr with Q diagonal and
+    theta_i = |Q_i|^2 / tr = exp(log p0_i + E_n,ii + 2 sqrt(eta) Re S_i)
+    / tr, which is the population p_i where p0_i > 0. Ostrowski's theorem
+    (Horn & Johnson, Matrix Analysis, Thm 4.5.9) puts lambda_min(rho) at
+    theta lambda_n with theta in [min theta_i, max theta_i], so
+
+        min_eig = lambda_n max theta   if lambda_n < 0,
+                  lambda_n min theta   otherwise,
+
+    is a lower bound with the sign of lambda_min(rho) (Sylvester's law of
+    inertia), from O(d) work per row and node, for the block's nodes at
+    once. Only E at the final node outlives its block, so the memory used
+    stays bounded however long the grid. The final state alone is built,
+    and trace_dev, herm_dev, purity and diag_drift are taken on it. Every
+    reduction over the basis adds or compares in an order fixed by the row
+    alone, so neither the blocks nor the batch change a bit.
     """
     dim, n_batch = config.dim, len(rho0)
     sqrt_eta = math.sqrt(config.eta)
-    drift_op = DriftOperator(config)
-    exponents = _node_exponents(config, table, c_all, nodes, _TRAPEZOID)
-    # S at the nodes of one block, as (node, d, n_batch)
+    # row b of the batch starts from states[group[b]], one state per
+    # distinct rho0 (equal bytes)
+    seen = {}
+    first, group = np.unique(
+        [seen.setdefault(row.tobytes(), b) for b, row in enumerate(rho0)],
+        return_inverse=True)
+    states = rho0[first]
+    p0 = np.einsum("gii->gi", states).real
+    shown = p0 > 0.0
+    p0 = np.where(shown, p0, 1.0)
+    coherence = states / np.sqrt(p0[:, :, None] * p0[:, None, :])
+    log_p0 = np.log(p0)
+    # basis-major, (d, 1, n_batch): a state of zero population is left out
+    # of each row's shift and trace
+    in_trace = shown.T[:, None, group]
     per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
-    s_block = np.empty((per_block, dim, n_batch), dtype=complex)
-    checks = []
-    for first in range(0, len(nodes), per_block):
-        block = nodes[first:first + per_block]
-        for k in range(len(block)):
-            s_block[k] = s = next(s_at_nodes)
-        # the block's states are dropped once their diagnostics are taken,
-        # so they do not stay allocated while the next block is solved
-        checks.append(_checkpoint(
-            _conditioned_state(
-                rho0, exponents[first:first + len(block), None],
-                s_block[:len(block)].swapaxes(1, 2), sqrt_eta),
-            drift_op.diagonal(table.alpha[block])[:, None],
-            table.times[block]))
-
-    diagnostics = Diagnostics(**{
-        f.name: np.concatenate([check[f.name].T for check in checks], axis=-1)
-        for f in fields(Diagnostics)})
-    # the final state alone, the last checkpoint's state bit for bit.
-    # Keeping the last block's states instead would hold each block across
-    # the next; that made the high mode of a 150 x 10^4 ensemble's bimodal
-    # peak RSS (about 100 MB against 94, by glibc heap layout) the usual one
-    rho = _conditioned_state(rho0, exponents[-1], s.T, sqrt_eta)
-    return rho, diagnostics
+    re_s = np.empty((dim, min(per_block, len(nodes)), n_batch))
+    bounds = []
+    for e in _regroup(_node_exponents(config, table, c_all, nodes,
+                                      _TRAPEZOID), per_block):
+        k = len(e)
+        diag_e = np.einsum("kii->ki", e).real
+        lam = np.linalg.eigvalsh(coherence[:, None] * np.exp(
+            e - 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])))[..., 0]
+        for j in range(k):
+            s = next(s_at_nodes)
+            re_s[:, j] = s.real
+        # log p0 + diag E + 2 sqrt(eta) Re S, as (d, nodes, n_batch)
+        x = np.multiply(re_s[:, :k], 2.0 * sqrt_eta)
+        x += (log_p0[:, None] + diag_e).T[:, :, group]
+        theta = np.exp(
+            x - np.maximum.reduce(np.where(in_trace, x, -np.inf), axis=0))
+        theta /= _column_sum(np.where(in_trace, theta, 0.0))
+        lam = lam.T[:, group]
+        bounds.append(lam * np.where(lam < 0.0,
+                                     np.maximum.reduce(theta, axis=0),
+                                     np.minimum.reduce(theta, axis=0)))
+    rho = _conditioned_state(rho0, e[-1], s.T, sqrt_eta)
+    checks = _final_checks(
+        rho, DriftOperator(config).diagonal(table.alpha[nodes[-1]]))
+    return rho, Diagnostics(times=table.times[nodes],
+                            min_eig=np.concatenate(bounds).T, **checks)
 
 
 def _step_nodes(first, a0, a_pair, c0, curvature, dw, dz_factor,
@@ -827,18 +887,20 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     """Advance a batch of register states through the full record grid.
 
     Steps the exponents S = int c dY of every trajectory (reduced step_sde)
-    and builds the state from the elementwise solution (module docstring)
-    at every checkpoint, with E integrated by the trapezoid rule on the
-    table's nodes (_node_exponents). S is solved a window of steps at a
-    time by an exact fixed-point sweep: every step of the window is
-    evaluated at once, and the steps that started from exact values are
-    committed.
+    and builds the final state from the elementwise solution (module
+    docstring), with E integrated by the trapezoid rule on the table's
+    nodes (_node_exponents). S is solved a window of steps at a time by an
+    exact fixed-point sweep: every step of the window is evaluated at once,
+    and the steps that started from exact values are committed.
     The sweep is causal, so those are bit for bit the values of step_sde
-    taken one step at a time. Checkpoints are built in blocks of up to
-    _BLOCK_MATRICES states, so the memory used stays bounded however long
-    the grid. Valid only without qubit decay, which would couple the
-    populations. Every row is reduced on its own, so a trajectory's results
-    do not depend on the batch it runs in, nor on the block sizes.
+    taken one step at a time. At every checkpoint, min_eig bounds the
+    smallest eigenvalue of the state from below, with its sign, from one
+    eigvalsh per distinct rho0 and the state's populations (_solve); the
+    other diagnostics are measured on the final state. Memory stays
+    bounded however long the grid. Valid only without qubit decay, which
+    would couple the populations. Every row is reduced on its own, so a
+    trajectory's results do not depend on the batch it runs in, nor on
+    the block sizes.
 
     Parameters
     ----------
@@ -851,7 +913,9 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     -------
     (rho_final, records, diagnostics)
         records has shape (n_batch, n_steps); records[:, n] is the
-        left-point sample sqrt(eta) m(t_n) + dW_n / dt.
+        left-point sample sqrt(eta) m(t_n) + dW_n / dt. diagnostics holds
+        min_eig at every checkpoint and the other fields of the final
+        states (Diagnostics).
 
     Raises
     ------
@@ -918,11 +982,14 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     states (module docstring): row b is the record of basis state js[b],
     dY = 2 sqrt(eta) Re c_j dt + dW', with dW' given by (dws[b], dzs[b]).
     S = int c dY is then a sum with no time loop, one real weight per grid
-    node times c at that node (exact for c linear over a step), and the
-    states, E and the diagnostics are built as in simulate_batch, by the
-    same code. Draw js, dws and dzs with mixture_noise. Checkpoints fall
-    at simulate_batch's default cadence, and S is summed over each
-    checkpoint interval at once. Every row is reduced on its own, so a
+    node times c at that node (exact for c linear over a step), and E,
+    the final states and the diagnostics are built as in simulate_batch,
+    by the same code: min_eig certifies positivity at every checkpoint,
+    from one eigvalsh per checkpoint for the whole batch when rho0 is
+    shared, and the other diagnostics describe the final states. Draw js,
+    dws and dzs with mixture_noise. Checkpoints fall at simulate_batch's
+    default cadence, and S is summed over each checkpoint interval at
+    once. Every row is reduced on its own, so a
     trajectory's results do not depend on the batch it runs in, nor on
     _BLOCK_MATRICES or _BLOCK_STEPS.
 
@@ -1018,8 +1085,12 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
             else _square(rho0, config.dim))
     table = build_table(config, pulse, 2 * n_steps)
     # rhos holds the exponents E_n until the final in-place exp
-    rhos = _node_exponents(config, table, None,
-                           np.arange(0, 2 * n_steps + 1, 2), _SIMPSON)
+    rhos = np.empty((n_steps + 1, config.dim, config.dim), dtype=complex)
+    row = 0
+    for block in _node_exponents(config, table, None,
+                                 np.arange(0, 2 * n_steps + 1, 2), _SIMPSON):
+        rhos[row:row + len(block)] = block
+        row += len(block)
     np.exp(rhos, out=rhos)
     rhos *= rho0
     return DeterministicResult(times=table.times[::2], rhos=rhos)

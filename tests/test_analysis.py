@@ -222,6 +222,23 @@ class TestEnsembleRun:
     def test_separation_positive(self, summary):
         assert summary.separation("matched") > 1.0
 
+    def test_register_cap(self, config):
+        # 6 qubits: the positivity certificate is one 64 x 64 eigvalsh per
+        # checkpoint, and only the final states are built
+        n = model.MAX_QUBITS
+        wide = config.replace(n_qubits=n, chi=np.ones((config.n_modes, n)),
+                              gamma_z=np.full(n, config.gamma_z[0]))
+        summary = analysis.ensemble_run(wide, n_traj=50, n_steps=2000,
+                                        base_seed=5)
+        worst = summary.diagnostics_worst
+        assert worst["min_eig"] > -1e-8
+        assert worst["trace_dev"] < 1e-10
+        assert worst["herm_dev"] < 1e-12
+        assert worst["purity_excess"] <= 1e-8
+        assert worst["diag_drift"] < 1e-10
+        for fid in (summary.fidelity_even, summary.fidelity_odd):
+            assert np.all((0.0 <= fid) & (fid <= 1.0))
+
     def test_histogram_counts(self, summary):
         counts, edges = summary.histogram("matched")
         assert counts.sum() == 24

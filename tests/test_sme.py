@@ -5,19 +5,23 @@ dephasing closed form (also under drive with the coupling off, chi = 0),
 measurement superoperator identities, the strong order-1.5 step on cases
 with exact solutions, noise-increment statistics, seeded reproducibility,
 batch/single-trajectory equivalence (diagnostics included), the batch
-loop against its S loop written through step_sde (records, states and
-all five diagnostics, bit for bit, also around the solver's window edges
-and, NaN for NaN, on a table with a NaN node), results independent of
-block sizes and checkpoint cadence, the exponent E at the checkpoints
-against a step-by-step trapezoid sum of the full d x d integrand (bit
-for bit the same at a node whatever the cadence, in memory that does not
-grow with the grid), the unconditional evolution against a step-by-step
-Simpson sum of the full K (in at most 1.6 times the memory of its result
-at the register cap), no solver building K per node, typed errors on
-malformed batch input and on a deterministic rho0 of the wrong shape,
-the elementwise conditioned solver against the dense d x d stepper at
-fine steps, and property tests of its state over register size, mode
-count, eta and phi.
+loop against its S loop written through step_sde with every checkpoint
+state built densely (records, final states and their diagnostics bit for
+bit, and min_eig a lower bound with the exact eigenvalue's sign, also
+around the solver's window edges and, NaN for NaN, on a table with a NaN
+node), min_eig inside Ostrowski's bracket on random states with and
+without a negative eigenvalue or a zero population, one eigvalsh matrix
+per checkpoint whatever the batch, results independent of block sizes
+and checkpoint cadence, the exponent E at the checkpoints against a
+step-by-step trapezoid sum of the full d x d integrand (bit for bit the
+same at a node whatever the cadence, in memory that does not grow with
+the grid, and not held at every checkpoint by the solve), the
+unconditional evolution against a step-by-step Simpson sum of the full K
+(in at most 1.6 times the memory of its result at the register cap), no
+solver building K per node, typed errors on malformed batch input and on
+a deterministic rho0 of the wrong shape, the elementwise conditioned
+solver against the dense d x d stepper at fine steps, and property tests
+of its state over register size, mode count, eta and phi.
 """
 
 import math
@@ -263,33 +267,60 @@ def cadence_nodes(n_steps, every):
     return np.unique(np.append(np.arange(0, n_steps + 1, every), n_steps))
 
 
-def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
-    """simulate_batch with S stepped by step_sde_exponents.
+def node_exponents(config, table, nodes):
+    """E of the conditioned solvers at the nodes, as (len(nodes), d, d)."""
+    return np.concatenate(list(sme._node_exponents(
+        config, table, sme.measurement_diag(config, table.output), nodes,
+        sme._TRAPEZOID)))
 
-    E and the checkpoint states use the module's own helpers, one
-    checkpoint at a time, with K's diagonal read off the full coefficient,
-    so a difference can only come from the stepping or from building
-    checkpoints in blocks. Returns (rho_final, records, diagnostics), the
-    last a dict keyed by Diagnostics field.
+
+def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
+    """simulate_batch with S stepped by step_sde_exponents, and the dense
+    diagnostics: every checkpoint state built, each with its own eigvalsh.
+
+    E and the states use the module's own helpers, one checkpoint at a
+    time, with K's diagonal read off the full coefficient, so a difference
+    in a state can only come from the stepping. Returns (rho_final,
+    records, diagnostics), the last a dict keyed by Diagnostics field with
+    every checkpoint's value, (n_batch, n_checkpoints) but for times.
     """
     times, eta = table.times, config.eta
     n_steps = len(times) - 1
     rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
     nodes = cadence_nodes(n_steps, checkpoint_every)
     drift_op = sme.DriftOperator(config)
-    exponents = sme._node_exponents(
-        config, table, sme.measurement_diag(config, table.output), nodes,
-        sme._TRAPEZOID)
     s_nodes, records = step_sde_exponents(config, table, rho0, dws, dzs)
     checks = []
-    for e, node in zip(exponents, nodes):
+    for e, node in zip(node_exponents(config, table, nodes), nodes):
         rho = sme._conditioned_state(rho0, e, s_nodes[node].T,
                                      math.sqrt(eta))
-        checks.append(sme._checkpoint(
-            rho, np.einsum("ii->i", drift_op.coefficient(table.alpha[node])),
-            times[node]))
-    return rho, records, {name: np.stack([check[name] for check in checks],
-                                         axis=-1) for name in checks[0]}
+        checks.append({**sme._final_checks(
+            rho, np.einsum("ii->i", drift_op.coefficient(table.alpha[node]))),
+            "min_eig": np.linalg.eigvalsh(
+                0.5 * (rho + rho.conj().swapaxes(-1, -2)))[..., 0]})
+    diagnostics = {name: np.stack([check[name] for check in checks], axis=-1)
+                   for name in checks[0]}
+    diagnostics["times"] = times[nodes]
+    return rho, records, diagnostics
+
+
+def assert_certified(diagnostics, dense):
+    """Diagnostics against step_sde_reference's dense ones.
+
+    times, and the fields of the final state, bit for bit; min_eig at
+    every checkpoint a lower bound on the state's smallest eigenvalue,
+    with its sign wherever that is clear of rounding.
+    """
+    assert np.array_equal(diagnostics.times, dense["times"])
+    for name in ("trace_dev", "herm_dev", "purity", "diag_drift"):
+        assert np.array_equal(getattr(diagnostics, name),
+                              dense[name][:, -1]), name
+    exact = dense["min_eig"]
+    assert diagnostics.min_eig.shape == exact.shape
+    assert np.all(diagnostics.min_eig <= exact + 1e-15)
+    clear = np.abs(exact) > 1e-12
+    assert np.array_equal(np.sign(diagnostics.min_eig[clear]),
+                          np.sign(exact[clear]))
 
 
 def reference_designs():
@@ -352,12 +383,10 @@ def test_node_exponents_are_the_trapezoid_rule(name, pulse, n_steps):
     # invisible bit for bit (n_steps is not a multiple of _SUB_STEPS)
     config = reference_designs()[name]
     table = sme.build_table(config, pulse, n_steps)
-    c_all = sme.measurement_diag(config, table.output)
     by_node = {}
     for every in (1, 7, max(1, n_steps // 100), n_steps):
         nodes = cadence_nodes(n_steps, every)
-        got = sme._node_exponents(config, table, c_all, nodes,
-                                   sme._TRAPEZOID)
+        got = node_exponents(config, table, nodes)
         want = trapezoid_exponents(config, table, nodes)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.conj().swapaxes(-1, -2))
@@ -375,7 +404,9 @@ def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
         nodes = cadence_nodes(n_steps, n_steps // 100)
         tracemalloc.start()
         try:
-            sme._node_exponents(config, table, c_all, nodes, sme._TRAPEZOID)
+            for _ in sme._node_exponents(config, table, c_all, nodes,
+                                         sme._TRAPEZOID):
+                pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -420,6 +451,45 @@ def test_no_solver_builds_a_drift_coefficient_per_node(config, pulse,
     sme.sample_batch(config, table, rho0, js, dws, dzs)
 
 
+def test_positivity_is_certified_once_per_checkpoint(config, pulse,
+                                                    monkeypatch):
+    # the eigenvalue certificate is shared by the rows that share rho0:
+    # one matrix per checkpoint, however wide the batch
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    table = sme.build_table(config, pulse, 600)
+    rho0 = model.plus_density(config.n_qubits)
+    counts = []
+    for n_batch in (1, 50):
+        shapes.clear()
+        js, dws, dzs = sme.mixture_noise(table, rho0, 0, range(n_batch))
+        diagnostics = sme.sample_batch(config, table, rho0, js, dws, dzs)[2]
+        counts.append(sum(math.prod(shape) for shape in shapes))
+    assert counts == [len(diagnostics.times)] * 2
+
+
+def test_solve_holds_no_exponent_per_checkpoint(config, pulse):
+    # E is reduced to the certificate a block of nodes at a time and kept
+    # at the final node alone; at one checkpoint per step, E at every node
+    # would take (n_steps + 1) d^2 complex numbers
+    n_steps = 4 * 10 ** 4
+    table = sme.build_table(config, pulse, n_steps)
+    dws, dzs = sme.trajectory_noise(table, 0, [0])
+    rho0 = model.plus_density(config.n_qubits)
+    tracemalloc.start()
+    try:
+        sme.simulate_batch(config, table, rho0, dws, dzs, checkpoint_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * (n_steps + 1) * config.dim ** 2 * 16
+
+
 def test_deterministic_memory_at_the_register_cap(config, pulse):
     # E is summed straight into the returned array, one block of step
     # integrals at a time, with no d x d K per node
@@ -453,11 +523,7 @@ def test_batch_loop_is_step_sde_on_additive_noise(name, pulse):
             config, table, rho0, dws, dzs, checkpoint_every=checkpoint_every)
         assert np.array_equal(records, ref_records)
         assert np.array_equal(rho, ref_rho)
-        for field in fields(sme.Diagnostics):
-            want = ref_diagnostics[field.name]
-            got = getattr(diagnostics, field.name)
-            assert got.shape == want.shape, (checkpoint_every, field.name)
-            assert np.array_equal(got, want), (checkpoint_every, field.name)
+        assert_certified(diagnostics, ref_diagnostics)
 
 
 #: grids around the window of the S solve (_BLOCK_STEPS steps for one
@@ -485,9 +551,7 @@ def test_window_edges_are_step_sde(config, pulse, n_steps, n_batch,
         checkpoint_every=checkpoint_every or max(1, n_steps // 100))
     assert np.array_equal(records, ref_records)
     assert np.array_equal(rho, ref_rho)
-    for field in fields(sme.Diagnostics):
-        assert np.array_equal(getattr(diagnostics, field.name),
-                              ref_diagnostics[field.name]), field.name
+    assert_certified(diagnostics, ref_diagnostics)
 
 
 def test_nan_output_node_is_step_sde(config, pulse):
@@ -583,6 +647,118 @@ def test_conditioned_state_properties(cfg, seed):
             cfg, table, rho0[b:b + 1], dws[b:b + 1], dzs[b:b + 1])
         assert np.array_equal(rho[b], rho_b[0])
         assert np.array_equal(rec[b], rec_b[0])
+
+
+def hermitian_with_positive_diagonal(rng, d, zero_population, negative):
+    """A unit-trace Hermitian matrix whose populations pass _populations.
+
+    M M^dag, with row 0 of M zeroed for a zero population; for a negative
+    eigenvalue, plus t H with H Hermitian of zero diagonal, which keeps
+    the populations. By Weyl, lambda_min(A + t H) <= lambda_max(A)
+    + t lambda_min(H), and lambda_min(H) < 0 as tr H = 0, so
+    t = 2 lambda_max(A) / |lambda_min(H)| makes it at most -lambda_max(A).
+    """
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if zero_population:
+        m[0] = 0.0
+    a = m @ m.conj().T
+    if negative:
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h += h.conj().T
+        np.fill_diagonal(h, 0.0)
+        a += (2.0 * np.linalg.eigvalsh(a)[-1]
+              / -np.linalg.eigvalsh(h)[0]) * h
+    np.fill_diagonal(a, np.diagonal(a).real)
+    return a / np.trace(a).real
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_qubits=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       zero_population=st.booleans(), negative=st.booleans())
+def test_positivity_bound_is_ostrowskis_bracket(n_qubits, seed,
+                                                zero_population, negative):
+    # at node 0, E = 0 and the state is D A D^dag / tr with A = rho0 and a
+    # random nonsingular D = diag(exp(sqrt(eta) S)): its exact smallest
+    # eigenvalue lies in [min theta, max theta] lambda_min(C) and has the
+    # sign of lambda_min(A), and min_eig is the lower end; at node 1 it is
+    # a lower bound with that sign too
+    rng = np.random.default_rng(seed)
+    config = model.ReadoutConfig(
+        n_qubits=n_qubits, n_modes=1, chi=np.ones((1, n_qubits)),
+        kappa=[2.0], delta=[0.5], gamma_z=np.full(n_qubits, 0.01), eta=0.7)
+    d, n_batch, sqrt_eta = config.dim, 4, math.sqrt(0.7)
+    a = hermitian_with_positive_diagonal(rng, d, zero_population, negative)
+    table = sme.build_table(config, default_pulse(), 1)
+    nodes = np.array([0, 1])
+    s_nodes = (rng.uniform(-1.5, 1.5, (2, d, n_batch))
+               + 1j * rng.uniform(-np.pi, np.pi, (2, d, n_batch)))
+    rho0 = np.broadcast_to(a, (n_batch, d, d))
+    _, diagnostics = sme._solve(
+        config, table, sme.measurement_diag(config, table.output), rho0,
+        nodes, iter(s_nodes))
+    exact = np.array([np.linalg.eigvalsh(sme._conditioned_state(
+        rho0, e, s.T, sqrt_eta))[:, 0] for e, s in zip(
+            node_exponents(config, table, nodes), s_nodes)]).T
+    sign = np.sign(np.linalg.eigvalsh(a)[0])
+    assert np.all(diagnostics.min_eig <= exact + 1e-12)
+    clear = np.abs(exact) > 1e-12
+    assert np.all(np.sign(exact[clear]) == sign)
+    assert np.all(np.sign(diagnostics.min_eig[clear]) == sign)
+    if negative:
+        assert np.all(diagnostics.min_eig < 0.0)
+
+    p0 = np.diagonal(a).real
+    scale = np.where(p0 > 0.0, p0, 1.0)
+    lam = np.linalg.eigvalsh(a / np.sqrt(np.outer(scale, scale)))[0]
+    weight = np.exp(2.0 * sqrt_eta * s_nodes[0].real.T) * scale
+    theta = weight / (weight * (p0 > 0.0)).sum(axis=1, keepdims=True)
+    ends = np.sort(lam * np.stack([theta.min(axis=1), theta.max(axis=1)]),
+                   axis=0)
+    assert np.all(ends[0] - 1e-12 <= exact[:, 0])
+    assert np.all(exact[:, 0] <= ends[1] + 1e-12)
+    assert np.allclose(diagnostics.min_eig[:, 0], ends[0], rtol=1e-9,
+                       atol=1e-15)
+
+
+def perturbed_states():
+    """rho0 that pass _populations: not PSD, and a zero population with
+    and without a negative eigenvalue (3 qubits)."""
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h += h.conj().T
+    np.fill_diagonal(h, 0.0)
+    psi = np.full(8, 1.0 / math.sqrt(7.0))
+    psi[0] = 0.0
+    hollow = np.outer(psi, psi).astype(complex)
+    leak = np.zeros((8, 8), dtype=complex)
+    leak[0, 1] = leak[1, 0] = 0.05
+    return {"not_psd": model.plus_density(3) + 0.01 * h,
+            "zero_population": hollow,
+            "zero_population_not_psd": hollow + leak}
+
+
+def test_positivity_bound_on_states_that_are_not_psd(config, pulse):
+    # rows from distinct rho0 each get their own certificate: a lower
+    # bound on the dense state's eigenvalue at every checkpoint, negative
+    # wherever rho0 is not PSD, and the row's value in a lone run
+    states = perturbed_states()
+    rho0 = np.stack(list(states.values()))
+    table = sme.build_table(config, pulse, 300)
+    dws, dzs = sme.trajectory_noise(table, 6, range(len(rho0)))
+    got = sme.simulate_batch(config, table, rho0, dws, dzs)
+    dense = step_sde_reference(config, table, rho0, dws, dzs, 3)
+    assert np.array_equal(got[0], dense[0])
+    assert np.array_equal(got[1], dense[1])
+    assert_certified(got[2], dense[2])
+    negative = [np.linalg.eigvalsh(state)[0] < -1e-3
+                for state in states.values()]
+    assert negative == [True, False, True]
+    assert np.all(got[2].min_eig[negative] < 0.0)
+    assert np.all(dense[2]["min_eig"][negative] < 0.0)
+    for b in range(len(rho0)):
+        lone = sme.simulate_batch(config, table, rho0[b], dws[b:b + 1],
+                                  dzs[b:b + 1])
+        assert_rows_equal(lone, got, slice(b, b + 1))
 
 
 class TestDiffusion:
@@ -727,8 +903,12 @@ class TestSimulateTrajectory:
         assert out.photocurrent.shape == (300,)
         assert out.table.times.shape == (301,)
         assert out.rho_final.shape == (8, 8)
-        # default cadence: every n_steps // 100 steps, plus t = 0
-        assert out.diagnostics.trace_dev.shape == (1, 101)
+        # default cadence: every n_steps // 100 steps, plus t = 0; the
+        # positivity bound at each, the other fields on the final state
+        assert out.diagnostics.times.shape == (101,)
+        assert out.diagnostics.min_eig.shape == (1, 101)
+        for name in ("trace_dev", "herm_dev", "purity", "diag_drift"):
+            assert getattr(out.diagnostics, name).shape == (1,), name
 
     def test_zero_drive_zero_rates_state_frozen(self, config):
         cfg = config.replace(gamma_z=np.zeros(3))
@@ -912,21 +1092,21 @@ class TestDiagnostics:
         assert t["diag_drift"] == 1e-10
 
     def test_violations_flag_breaches(self):
-        ones = np.zeros((1, 2))
+        zero = np.zeros(1)
         diag = sme.Diagnostics(times=np.array([0.0, 1.0]),
-                               trace_dev=ones, herm_dev=ones,
+                               trace_dev=zero, herm_dev=zero,
                                min_eig=np.array([[0.1, -1e-7]]),
-                               purity=1.0 + np.array([[0.0, 2e-8]]),
-                               diag_drift=ones)
+                               purity=1.0 + np.array([2e-8]),
+                               diag_drift=zero)
         assert set(diag.violations()) == {"min_eig", "purity_excess"}
 
     def test_worst_aggregates(self):
         diag = sme.Diagnostics(times=np.array([0.0]),
-                               trace_dev=np.array([[3e-11]]),
-                               herm_dev=np.array([[1e-13]]),
+                               trace_dev=np.array([3e-11]),
+                               herm_dev=np.array([1e-13]),
                                min_eig=np.array([[1e-3]]),
-                               purity=np.array([[0.5]]),
-                               diag_drift=np.array([[0.0]]))
+                               purity=np.array([0.5]),
+                               diag_drift=np.array([0.0]))
         w = diag.worst()
         assert w["trace_dev"] == pytest.approx(3e-11)
         assert w["purity_excess"] == pytest.approx(-0.5)
