@@ -117,21 +117,22 @@ simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
 Both solvers check their input in _batch_inputs and hand S at each
-checkpoint to one function, _solve, which takes E from _node_exponents
-in blocks of checkpoints, up to _BLOCK_MATRICES trajectories x
-checkpoints at a time, reduces each block at once to the positivity
-certificate and bounds min_eig from the populations, and builds the
-final states alone, so memory stays bounded. Every sum over the basis
-or over the entries of a state adds in an order fixed by the trajectory
-alone, not by the memory layout, so the blocks change no bit, and
-neither does the batch a trajectory runs in. The required pair of
-correlated Gaussians per step is
+checkpoint to one function, _solve, which zips it strictly with E from
+_node_exponents into one stream of (E, S) pairs, takes the pairs up to
+_BLOCK_MATRICES trajectories x checkpoints at a time, reduces each block
+at once to the positivity certificate and bounds min_eig from the
+populations, and builds the final states alone, so memory stays bounded.
+Every sum over the basis or over the entries of a state adds in an order
+fixed by the trajectory alone, not by the memory layout, so the blocks
+change no bit, and neither does the batch a trajectory runs in. The
+required pair of correlated Gaussians per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
 with E[dZ^2] = dt^3/3 and E[dW dZ] = dt^2/2.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -433,31 +434,21 @@ class DeterministicResult:
     rhos: np.ndarray            # (n_t, d, d)
 
 
-def _purity(rho) -> np.ndarray:
-    """sum_ij |rho_ij|^2, the terms added one after another in row order.
-
-    The running sum is taken in place, so it needs no buffer of its own,
-    and only its last row outlives the call.
-    """
-    squares = np.moveaxis(
-        (np.abs(rho) ** 2).reshape(rho.shape[:-2] + (-1,)), -1, 0)
-    return np.add.accumulate(squares, axis=0, out=squares)[-1].copy()
-
-
 def _final_checks(rho, k_diag) -> dict:
     """Health values of final states, keyed by Diagnostics field.
 
     k_diag is the diagonal of the drift coefficient K at the final node
     (DriftOperator.diagonal). The trace and the purity add their terms
-    one after another, in row order, so a state rounds the same way
-    whatever its memory layout and whatever batch it is in.
+    one after another, in row order (_column_sum), so a state rounds the
+    same way whatever its memory layout and whatever batch it is in.
     """
     return {
         "trace_dev": np.abs(_column_sum(np.moveaxis(
             np.einsum("...ii->...i", rho), -1, 0)) - 1.0),
         "herm_dev": np.abs(rho - rho.conj().swapaxes(-1, -2)).max(
             axis=(-1, -2)),
-        "purity": _purity(rho),
+        "purity": _column_sum(np.moveaxis(
+            np.abs(rho.reshape(rho.shape[:-2] + (-1,))) ** 2, -1, 0)),
         "diag_drift": np.abs(k_diag * np.einsum("...ii->...i", rho)).max(-1),
     }
 
@@ -539,32 +530,15 @@ def _node_exponents(config, table, c_all, nodes, weights):
             yield out
 
 
-def _regroup(blocks, size: int):
-    """The arrays of `blocks`, joined along axis 0 and cut into pieces of
-    `size` rows, the last one shorter if it must be."""
-    pending, held = [], 0
-    for block in blocks:
-        pending.append(block)
-        held += len(block)
-        if held >= size:
-            joined = np.concatenate(pending)
-            cut = held - held % size
-            for lo in range(0, cut, size):
-                yield joined[lo:lo + size]
-            pending, held = [joined[cut:]], held - cut
-    if held:
-        yield np.concatenate(pending)
-
-
 def _column_sum(x) -> np.ndarray:
     """Sum over axis 0, the rows added one after another.
 
     x.sum(axis=0) switches to pairwise summation when x has one column,
     which would make a lone trajectory round differently from the same
     trajectory in a batch. Any trailing shape is allowed. One add per row
-    over every column at once: _final_checks sums each state's trace with
-    it, and the S solve and _solve the softmax over the basis, where an
-    add.accumulate along the rows costs two to eight times as much.
+    over every column at once: _final_checks sums each state's trace and
+    purity with it, the S solve and _solve the softmax over the basis;
+    an add.accumulate along the rows costs two to eight times as much.
     """
     total = x[0].copy()
     for row in x[1:]:
@@ -638,6 +612,9 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
             raise ConfigError(f"noise array {name} holds a value that is not "
                               "finite")
     n_batch = len(dws)
+    if not n_batch:
+        raise ConfigError("noise arrays hold no rows; need at least one "
+                          "trajectory")
     if rho0.ndim not in (2, 3) or rho0.shape[-2:] != (dim, dim):
         raise ConfigError(f"rho0 has shape {rho0.shape}; need ({dim}, {dim}) "
                           f"or (n_batch, {dim}, {dim})")
@@ -656,12 +633,14 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     """(rho_final, diagnostics) from S = int c dY at every checkpoint node.
 
     s_at_nodes yields S of the batch as (d, n_batch) at nodes[0],
-    nodes[1], ... in turn. E comes from _node_exponents in blocks of up
-    to _BLOCK_MATRICES // n_batch nodes (at least one); it does not depend
-    on S, and its value at a node not on the other nodes, so the cadence
-    changes no bit of it. No checkpoint state is built. Each block of E is
-    reduced at once to the smallest eigenvalue lambda_n of the
-    unit-diagonal coherence matrix
+    nodes[1], ... in turn, each an array of its own that it leaves as
+    yielded. It is zipped strictly with E at the same nodes
+    (_node_exponents), so an S too many or too few raises ValueError, and
+    the (E, S) pairs are taken up to _BLOCK_MATRICES // n_batch (at least
+    one) at a time. E does not depend on S, nor its value at a node on
+    the other nodes, so the cadence changes no bit of it. No checkpoint
+    state is built: each block's E is reduced at once to the smallest
+    eigenvalue lambda_n of the unit-diagonal coherence matrix
 
         C_n = (rho0 / sqrt(p0 p0^T)) o exp(E_n - (E_n,ii + E_n,jj) / 2),
 
@@ -678,13 +657,13 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
 
     is a lower bound with the sign of lambda_min(rho) (Sylvester's law of
     inertia), from O(d) work per row and node, for the block's nodes at
-    once. Only E at the final node outlives its block, so the memory used
+    once. Only the final pair outlives its block, so the memory used
     stays bounded however long the grid. The final state alone is built,
     and trace_dev, herm_dev, purity and diag_drift are taken on it. Every
     reduction over the basis adds or compares in an order fixed by the row
     alone, so neither the blocks nor the batch change a bit.
     """
-    dim, n_batch = config.dim, len(rho0)
+    n_batch = len(rho0)
     sqrt_eta = math.sqrt(config.eta)
     # row b of the batch starts from states[group[b]], one state per
     # distinct rho0 (equal bytes)
@@ -701,20 +680,18 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     # basis-major, (d, 1, n_batch): a state of zero population is left out
     # of each row's shift and trace
     in_trace = shown.T[:, None, group]
-    per_block = max(1, _BLOCK_MATRICES // max(1, n_batch))
-    re_s = np.empty((dim, min(per_block, len(nodes)), n_batch))
+    per_block = max(1, _BLOCK_MATRICES // n_batch)
+    pairs = zip(itertools.chain.from_iterable(_node_exponents(
+        config, table, c_all, nodes, _TRAPEZOID)), s_at_nodes, strict=True)
     bounds = []
-    for e in _regroup(_node_exponents(config, table, c_all, nodes,
-                                      _TRAPEZOID), per_block):
-        k = len(e)
+    for block in iter(lambda: tuple(itertools.islice(pairs, per_block)), ()):
+        e = np.stack([e_n for e_n, _ in block])
         diag_e = np.einsum("kii->ki", e).real
         lam = np.linalg.eigvalsh(coherence[:, None] * np.exp(
             e - 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])))[..., 0]
-        for j in range(k):
-            s = next(s_at_nodes)
-            re_s[:, j] = s.real
         # log p0 + diag E + 2 sqrt(eta) Re S, as (d, nodes, n_batch)
-        x = np.multiply(re_s[:, :k], 2.0 * sqrt_eta)
+        x = np.multiply(np.stack([s_n.real for _, s_n in block], axis=1),
+                        2.0 * sqrt_eta)
         x += (log_p0[:, None] + diag_e).T[:, :, group]
         theta = np.exp(
             x - np.maximum.reduce(np.where(in_trace, x, -np.inf), axis=0))
@@ -723,7 +700,7 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
         bounds.append(lam * np.where(lam < 0.0,
                                      np.maximum.reduce(theta, axis=0),
                                      np.minimum.reduce(theta, axis=0)))
-    rho = _conditioned_state(rho0, e[-1], s.T, sqrt_eta)
+    rho = _conditioned_state(rho0, e[-1], block[-1][1].T, sqrt_eta)
     checks = _final_checks(
         rho, DriftOperator(config).diagonal(table.alpha[nodes[-1]]))
     return rho, Diagnostics(times=table.times[nodes],
@@ -870,7 +847,8 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
             curvature[:, done], dw[:, done], dz_factor[:, done],
             dwz_factor[:, done], dt)
         while k < len(nodes) and nodes[k] <= a + n_exact:
-            yield s_nodes[:, nodes[k] - a]
+            # a copy: an S that _solve holds must not keep the window alive
+            yield s_nodes[:, nodes[k] - a].copy()
             k += 1
         s = s_nodes[:, -1]
         m_last = m0[n_exact - 1]
@@ -922,9 +900,10 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     ConfigError
         If the table is not one of (n_modes, d) amplitudes per node (a
         table of that shape built from other physics goes undetected), the
-        noise arrays or rho0 do not have the shapes above, a noise value
-        is not finite, rho0 has a negative population or a trace off 1
-        by more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or
+        noise arrays or rho0 do not have the shapes above, the noise
+        arrays hold no rows, a noise value is not finite, rho0 has a
+        negative population or a trace off 1 by more than
+        DIAGNOSTIC_THRESHOLDS["trace_dev"], or
         checkpoint_every is not an integer or is negative (0 means the
         default cadence, max(1, n_steps // 100) steps).
     """
@@ -950,13 +929,14 @@ def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
         w1 = dW - dZ/dt + dt (r1/3 + r0/6),
 
     so S is one real weight per grid node times c at that node, summed
-    over each checkpoint interval as two real products, on Re c and on
-    Im c. Writes records[:, n] = r(t_n) + dW_n / dt for every step.
+    over each checkpoint interval as one real product on c read as
+    (Re c, Im c) pairs; each S yielded is a new array. Writes
+    records[:, n] = r(t_n) + dW_n / dt for every step.
     """
     dt = table.dt
     sqrt_eta = math.sqrt(config.eta)
-    re_c, im_c = c_all.real, c_all.imag
-    s_re, s_im = np.zeros((2, len(dws), config.dim))
+    re_c, c_pairs = c_all.real, c_all.view(float)
+    s = np.zeros((len(dws), 2 * config.dim))
     lo = 0
     for hi in nodes:
         r = (2.0 * sqrt_eta) * re_c[lo:hi + 1, js].T
@@ -967,11 +947,10 @@ def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
         weights[:, 1:] += dw - dz + dt * (r[:, 1:] / 3.0 + r[:, :-1] / 6.0)
         # einsum without optimize reduces each row on its own (a BLAS
         # product rounds a lone row differently from a batched one)
-        s_re += np.einsum("bl,li->bi", weights, re_c[lo:hi + 1])
-        s_im += np.einsum("bl,li->bi", weights, im_c[lo:hi + 1])
+        s = s + np.einsum("bl,li->bi", weights, c_pairs[lo:hi + 1])
         records[:, lo:hi] = r[:, :-1] + dw / dt
         lo = hi
-        yield (s_re + 1j * s_im).T
+        yield s.view(complex).T
 
 
 def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,

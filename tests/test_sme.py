@@ -720,6 +720,24 @@ def test_positivity_bound_is_ostrowskis_bracket(n_qubits, seed,
                        atol=1e-15)
 
 
+@pytest.mark.parametrize("per_block", [1, 128])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
+def test_solve_refuses_an_s_stream_of_the_wrong_length(config, monkeypatch,
+                                                       per_block, extra):
+    # E and S are zipped strictly: a missing S must not leak a bare
+    # StopIteration, and an extra one must not be dropped, whether or not
+    # the stream ends on a block boundary
+    monkeypatch.setattr(sme, "_BLOCK_MATRICES", 2 * per_block)
+    table = sme.build_table(config, default_pulse(), 100)
+    rho0, _, _, nodes = sme._batch_inputs(
+        config, table, model.plus_density(3), np.zeros((2, 100)),
+        np.zeros((2, 100)), 7)
+    s_nodes = np.zeros((len(nodes) + extra, 8, 2), dtype=complex)
+    with pytest.raises(ValueError, match="zip"):
+        sme._solve(config, table, sme.measurement_diag(config, table.output),
+                   rho0, nodes, iter(s_nodes))
+
+
 def perturbed_states():
     """rho0 that pass _populations: not PSD, and a zero population with
     and without a negative eigenvalue (3 qubits)."""
@@ -952,10 +970,12 @@ DEGENERATE_BATCHES = [
      "negative"),
     (2 * model.plus_density(3), np.zeros((1, 100)), np.zeros((1, 100)),
      "unit trace"),
+    (model.plus_density(3), np.zeros((0, 100)), np.zeros((0, 100)),
+     "no rows"),
 ]
 DEGENERATE_IDS = ["1d_noise", "rho0_of_other_register",
                   "rho0_rows_not_noise_rows", "nan_in_dws", "inf_in_dzs",
-                  "negative_rho0", "rho0_trace_two"]
+                  "negative_rho0", "rho0_trace_two", "no_noise_rows"]
 
 
 class TestSimulateBatch:
