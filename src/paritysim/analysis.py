@@ -24,32 +24,20 @@ from .cavity import AmplitudeTable
 from .errors import (ConfigError, DegenerateFilterError, GridMismatchError,
                      require_int)
 from .pulse import PulseSpec
-from .sme import (Diagnostics, build_table, measurement_diag, mixture_noise,
-                  sample_batch)
+from .sme import Diagnostics, IntervalLaw, build_table, nominal_record
 # ensemble_run no longer steps S, but perfbench's tracer test patches this
 # lookup site by name, so the name stays importable from here
 from .sme import simulate_batch  # noqa: F401
 
 FILTER_KINDS = ("matched", "matched-mean", "uniform")
 
-#: trajectories integrated together by ensemble_run
-_CHUNK_SIZE = 100
+#: numbers drawn and held together by ensemble_run: each trajectory of a
+#: chunk counts its normals and its d x d final state (at least one
+#: trajectory per chunk)
+_CHUNK_NUMBERS = 2_000_000
 
 #: relative floor under which a filter normalization counts as zero
 _FILTER_TOL = 1e-12
-
-
-def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
-                   parity: str = "even") -> np.ndarray:
-    """Noiseless photocurrent of a parity reference bitstring.
-
-    Uses the lowest-index register basis state of the requested parity and
-    samples on the step grid (left nodes), matching the convention of the
-    stochastic record.
-    """
-    idx = model.parity_indices(config.n_qubits, parity)[0]
-    c = measurement_diag(config, table.output[:-1, idx])
-    return math.sqrt(config.eta) * 2.0 * c.real
 
 
 @dataclass
@@ -58,6 +46,10 @@ class FilterFunction:
 
     nominal_even is the integrated signal the filter produces on the
     noiseless even-parity record; its sign orients classification.
+    record_weights (a, b, u) write the values as a j_even + b j_odd + u on
+    the nominal records of the parity references (nominal_record), so
+    the signal of a record is a linear combination of its three sums
+    sum g_n dY_n, g = (j_even, j_odd, 1) (ensemble_run).
     """
 
     kind: str
@@ -65,6 +57,7 @@ class FilterFunction:
     values: np.ndarray
     dt: float
     nominal_even: float
+    record_weights: np.ndarray
 
     @property
     def orientation(self) -> float:
@@ -107,6 +100,7 @@ def build_filter(config: model.ReadoutConfig, table: AmplitudeTable,
 
     if kind == "uniform":
         values = np.full(len(times), 1.0 / span)
+        weights = (0.0, 0.0, 1.0 / span)
     else:
         shape = j_even if kind == "matched" \
             else j_even - nominal_record(config, table, "odd")
@@ -116,9 +110,12 @@ def build_filter(config: model.ReadoutConfig, table: AmplitudeTable,
             raise DegenerateFilterError(
                 f"{kind} filter normalization integral is numerically zero")
         values = shape / norm
+        weights = (1.0 / norm, 0.0 if kind == "matched" else -1.0 / norm,
+                   0.0)
     nominal_even = float(values @ j_even * dt)
     return FilterFunction(kind=kind, times=times, values=values, dt=dt,
-                          nominal_even=nominal_even)
+                          nominal_even=nominal_even,
+                          record_weights=np.array(weights))
 
 
 def assign_parity(signal):
@@ -228,15 +225,22 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
     """Run a trajectory ensemble from |+>^n and classify every record.
 
     Without qubit decay the law of the record is a mixture over basis
-    states (sme module docstring), so each record is drawn exactly in law:
-    the stream keyed by (base_seed, index) first draws the basis state j
-    with probability rho0_jj = 2**-n and then the noise dW' of
-    dY = 2 sqrt(eta) Re c_j dt + dW' (sme.mixture_noise), and
-    sme.sample_batch sums S = int c dY and builds the conditioned states.
-    Valid only without qubit decay. Trajectories run in vectorized chunks
-    of _CHUNK_SIZE and every row is reduced on its own, so results are
-    independent of the chunk size, and (base_seed, index, n_steps) replays
-    a trajectory. All requested filters are evaluated on the same records.
+    states (sme module docstring), so each trajectory is drawn exactly in
+    law, from per-interval sufficient statistics rather than per-step
+    noise (sme.IntervalLaw, built once per ensemble): the stream keyed by
+    (base_seed, index) first draws the basis state j with probability
+    rho0_jj = 2**-n and then one Gaussian vector per checkpoint interval,
+    which holds the increments of S = int c dY and the record sums
+    sum g_n dY_n for g = (j_even, j_odd, 1). The conditioned states are
+    built from S at the checkpoints, and each filter's signal is the
+    combination of the record sums its record_weights give, so no record
+    is built and no filter is integrated. Valid only without qubit decay.
+    Trajectories run in vectorized chunks of at most _CHUNK_NUMBERS
+    normals and final-state entries, and every row is reduced on its own,
+    so results are independent of the chunk size, and (base_seed, index,
+    n_steps) replays a trajectory: sme.mixture_noise gives its per-step
+    noise, and sme.sample_batch on that reproduces it to rounding. All
+    requested filters are evaluated on the same records.
     """
     require_int("n_traj", n_traj, 1)
     rho0 = model.plus_density(config.n_qubits)
@@ -253,23 +257,20 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                for kind in filter_kinds}
     # a filter that cannot be oriented fails here, before any sampling
     orientations = {kind: filt.orientation for kind, filt in filters.items()}
+    law = IntervalLaw(config, table)
+    chunk = max(1, _CHUNK_NUMBERS // (law.n_normals + config.dim ** 2))
 
-    for start in range(0, n_traj, _CHUNK_SIZE):
-        stop = min(start + _CHUNK_SIZE, n_traj)
-        js, dws, dzs = mixture_noise(table, rho0, base_seed,
-                                     range(start, stop))
-        rho_final, records, diags = sample_batch(config, table, rho0, js,
-                                                 dws, dzs)
-        # a chunk's noise and records are freed once used, so the filters
-        # and the next chunk's draw do not add to them
-        del dws, dzs
+    for start in range(0, n_traj, chunk):
+        stop = min(start + chunk, n_traj)
+        js, rho_final, record_sums, diags = law.sample(
+            rho0, base_seed, range(start, stop))
         basis_index[start:stop] = js
         for kind, filt in filters.items():
-            signals[kind][start:stop] = filt.integrate(records)
+            signals[kind][start:stop] = (
+                record_sums * filt.record_weights).sum(axis=-1)
         fidelity_even[start:stop] = state_fidelity(rho_final, psi_even)
         fidelity_odd[start:stop] = state_fidelity(rho_final, psi_odd)
         diagnostics.append(diags)
-        del records
 
     assignments = {kind: assign_parity(signals[kind] * orientations[kind])
                    for kind in filters}

@@ -55,12 +55,23 @@ linear over a step, a step adds c0_i w0 + c1_i w1 with the node weights
 
     w0 = dZ/dt + dt (r0/3 + r1/6),    w1 = dW - dZ/dt + dt (r1/3 + r0/6).
 
-sample_batch builds the states from such records; mixture_noise draws
-them, on the stream of trajectory_rng(seed, index), j first and then the
-increments of wiener_increments, so (seed, index, n_steps) replays a
-trajectory.
-analysis.ensemble_run samples this way. simulate_trajectory, and the
-`paritysim trajectory` command with it, still steps S, so trajectory
+sample_batch builds the states from such records, given their per-step
+noise. Nothing past S and a few record sums is read between checkpoints,
+so an ensemble needs no per-step noise at all: over a checkpoint
+interval, the increments of Re S and Im S and the record sums
+sum g_n dY_n (g the noiseless records of the two parity references, and
+1) form one Gaussian vector v_k = mean_kj + A_k z of the interval's 2 L
+step normals z, whose covariance A_k A_k^T does not depend on j
+(IntervalLaw). IntervalLaw.sample draws j and then v_k = mean_kj
++ R_k^T xi_k, with A_k^T = Q_k R_k and xi_k standard normal of
+min(D, 2 L) entries (D <= 2 d + 3), on the stream of
+trajectory_rng(seed, index), so (seed, index, n_steps) replays a
+trajectory from O(checkpoints) normals instead of O(steps).
+analysis.ensemble_run samples this way.
+mixture_noise gives the per-step noise of the same trajectories, exactly
+standard normal with A_k z_k = R_k^T xi_k, so sample_batch on it
+reproduces an ensemble trajectory to rounding. simulate_trajectory, and
+the `paritysim trajectory` command with it, still steps S, so trajectory
 index I of an ensemble is not simulate_trajectory(trajectory_index=I).
 Both solvers are valid only without qubit decay.
 
@@ -173,6 +184,10 @@ _TRAPEZOID = (np.tri(_SUB_STEPS + 1)
               - 0.5 * (np.eye(_SUB_STEPS + 1) + np.eye(1, _SUB_STEPS + 1)))
 _SIMPSON = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [1.0, 4.0, 1.0]]) / 3.0
 
+#: numbers in the stacked A^T of one run of IntervalLaw (at least one
+#: interval's); bounds the memory of building the law
+_BLOCK_ENTRIES = 1 << 20
+
 #: rows x checkpoints whose positivity bounds _solve forms per stacked
 #: call (the checkpoints of one block of E, at least one); bounds the
 #: memory of one block
@@ -255,7 +270,11 @@ def expected_photocurrent(rho: np.ndarray, c: np.ndarray, eta: float):
 
 def wiener_increments(rng: np.random.Generator, n_steps: int, dt: float):
     """Correlated pair (dW, dZ) for every step of one trajectory."""
-    z = rng.standard_normal((2, n_steps))
+    return _increments(rng.standard_normal((2, n_steps)), dt)
+
+
+def _increments(z, dt: float):
+    """(dW, dZ) from the standard normals z = (z1, z2), shape (2, ...)."""
     dw = z[0] * math.sqrt(dt)
     dz = 0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0))
     return dw, dz
@@ -288,27 +307,48 @@ def trajectory_noise(table: AmplitudeTable, base_seed: int, indices):
     return dws, dzs
 
 
-def mixture_noise(table: AmplitudeTable, rho0, base_seed: int, indices):
-    """(js, dws, dzs) of the mixture records `indices`, for sample_batch.
+def mixture_noise(config: model.ReadoutConfig, table: AmplitudeTable, rho0,
+                  base_seed: int, indices):
+    """(js, dws, dzs): the per-step noise of ensemble trajectories `indices`.
 
-    For each index, the stream trajectory_rng(base_seed, index) first
-    draws the basis state j with probability rho0_jj (one uniform draw,
-    inverted through the cumulative populations) and then the increments
-    of wiener_increments. Row r belongs to indices[r] alone, so
-    (base_seed, index, n_steps) replays a trajectory. rho0 is one
-    (d, d) state shared by every index; ConfigError if it is not.
+    Row r replays trajectory indices[r] of IntervalLaw(config,
+    table).sample (analysis.ensemble_run) step by step: the same basis
+    state j and normals xi_k from trajectory_rng(base_seed, index), and
+    on each checkpoint interval k the 2 L step normals
+
+        z_k = Q_k xi_k + zeta_k - Q_k (Q_k^T zeta_k),
+
+    with zeta_k standard normal from a second stream spawned from the
+    trajectory's own and Q_k from the reduced QR factorization of the
+    same A_k^T. Q_k has orthonormal columns, so z is exactly i.i.d.
+    standard normal, and A_k z_k = R_k^T xi_k; dws and dzs are taken from
+    z as in wiener_increments. sample_batch on (js, dws, dzs) therefore
+    reproduces the ensemble trajectory to rounding. Row r belongs to
+    indices[r] alone, so (base_seed, index, n_steps) replays a trajectory.
+
+    Raises ConfigError if the table does not hold (n_modes, d) amplitudes
+    per node, or rho0 is not one (d, d) state shared by every index.
     """
-    cdf = np.cumsum(_populations(_square(rho0, table.output.shape[-1])))
-    cdf /= cdf[-1]
-    n_steps = len(table.times) - 1
-    js = np.empty(len(indices), dtype=int)
-    dws = np.empty((len(indices), n_steps))
-    dzs = np.empty((len(indices), n_steps))
+    law = IntervalLaw(config, table, replay=True)
+    _, js, xi = law.normals(rho0, base_seed, indices)
+    n_batch, n_steps = len(js), len(table.times) - 1
+    zeta = np.empty((n_batch, 2 * n_steps))
     for row, index in enumerate(indices):
-        rng = trajectory_rng(base_seed, index)
-        # side="right" never lands on a state of zero population
-        js[row] = np.searchsorted(cdf, rng.random(), side="right")
-        dws[row], dzs[row] = wiener_increments(rng, n_steps, table.dt)
+        trajectory_rng(base_seed, index).spawn(1)[0].standard_normal(
+            out=zeta[row])
+    z = np.empty((2, n_batch, n_steps))
+    used = 0
+    for k0, k1, factor, q in law.runs:
+        (n_k, m), lo, hi = factor.shape[:2], law.nodes[k0], law.nodes[k1]
+        xi_k = xi[:, used:used + n_k * m].reshape(n_batch, n_k, m)
+        used += n_k * m
+        zeta_k = zeta[:, 2 * lo:2 * hi].reshape(n_batch, n_k, -1)
+        z_k = zeta_k + np.einsum("kij,bkj->bki", q, xi_k - np.einsum(
+            "kij,bki->bkj", q, zeta_k))
+        # each interval holds its z1 and then its z2
+        z[:, :, lo:hi] = z_k.reshape(n_batch, n_k, 2, -1).transpose(
+            2, 0, 1, 3).reshape(2, n_batch, -1)
+    dws, dzs = _increments(z, table.dt)
     return js, dws, dzs
 
 
@@ -584,6 +624,39 @@ def _populations(rho0) -> np.ndarray:
     return populations
 
 
+def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
+                   parity: str = "even") -> np.ndarray:
+    """Noiseless photocurrent of a parity reference bitstring.
+
+    Uses the lowest-index register basis state of the requested parity and
+    samples on the step grid (left nodes), matching the convention of the
+    stochastic record.
+    """
+    idx = model.parity_indices(config.n_qubits, parity)[0]
+    c = measurement_diag(config, table.output[:-1, idx])
+    return math.sqrt(config.eta) * 2.0 * c.real
+
+
+def _check_table(config, table):
+    """ConfigError unless the table holds (n_modes, d) amplitudes per node."""
+    if table.alpha.shape[1:] != (config.n_modes, config.dim):
+        raise ConfigError(
+            f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
+            f"states) per node; the config needs ({config.n_modes}, "
+            f"{config.dim})")
+
+
+def _checkpoints(n_steps: int, checkpoint_every=0) -> np.ndarray:
+    """Sorted checkpoint step indices, 0 and n_steps included.
+
+    checkpoint_every 0 means the default cadence, max(1, n_steps // 100).
+    """
+    checkpoint_every = require_int("checkpoint_every", checkpoint_every, 0) \
+        or max(1, n_steps // 100)
+    return np.unique(np.append(
+        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
+
+
 def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
     """(rho0, dws, dzs, nodes) of a batch solver, checked as simulate_batch
     documents.
@@ -593,10 +666,7 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
     """
     n_steps = len(table.times) - 1
     dim = config.dim
-    if table.alpha.shape[1:] != (config.n_modes, dim):
-        raise ConfigError(
-            f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
-            f"states) per node; the config needs ({config.n_modes}, {dim})")
+    _check_table(config, table)
     dws, dzs, rho0 = np.asarray(dws), np.asarray(dzs), np.asarray(rho0)
     if dws.ndim != 2 or dzs.shape != dws.shape:
         raise ConfigError(
@@ -622,11 +692,16 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
         raise ConfigError(f"rho0 holds {len(rho0)} states for {n_batch} "
                           "noise rows")
     _populations(rho0)
-    checkpoint_every = require_int("checkpoint_every", checkpoint_every, 0) \
-        or max(1, n_steps // 100)
-    nodes = np.unique(np.append(
-        np.arange(0, n_steps + 1, checkpoint_every), n_steps))
-    return np.broadcast_to(rho0, (n_batch, dim, dim)), dws, dzs, nodes
+    return (np.broadcast_to(rho0, (n_batch, dim, dim)), dws, dzs,
+            _checkpoints(n_steps, checkpoint_every))
+
+
+def _distinct(rows):
+    """(first, group): rows[first] are the distinct rows (equal bytes), in
+    order, and rows[b] equals rows[first[group[b]]]."""
+    seen = {}
+    return np.unique([seen.setdefault(row.tobytes(), b)
+                      for b, row in enumerate(rows)], return_inverse=True)
 
 
 def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
@@ -666,11 +741,8 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     n_batch = len(rho0)
     sqrt_eta = math.sqrt(config.eta)
     # row b of the batch starts from states[group[b]], one state per
-    # distinct rho0 (equal bytes)
-    seen = {}
-    first, group = np.unique(
-        [seen.setdefault(row.tobytes(), b) for b, row in enumerate(rho0)],
-        return_inverse=True)
+    # distinct rho0
+    first, group = _distinct(rho0)
     states = rho0[first]
     p0 = np.einsum("gii->gi", states).real
     shown = p0 > 0.0
@@ -966,9 +1038,12 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     by the same code: min_eig certifies positivity at every checkpoint,
     from one eigvalsh per checkpoint for the whole batch when rho0 is
     shared, and the other diagnostics describe the final states. Draw js,
-    dws and dzs with mixture_noise. Checkpoints fall at simulate_batch's
-    default cadence, and S is summed over each checkpoint interval at
-    once. Every row is reduced on its own, so a
+    dws and dzs with mixture_noise: it gives the per-step noise of the
+    trajectories IntervalLaw.sample (and so analysis.ensemble_run) draws
+    from per-interval statistics, so this replays them step by step to
+    rounding, and is their test reference. Checkpoints fall at
+    simulate_batch's default cadence, and S is summed over each
+    checkpoint interval at once. Every row is reduced on its own, so a
     trajectory's results do not depend on the batch it runs in, nor on
     _BLOCK_MATRICES or _BLOCK_STEPS.
 
@@ -1010,6 +1085,148 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
         _sampled_exponents(config, table, c_all, js, dws, dzs, nodes,
                            records))
     return rho, records, diagnostics
+
+
+class IntervalLaw:
+    """Exact law of S and three record sums over each checkpoint interval.
+
+    The checkpoints are simulate_batch's default ones; interval k spans L
+    steps (the last may be shorter). Step n has the normals (z1, z2) of
+    wiener_increments, dW = sqrt(dt) z1 and dZ/dt = (sqrt(dt)/2) (z1
+    + z2/sqrt(3)). For the record of basis state j, dY = r dt + dW' with
+    r = 2 sqrt(eta) Re c_j (module docstring), the interval's vector v_k,
+
+        the increments of (Re S_i, Im S_i) for each distinct column c_i,
+        sum g_n dY_n over its left nodes, g = (j_even, j_odd, 1),
+
+    with j_even and j_odd the nominal records of the parity references
+    (nominal_record), is v_k = mean[k, j] + A_k z. S_i depends on c_i
+    alone, so basis states whose c is the same bit for bit share one
+    column (columns[i] is state i's): D = 2 u + 3 entries for u distinct
+    columns, at most 2 d + 3. Per step n, A_k's column for z1 is
+    (sqrt(dt)/2) (c_n + c_n+1) in the S part and sqrt(dt) g_n in the
+    record part, and for z2 (sqrt(dt)/(2 sqrt(3))) (c_n - c_n+1) and 0.
+    mean[k, columns[j]] holds sum dt [c_n (r_n/3 + r_n+1/6) + c_n+1
+    (r_n+1/3 + r_n/6)] in the S part, the node weights of
+    _sampled_exponents, and sum g_n r_n dt in the record part. The
+    covariance A_k A_k^T does not depend on j, and with the QR
+    factorization A_k^T = Q_k R_k, R_k^T R_k = A_k A_k^T exactly, with no
+    rank tolerance. runs holds (k0, k1, R, Q) for consecutive intervals
+    k0..k1-1 of one length, R stacked as (k1 - k0, min(D, 2 L), D) and Q,
+    with replay=True only, as (k1 - k0, 2 L, min(D, 2 L)); a run's A^T
+    takes at most _BLOCK_ENTRIES numbers (at least one interval), so
+    building the law holds a bounded amount. n_normals is the sum of
+    min(D, 2 L) over the intervals, the normals one trajectory draws.
+
+    Raises ConfigError if the table does not hold (n_modes, d) amplitudes
+    per node.
+    """
+
+    def __init__(self, config: model.ReadoutConfig, table: AmplitudeTable,
+                 replay: bool = False):
+        _check_table(config, table)
+        n_steps, dt = len(table.times) - 1, table.dt
+        self.config, self.table = config, table
+        self.c_all = measurement_diag(config, table.output)
+        self.nodes = _checkpoints(n_steps)
+        # S_i depends on c_i alone, so states of the same c share a column
+        first, self.columns = _distinct(self.c_all.T)
+        c_distinct = np.ascontiguousarray(self.c_all[:, first])
+        c_pairs = c_distinct.view(float)
+        n_s = c_pairs.shape[1]
+        width = n_s + 3
+        r_all = (2.0 * math.sqrt(config.eta)) * c_distinct.real
+        g_all = np.stack([nominal_record(config, table, "even"),
+                          nominal_record(config, table, "odd"),
+                          np.ones(n_steps)], axis=-1)
+        lengths = np.diff(self.nodes)
+        block = max(1, _BLOCK_ENTRIES // (2 * int(lengths.max()) * width))
+        starts = np.union1d(np.arange(0, len(lengths), block),
+                            np.flatnonzero(np.diff(lengths)) + 1)
+        self.mean = np.empty((len(lengths), len(first), width))
+        self.runs = []
+        for k0, k1 in zip(starts, np.append(starts[1:], len(lengths))):
+            length = lengths[k0]
+            at = self.nodes[k0:k1, None] + np.arange(length + 1)
+            c, g, r = c_pairs[at], g_all[at[:, :-1]], r_all[at]
+            a_t = np.zeros((k1 - k0, 2 * length, width))
+            a_t[:, :length, :n_s] = (0.5 * math.sqrt(dt)) * (
+                c[:, :-1] + c[:, 1:])
+            a_t[:, :length, n_s:] = math.sqrt(dt) * g
+            a_t[:, length:, :n_s] = (0.5 * math.sqrt(dt / 3.0)) * (
+                c[:, :-1] - c[:, 1:])
+            weights = np.zeros(r.shape)
+            weights[:, :-1] = dt * (r[:, :-1] / 3.0 + r[:, 1:] / 6.0)
+            weights[:, 1:] += dt * (r[:, 1:] / 3.0 + r[:, :-1] / 6.0)
+            self.mean[k0:k1, :, :n_s] = weights.swapaxes(1, 2) @ c
+            self.mean[k0:k1, :, n_s:] = dt * (
+                r[:, :-1].swapaxes(1, 2) @ g)
+            if replay:
+                q, factor = np.linalg.qr(a_t)
+            else:
+                q, factor = None, np.linalg.qr(a_t, mode="r")
+            self.runs.append((k0, k1, factor, q))
+        self.n_normals = sum(f.shape[0] * f.shape[1]
+                             for _, _, f, _ in self.runs)
+
+    def normals(self, rho0, base_seed: int, indices):
+        """(rho0, js, xi): the draws of the trajectories `indices`.
+
+        The stream trajectory_rng(base_seed, index) draws the basis state
+        j with probability rho0_jj (one uniform, inverted through the
+        cumulative populations) and then the n_normals entries of row xi,
+        xi_k for each interval in turn. rho0 is one (d, d) state shared by
+        every index; ConfigError if it is not.
+        """
+        rho0 = _square(rho0, self.config.dim)
+        cdf = np.cumsum(_populations(rho0))
+        cdf /= cdf[-1]
+        js = np.empty(len(indices), dtype=int)
+        xi = np.empty((len(indices), self.n_normals))
+        for row, index in enumerate(indices):
+            rng = trajectory_rng(base_seed, index)
+            # side="right" never lands on a state of zero population
+            js[row] = np.searchsorted(cdf, rng.random(), side="right")
+            rng.standard_normal(out=xi[row])
+        return rho0, js, xi
+
+    def sample(self, rho0, base_seed: int, indices):
+        """(js, rho_final, record_sums, diagnostics) of trajectories
+        `indices`, drawn exactly in law.
+
+        v_k = mean[k, j] + R_k^T xi_k from the draws of normals(); S at the
+        checkpoints is the running sum of the S parts, and E, the final
+        states and the diagnostics come from _solve, as in sample_batch.
+        record_sums, shape (n_batch, 3), holds sum g_n dY_n over the whole
+        record for g = (j_even, j_odd, 1). Every row is reduced on its
+        own, so a trajectory's results do not depend on the other indices
+        drawn with it; mixture_noise gives its per-step noise. ConfigError
+        if indices is empty, or as normals() raises.
+        """
+        if not len(indices):
+            raise ConfigError("no trajectory indices; need at least one")
+        rho0, js, xi = self.normals(rho0, base_seed, indices)
+        n_batch, dim = len(js), self.config.dim
+        v = self.mean.swapaxes(0, 1)[self.columns[js]]
+        used = 0
+        for k0, k1, factor, _ in self.runs:
+            n_k, m = factor.shape[:2]
+            # einsum without optimize reduces each row on its own (a BLAS
+            # product rounds a lone row differently from a batched one)
+            v[:, k0:k1] += np.einsum(
+                "bkm,kmi->bki",
+                xi[:, used:used + n_k * m].reshape(n_batch, n_k, m), factor)
+            used += n_k * m
+        np.cumsum(v, axis=1, out=v)
+        # basis-major, (nodes, d, n_batch), as _solve reads it
+        n_s = v.shape[-1] - 3
+        s = np.zeros((len(self.nodes), dim, n_batch), dtype=complex)
+        s[1:] = v[:, :, :n_s].view(complex)[:, :, self.columns].transpose(
+            1, 2, 0)
+        rho, diagnostics = _solve(
+            self.config, self.table, self.c_all,
+            np.broadcast_to(rho0, (n_batch, dim, dim)), self.nodes, iter(s))
+        return js, rho, v[:, -1, n_s:].copy(), diagnostics
 
 
 def build_table(config: model.ReadoutConfig, pulse,

@@ -77,6 +77,18 @@ class TestBuildFilter:
             assert filt.nominal_even < 0.0
             assert filt.orientation == -1.0
 
+    def test_record_weights_write_the_values(self, config, small_table):
+        # the ensemble takes every signal from three record sums, so the
+        # values must be that combination of the parity references and 1
+        basis = np.stack([analysis.nominal_record(config, small_table, "even"),
+                          analysis.nominal_record(config, small_table, "odd"),
+                          np.ones(1000)])
+        for kind in analysis.FILTER_KINDS:
+            filt = analysis.build_filter(config, small_table, kind)
+            assert filt.record_weights.shape == (3,)
+            assert np.allclose(filt.record_weights @ basis, filt.values,
+                               rtol=1e-13, atol=0.0)
+
     def test_unknown_kind_rejected(self, config, small_table):
         with pytest.raises(ConfigError):
             analysis.build_filter(config, small_table, "boxcar")
@@ -195,10 +207,21 @@ class TestEnsembleRun:
             "diag_drift"}
 
     def test_chunk_size_invariance(self, config, summary, monkeypatch):
-        monkeypatch.setattr(analysis, "_CHUNK_SIZE", 7)
+        # chunks of 7 trajectories: each counts its normals and its state
+        law = sme.IntervalLaw(config, sme.build_table(config, None, 2000))
+        monkeypatch.setattr(analysis, "_CHUNK_NUMBERS",
+                            7 * (law.n_normals + config.dim ** 2))
+        sample, chunks = sme.IntervalLaw.sample, []
+
+        def counting(self, rho0, base_seed, indices):
+            chunks.append(len(indices))
+            return sample(self, rho0, base_seed, indices)
+
+        monkeypatch.setattr(sme.IntervalLaw, "sample", counting)
         again = analysis.ensemble_run(
             config, n_traj=24, n_steps=2000, base_seed=123,
             filter_kinds=("matched", "uniform"))
+        assert chunks == [7, 7, 7, 3]
         assert np.array_equal(again.signals["matched"],
                               summary.signals["matched"])
         assert np.array_equal(again.signals["uniform"],
@@ -259,25 +282,46 @@ class TestEnsembleRun:
         with pytest.raises(ConfigError, match="n_traj must be an integer"):
             analysis.ensemble_run(config, n_traj=2.5, n_steps=100)
 
+    def test_draws_no_per_step_noise(self, config, monkeypatch):
+        # the ensemble draws per-interval statistics: no per-step noise,
+        # no per-step sampler and no filter integral over a record
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-step path was called")
+
+        monkeypatch.setattr(sme, "wiener_increments", refuse)
+        monkeypatch.setattr(sme, "sample_batch", refuse)
+        monkeypatch.setattr(analysis.FilterFunction, "integrate", refuse)
+        summary = analysis.ensemble_run(
+            config, n_traj=12, n_steps=500, base_seed=3,
+            filter_kinds=analysis.FILTER_KINDS)
+        for kind in analysis.FILTER_KINDS:
+            assert np.isfinite(summary.signals[kind]).all()
+        assert np.all(summary.fidelity_even + summary.fidelity_odd > 0.0)
+
     def test_unorientable_filter_fails_before_sampling(self, config,
                                                        monkeypatch):
         # with eta = 0 the uniform filter sees no signal, so its
-        # orientation is undefined; that must surface before any record
-        # is sampled
+        # orientation is undefined; that must surface before any normal
+        # is drawn, and every normal comes from a trajectory's stream
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sample_batch was called")
+            raise AssertionError("a trajectory stream was opened")
 
-        monkeypatch.setattr(analysis, "sample_batch", no_sampling)
+        monkeypatch.setattr(sme, "trajectory_rng", no_sampling)
         with pytest.raises(DegenerateFilterError, match="oriented"):
             analysis.ensemble_run(config.replace(eta=0.0), n_traj=300,
                                   n_steps=200, filter_kinds=("uniform",))
 
-    def test_undefined_class_statistics_are_none(self, config, pulse):
-        # the 3-trajectory seed-7 run assigns every record even, so no
-        # statistic of the odd class, nor the separation, is defined; the
-        # test settings turn any RuntimeWarning into an error
-        tiny = analysis.ensemble_run(config, pulse, n_traj=3, n_steps=1000,
-                                     base_seed=7)
+    def test_undefined_class_statistics_are_none(self):
+        # three records all assigned even: no statistic of the odd class,
+        # nor the separation, is defined; the test settings turn any
+        # RuntimeWarning into an error
+        tiny = analysis.EnsembleSummary(
+            n_traj=3, n_steps=100, base_seed=0, filters={},
+            signals={"matched": np.array([-0.5, -1.0, -2.0])},
+            assignments={"matched": np.array(["even"] * 3)},
+            fidelity_even=np.array([0.9, 0.95, 0.8]),
+            fidelity_odd=np.array([0.1, 0.2, 0.3]), diagnostics=None,
+            basis_index=np.zeros(3, dtype=int))
         assert tiny.odd_fraction("matched") == 0.0
         assert tiny.class_means("matched") is None
         assert tiny.separation("matched") is None
@@ -286,8 +330,14 @@ class TestEnsembleRun:
             tiny.rms_fidelity("matched")
 
     def test_zero_signal_assigned_even(self, config, monkeypatch):
-        monkeypatch.setattr(analysis.FilterFunction, "integrate",
-                            lambda self, records: np.zeros(len(records)))
+        # every signal is a combination of the record sums: zero them
+        sample = sme.IntervalLaw.sample
+
+        def zero_sums(self, *args):
+            js, rho, record_sums, diagnostics = sample(self, *args)
+            return js, rho, np.zeros_like(record_sums), diagnostics
+
+        monkeypatch.setattr(sme.IntervalLaw, "sample", zero_sums)
         with pytest.warns(UserWarning, match="exactly zero"):
             zero = analysis.ensemble_run(config, n_traj=3, n_steps=100)
         assert zero.assignments["matched"].tolist() == ["even"] * 3

@@ -447,7 +447,7 @@ def test_no_solver_builds_a_drift_coefficient_per_node(config, pulse,
     rho0 = model.plus_density(config.n_qubits)
     dws, dzs = sme.trajectory_noise(table, 0, [0, 1])
     sme.simulate_batch(config, table, rho0, dws, dzs, checkpoint_every=7)
-    js, dws, dzs = sme.mixture_noise(table, rho0, 0, [0, 1])
+    js, dws, dzs = sme.mixture_noise(config, table, rho0, 0, [0, 1])
     sme.sample_batch(config, table, rho0, js, dws, dzs)
 
 
@@ -467,7 +467,8 @@ def test_positivity_is_certified_once_per_checkpoint(config, pulse,
     counts = []
     for n_batch in (1, 50):
         shapes.clear()
-        js, dws, dzs = sme.mixture_noise(table, rho0, 0, range(n_batch))
+        js, dws, dzs = sme.mixture_noise(config, table, rho0, 0,
+                                         range(n_batch))
         diagnostics = sme.sample_batch(config, table, rho0, js, dws, dzs)[2]
         counts.append(sum(math.prod(shape) for shape in shapes))
     assert counts == [len(diagnostics.times)] * 2
