@@ -128,15 +128,20 @@ simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
 Both solvers check their input in _batch_inputs and hand S at each
-checkpoint to one function, _solve, which zips it strictly with E from
-_node_exponents into one stream of (E, S) pairs, takes the pairs up to
-_BLOCK_MATRICES trajectories x checkpoints at a time, reduces each block
-at once to the positivity certificate and bounds min_eig from the
-populations, and builds the final states alone, so memory stays bounded.
-Every sum over the basis or over the entries of a state adds in an order
-fixed by the trajectory alone, not by the memory layout, so the blocks
-change no bit, and neither does the batch a trajectory runs in. The
-required pair of correlated Gaussians per step is
+checkpoint to one function, _solve, which splits the work in two. The
+noise-free half (_Certificate) is built first, once per design, grid and
+set of distinct rho0: from E at the checkpoints (_node_exponents) it
+keeps diag E at every node, the positivity certificate per node and
+state, and E and diag K at the last node, d numbers per node and state
+and no d x d array per node. The per-row half reads S in passes of
+checkpoints, zipped strictly with the nodes, bounds min_eig from the
+populations a whole pass at once, and builds the final states alone, so
+memory stays bounded. IntervalLaw keeps its certificate for every chunk
+of an ensemble. Every sum over the basis or over the entries of a state
+adds in an order fixed by the trajectory alone, not by the memory
+layout, so the blocks and passes change no bit, and neither does the
+batch a trajectory runs in. The required pair of correlated Gaussians
+per step is
 
     dW = z1 sqrt(dt),   dZ = (dt^{3/2}/2) (z1 + z2/sqrt(3)),
 
@@ -188,10 +193,13 @@ _SIMPSON = np.array([[0.0, 0.0, 0.0], [np.nan] * 3, [1.0, 4.0, 1.0]]) / 3.0
 #: interval's); bounds the memory of building the law
 _BLOCK_ENTRIES = 1 << 20
 
-#: rows x checkpoints whose positivity bounds _solve forms per stacked
-#: call (the checkpoints of one block of E, at least one); bounds the
-#: memory of one block
+#: coherence matrices per stacked eigvalsh call of _Certificate (distinct
+#: states x checkpoints, at least one checkpoint); bounds the E it holds
 _BLOCK_MATRICES = 256
+
+#: d x checkpoints x rows of the populations one pass of _solve holds (at
+#: least one checkpoint); bounds the memory of a pass
+_PASS_ENTRIES = 1 << 15
 
 
 class DriftOperator:
@@ -704,24 +712,111 @@ def _distinct(rows):
                       for b, row in enumerate(rows)], return_inverse=True)
 
 
+class _Certificate:
+    """The noise-free half of _solve: one design, grid and set of states.
+
+    Built once from (config, table, c_all, nodes, states), it streams E at
+    the checkpoint nodes (_node_exponents) once and keeps no d x d array
+    per node:
+
+        diag_e   (nodes, d)  the real diagonal E_n,ii at each node,
+        lam      (g, nodes)  lambda_n of each of the g states at each node,
+        e_final  (d, d)      E at the last node,
+        k_diag   (d,)        DriftOperator.diagonal at the last node,
+
+    with each state's log p0 and the mask of its nonzero populations
+    (p0 = diag rho0, with 1 in place of a zero population). lambda_n is
+    the smallest eigenvalue of the unit-diagonal coherence matrix
+
+        C_n = (rho0 / sqrt(p0 p0^T)) o exp(E_n - (E_n,ii + E_n,jj) / 2),
+
+    from stacked eigvalsh calls of up to _BLOCK_MATRICES matrices (g times
+    the nodes of one call, at least one node); eigvalsh takes each matrix
+    on its own, so the stacking changes no bit. Nothing here depends on
+    the noise, so one certificate serves every batch that starts from
+    these states on this grid: IntervalLaw keeps one per law.
+    """
+
+    def __init__(self, config, table, c_all, nodes, states):
+        self.sqrt_eta = math.sqrt(config.eta)
+        self.times = table.times[nodes]
+        p0 = np.einsum("gii->gi", states).real
+        self.shown = p0 > 0.0
+        p0 = np.where(self.shown, p0, 1.0)
+        coherence = states / np.sqrt(p0[:, :, None] * p0[:, None, :])
+        self.log_p0 = np.log(p0)
+        self.diag_e = np.empty((len(nodes), config.dim))
+        self.lam = np.empty((len(states), len(nodes)))
+        per_call = max(1, _BLOCK_MATRICES // len(states))
+        exponents = itertools.chain.from_iterable(_node_exponents(
+            config, table, c_all, nodes, _TRAPEZOID))
+        for lo in range(0, len(nodes), per_call):
+            e = np.stack(tuple(itertools.islice(exponents, per_call)))
+            self.e_final = e[-1].copy()
+            diag_e = self.diag_e[lo:lo + len(e)]
+            diag_e[:] = np.einsum("kii->ki", e).real
+            # in place: at 6 qubits a block of E takes 16 MB
+            e -= 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])
+            self.lam[:, lo:lo + len(e)] = np.linalg.eigvalsh(
+                coherence[:, None] * np.exp(e, out=e))[..., 0]
+        self.k_diag = DriftOperator(config).diagonal(table.alpha[nodes[-1]])
+
+    def solve(self, rho0, group, s_at_nodes):
+        """(rho_final, diagnostics) of the rows rho0 from S at the nodes.
+
+        Row b starts from rho0[b], the certificate's state group[b]. The
+        per-row pass of _solve: s_at_nodes yields S of the batch as (d,
+        n_batch) at the certificate's nodes in turn, each an array of its
+        own that it leaves as yielded. It is zipped strictly with the
+        nodes, so an S too many or too few raises ValueError, and read in
+        passes of up to _PASS_ENTRIES d x nodes x n_batch numbers (at
+        least one node), each reduced at once.
+        """
+        n_batch = len(rho0)
+        n_nodes, dim = self.diag_e.shape
+        # basis-major, (d, 1, n_batch): a state of zero population is left
+        # out of each row's shift and trace
+        in_trace = self.shown.T[:, None, group]
+        per_pass = min(n_nodes, max(1, _PASS_ENTRIES // (dim * n_batch)))
+        # log p0 + diag E + 2 sqrt(eta) Re S of one pass, (d, nodes,
+        # n_batch); each S is dropped once its real part is copied here
+        x_pass = np.empty((dim, per_pass, n_batch))
+        bounds = []
+        for node, s in zip(range(n_nodes), s_at_nodes, strict=True):
+            lo = node - node % per_pass
+            np.multiply(s.real, 2.0 * self.sqrt_eta, out=x_pass[:, node - lo])
+            if node - lo < per_pass - 1 and node < n_nodes - 1:
+                continue
+            at = slice(lo, node + 1)
+            x = x_pass[:, :node + 1 - lo]
+            x += (self.log_p0[:, None] + self.diag_e[at]).T[:, :, group]
+            theta = np.exp(
+                x - np.maximum.reduce(np.where(in_trace, x, -np.inf), axis=0))
+            theta /= _column_sum(np.where(in_trace, theta, 0.0))
+            lam = self.lam[:, at].T[:, group]
+            bounds.append(lam * np.where(lam < 0.0,
+                                         np.maximum.reduce(theta, axis=0),
+                                         np.minimum.reduce(theta, axis=0)))
+        rho = _conditioned_state(rho0, self.e_final, s.T, self.sqrt_eta)
+        return rho, Diagnostics(times=self.times,
+                                min_eig=np.concatenate(bounds).T,
+                                **_final_checks(rho, self.k_diag))
+
+
 def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     """(rho_final, diagnostics) from S = int c dY at every checkpoint node.
 
     s_at_nodes yields S of the batch as (d, n_batch) at nodes[0],
-    nodes[1], ... in turn, each an array of its own that it leaves as
-    yielded. It is zipped strictly with E at the same nodes
-    (_node_exponents), so an S too many or too few raises ValueError, and
-    the (E, S) pairs are taken up to _BLOCK_MATRICES // n_batch (at least
-    one) at a time. E does not depend on S, nor its value at a node on
-    the other nodes, so the cadence changes no bit of it. No checkpoint
-    state is built: each block's E is reduced at once to the smallest
-    eigenvalue lambda_n of the unit-diagonal coherence matrix
-
-        C_n = (rho0 / sqrt(p0 p0^T)) o exp(E_n - (E_n,ii + E_n,jj) / 2),
-
-    one eigvalsh per node and distinct rho0, shared by the rows that start
-    from it (p0 = diag rho0, with 1 in place of a zero population). The
-    state is rho = Q C_n Q^dag / tr with Q diagonal and
+    nodes[1], ... in turn. The work is split in two. The noise-free half,
+    a _Certificate of the distinct rho0 (rows grouped by their bytes),
+    takes E at every node first (_node_exponents, which does not depend on
+    S, nor its value at a node on the other nodes, so the cadence changes
+    no bit of it) and reduces it to the smallest eigenvalue lambda_n of
+    one unit-diagonal coherence matrix C_n per node and distinct rho0,
+    shared by the rows that start from it. The per-row half
+    (_Certificate.solve) then reads S in passes of checkpoints, zipped
+    strictly with the nodes. No checkpoint state is built. The state is
+    rho = Q C_n Q^dag / tr with Q diagonal and
     theta_i = |Q_i|^2 / tr = exp(log p0_i + E_n,ii + 2 sqrt(eta) Re S_i)
     / tr, which is the population p_i where p0_i > 0. Ostrowski's theorem
     (Horn & Johnson, Matrix Analysis, Thm 4.5.9) puts lambda_min(rho) at
@@ -731,52 +826,17 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
                   lambda_n min theta   otherwise,
 
     is a lower bound with the sign of lambda_min(rho) (Sylvester's law of
-    inertia), from O(d) work per row and node, for the block's nodes at
-    once. Only the final pair outlives its block, so the memory used
-    stays bounded however long the grid. The final state alone is built,
-    and trace_dev, herm_dev, purity and diag_drift are taken on it. Every
-    reduction over the basis adds or compares in an order fixed by the row
-    alone, so neither the blocks nor the batch change a bit.
+    inertia), from O(d) work per row and node, for a whole pass at once.
+    The certificate holds d numbers per node and state, and only the
+    final S outlives its pass, so the memory used stays bounded however
+    long the grid. The final state alone is built, and trace_dev,
+    herm_dev, purity and diag_drift are taken on it. Every reduction over
+    the basis adds or compares in an order fixed by the row alone, so
+    neither the blocks, the passes nor the batch change a bit.
     """
-    n_batch = len(rho0)
-    sqrt_eta = math.sqrt(config.eta)
-    # row b of the batch starts from states[group[b]], one state per
-    # distinct rho0
     first, group = _distinct(rho0)
-    states = rho0[first]
-    p0 = np.einsum("gii->gi", states).real
-    shown = p0 > 0.0
-    p0 = np.where(shown, p0, 1.0)
-    coherence = states / np.sqrt(p0[:, :, None] * p0[:, None, :])
-    log_p0 = np.log(p0)
-    # basis-major, (d, 1, n_batch): a state of zero population is left out
-    # of each row's shift and trace
-    in_trace = shown.T[:, None, group]
-    per_block = max(1, _BLOCK_MATRICES // n_batch)
-    pairs = zip(itertools.chain.from_iterable(_node_exponents(
-        config, table, c_all, nodes, _TRAPEZOID)), s_at_nodes, strict=True)
-    bounds = []
-    for block in iter(lambda: tuple(itertools.islice(pairs, per_block)), ()):
-        e = np.stack([e_n for e_n, _ in block])
-        diag_e = np.einsum("kii->ki", e).real
-        lam = np.linalg.eigvalsh(coherence[:, None] * np.exp(
-            e - 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])))[..., 0]
-        # log p0 + diag E + 2 sqrt(eta) Re S, as (d, nodes, n_batch)
-        x = np.multiply(np.stack([s_n.real for _, s_n in block], axis=1),
-                        2.0 * sqrt_eta)
-        x += (log_p0[:, None] + diag_e).T[:, :, group]
-        theta = np.exp(
-            x - np.maximum.reduce(np.where(in_trace, x, -np.inf), axis=0))
-        theta /= _column_sum(np.where(in_trace, theta, 0.0))
-        lam = lam.T[:, group]
-        bounds.append(lam * np.where(lam < 0.0,
-                                     np.maximum.reduce(theta, axis=0),
-                                     np.minimum.reduce(theta, axis=0)))
-    rho = _conditioned_state(rho0, e[-1], block[-1][1].T, sqrt_eta)
-    checks = _final_checks(
-        rho, DriftOperator(config).diagonal(table.alpha[nodes[-1]]))
-    return rho, Diagnostics(times=table.times[nodes],
-                            min_eig=np.concatenate(bounds).T, **checks)
+    return _Certificate(config, table, c_all, nodes, rho0[first]).solve(
+        rho0, group, s_at_nodes)
 
 
 def _step_nodes(first, a0, a_pair, c0, curvature, dw, dz_factor,
@@ -1045,7 +1105,7 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     simulate_batch's default cadence, and S is summed over each
     checkpoint interval at once. Every row is reduced on its own, so a
     trajectory's results do not depend on the batch it runs in, nor on
-    _BLOCK_MATRICES or _BLOCK_STEPS.
+    _BLOCK_MATRICES, _PASS_ENTRIES or _BLOCK_STEPS.
 
     Parameters
     ----------
@@ -1117,6 +1177,9 @@ class IntervalLaw:
     takes at most _BLOCK_ENTRIES numbers (at least one interval), so
     building the law holds a bounded amount. n_normals is the sum of
     min(D, 2 L) over the intervals, the normals one trajectory draws.
+    sample builds the noise-free half of _solve (_Certificate) for its
+    rho0 on the first call and keeps it for later calls from the same
+    rho0, so an ensemble's chunks share one E and one certificate.
 
     Raises ConfigError if the table does not hold (n_modes, d) amplitudes
     per node.
@@ -1168,6 +1231,7 @@ class IntervalLaw:
             self.runs.append((k0, k1, factor, q))
         self.n_normals = sum(f.shape[0] * f.shape[1]
                              for _, _, f, _ in self.runs)
+        self._certified = None
 
     def normals(self, rho0, base_seed: int, indices):
         """(rho0, js, xi): the draws of the trajectories `indices`.
@@ -1194,9 +1258,13 @@ class IntervalLaw:
         """(js, rho_final, record_sums, diagnostics) of trajectories
         `indices`, drawn exactly in law.
 
-        v_k = mean[k, j] + R_k^T xi_k from the draws of normals(); S at the
-        checkpoints is the running sum of the S parts, and E, the final
-        states and the diagnostics come from _solve, as in sample_batch.
+        v_k = mean[k, j] + R_k^T xi_k from the draws of normals(), held
+        basis-major as (intervals, D, n_batch); S at the checkpoints is
+        the running sum of the S parts, written straight into the (nodes,
+        d, n_batch) layout _solve reads. The final states and the
+        diagnostics come from the per-row pass of _solve, as in
+        sample_batch, on the certificate of rho0 that the law keeps (built
+        on the first call from this rho0, by its bytes).
         record_sums, shape (n_batch, 3), holds sum g_n dY_n over the whole
         record for g = (j_even, j_odd, 1). Every row is reduced on its
         own, so a trajectory's results do not depend on the other indices
@@ -1207,26 +1275,34 @@ class IntervalLaw:
             raise ConfigError("no trajectory indices; need at least one")
         rho0, js, xi = self.normals(rho0, base_seed, indices)
         n_batch, dim = len(js), self.config.dim
-        v = self.mean.swapaxes(0, 1)[self.columns[js]]
+        # basis-major, (intervals, D, n_batch)
+        v = np.ascontiguousarray(
+            self.mean[:, self.columns[js]].transpose(0, 2, 1))
         used = 0
         for k0, k1, factor, _ in self.runs:
             n_k, m = factor.shape[:2]
             # einsum without optimize reduces each row on its own (a BLAS
             # product rounds a lone row differently from a batched one)
-            v[:, k0:k1] += np.einsum(
-                "bkm,kmi->bki",
-                xi[:, used:used + n_k * m].reshape(n_batch, n_k, m), factor)
+            v[k0:k1] += np.einsum(
+                "kmi,kmb->kib", factor,
+                xi[:, used:used + n_k * m].reshape(n_batch, n_k, m).transpose(
+                    1, 2, 0))
             used += n_k * m
-        np.cumsum(v, axis=1, out=v)
-        # basis-major, (nodes, d, n_batch), as _solve reads it
-        n_s = v.shape[-1] - 3
+        np.cumsum(v, axis=0, out=v)
+        # the S parts are (Re, Im) pairs per distinct column
+        n_s = v.shape[1] - 3
         s = np.zeros((len(self.nodes), dim, n_batch), dtype=complex)
-        s[1:] = v[:, :, :n_s].view(complex)[:, :, self.columns].transpose(
-            1, 2, 0)
-        rho, diagnostics = _solve(
-            self.config, self.table, self.c_all,
-            np.broadcast_to(rho0, (n_batch, dim, dim)), self.nodes, iter(s))
-        return js, rho, v[:, -1, n_s:].copy(), diagnostics
+        s.real[1:] = v[:, 0:n_s:2][:, self.columns]
+        s.imag[1:] = v[:, 1:n_s:2][:, self.columns]
+        # an ensemble samples chunk after chunk from one state
+        key = (rho0.dtype.str, rho0.tobytes())
+        if self._certified is None or self._certified[0] != key:
+            self._certified = key, _Certificate(
+                self.config, self.table, self.c_all, self.nodes, rho0[None])
+        rho, diagnostics = self._certified[1].solve(
+            np.broadcast_to(rho0, (n_batch, dim, dim)),
+            np.zeros(n_batch, dtype=int), iter(s))
+        return js, rho, v[-1, n_s:].T.copy(), diagnostics
 
 
 def build_table(config: model.ReadoutConfig, pulse,

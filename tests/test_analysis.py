@@ -207,21 +207,36 @@ class TestEnsembleRun:
             "diag_drift"}
 
     def test_chunk_size_invariance(self, config, summary, monkeypatch):
-        # chunks of 7 trajectories: each counts its normals and its state
+        # chunks of 7 trajectories: each counts its normals and its state.
+        # E and the certificate are built on the first chunk and reused by
+        # the others, and no chunk groups its broadcast rho0 rows: the one
+        # _distinct call groups the law's output columns
         law = sme.IntervalLaw(config, sme.build_table(config, None, 2000))
         monkeypatch.setattr(analysis, "_CHUNK_NUMBERS",
                             7 * (law.n_normals + config.dim ** 2))
         sample, chunks = sme.IntervalLaw.sample, []
+        calls = {"_node_exponents": 0, "_distinct": 0}
 
         def counting(self, rho0, base_seed, indices):
             chunks.append(len(indices))
             return sample(self, rho0, base_seed, indices)
 
+        def counted(name):
+            original = getattr(sme, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(sme.IntervalLaw, "sample", counting)
+        for name in calls:
+            monkeypatch.setattr(sme, name, counted(name))
         again = analysis.ensemble_run(
             config, n_traj=24, n_steps=2000, base_seed=123,
             filter_kinds=("matched", "uniform"))
         assert chunks == [7, 7, 7, 3]
+        assert calls == {"_node_exponents": 1, "_distinct": 1}
         assert np.array_equal(again.signals["matched"],
                               summary.signals["matched"])
         assert np.array_equal(again.signals["uniform"],

@@ -6,10 +6,11 @@ stream, the sampler against the order-1.5 stepper in law (KS on the
 matched-filter signals, mean F^2), the interval law's factor against its
 definition and its rows against sample_batch on their per-step noise,
 its pathwise order on coarsened noise,
-rows independent of the batch, of the block of states and of the block
-of steps, the one node-weight sum of S against the noise and drift parts
-summed apart, typed errors on malformed input, and the eta = 0 limit. No
-seed here was chosen to pass.
+rows independent of the batch, of the block of states, of the pass of
+checkpoints and of the block of steps, the one node-weight sum of S
+against the noise and drift parts summed apart, typed errors on
+malformed input, and the eta = 0 limit. No seed here was chosen to
+pass.
 """
 
 import math
@@ -215,14 +216,28 @@ class TestRowsIndependent:
                                    dzs[rows])
             assert_rows_equal(got, want, rows)
 
-    @pytest.mark.parametrize("value", [1, 7, 10 ** 6])
+    @pytest.mark.parametrize("name, value", [
+        pytest.param("_BLOCK_MATRICES", value, id=str(value))
+        for value in (1, 7, 10 ** 6)] + [
+        # one checkpoint per pass; and 40 (13 rows) or 3 (150 rows) of the
+        # 101 checkpoints
+        pytest.param("_PASS_ENTRIES", value, id=f"pass-{value}")
+        for value in (1, 8 * 13 * 40)])
     def test_block_of_states_invisible(self, config, rho0, batch,
-                                       monkeypatch, value):
+                                       monkeypatch, name, value):
         table, js, dws, dzs, want = batch
-        monkeypatch.setattr(sme, "_BLOCK_MATRICES", value)
+        want_law = sme.IntervalLaw(config, table).sample(rho0, 6, range(150))
+        monkeypatch.setattr(sme, name, value)
         got = sme.sample_batch(config, table, rho0, js[:13], dws[:13],
                                dzs[:13])
         assert_rows_equal(got, want, slice(0, 13))
+        # the law builds its certificate under the patched value
+        got_law = sme.IntervalLaw(config, table).sample(rho0, 6, range(150))
+        for got_part, want_part in zip(got_law[:3], want_law[:3]):
+            assert np.array_equal(got_part, want_part)
+        for field in fields(sme.Diagnostics):
+            assert np.array_equal(getattr(got_law[3], field.name),
+                                  getattr(want_law[3], field.name)), field.name
 
     @pytest.mark.parametrize("block_steps", [1, 2, 3, 7])
     def test_step_block_invisible(self, config, rho0, batch, monkeypatch,

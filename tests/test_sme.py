@@ -11,19 +11,23 @@ bit, and min_eig a lower bound with the exact eigenvalue's sign, also
 around the solver's window edges and, NaN for NaN, on a table with a NaN
 node), min_eig inside Ostrowski's bracket on random states with and
 without a negative eigenvalue or a zero population, one eigvalsh matrix
-per checkpoint whatever the batch, results independent of block sizes
-and checkpoint cadence, the exponent E at the checkpoints against a
-step-by-step trapezoid sum of the full d x d integrand (bit for bit the
-same at a node whatever the cadence, in memory that does not grow with
-the grid, and not held at every checkpoint by the solve), the
-unconditional evolution against a step-by-step Simpson sum of the full K
-(in at most 1.6 times the memory of its result at the register cap), no
-solver building K per node, typed errors on malformed batch input and on
-a deterministic rho0 of the wrong shape, the elementwise conditioned
-solver against the dense d x d stepper at fine steps, and property tests
-of its state over register size, mode count, eta and phi.
+per checkpoint whatever the batch, results independent of block sizes,
+pass sizes and checkpoint cadence, the checkpoint routine bit for bit
+against the one-block-at-a-time loop it replaced (also through the
+interval law and from distinct rho0), the exponent E at the checkpoints
+against a step-by-step trapezoid sum of the full d x d integrand (bit
+for bit the same at a node whatever the cadence, in memory that does
+not grow with the grid, and not held at every checkpoint by the solve),
+the unconditional evolution against a step-by-step Simpson sum of the
+full K (in at most 1.6 times the memory of its result at the register
+cap), no solver building K per node, typed errors on malformed batch
+input and on a deterministic rho0 of the wrong shape, the elementwise
+conditioned solver against the dense d x d stepper at fine steps, and
+property tests of its state over register size, mode count, eta and
+phi.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -721,14 +725,14 @@ def test_positivity_bound_is_ostrowskis_bracket(n_qubits, seed,
                        atol=1e-15)
 
 
-@pytest.mark.parametrize("per_block", [1, 128])
+@pytest.mark.parametrize("per_pass", [1, 128])
 @pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
 def test_solve_refuses_an_s_stream_of_the_wrong_length(config, monkeypatch,
-                                                       per_block, extra):
-    # E and S are zipped strictly: a missing S must not leak a bare
+                                                       per_pass, extra):
+    # the nodes and S are zipped strictly: a missing S must not leak a bare
     # StopIteration, and an extra one must not be dropped, whether or not
-    # the stream ends on a block boundary
-    monkeypatch.setattr(sme, "_BLOCK_MATRICES", 2 * per_block)
+    # the stream ends on a pass boundary (d x n_batch = 16 entries a node)
+    monkeypatch.setattr(sme, "_PASS_ENTRIES", 16 * per_pass)
     table = sme.build_table(config, default_pulse(), 100)
     rho0, _, _, nodes = sme._batch_inputs(
         config, table, model.plus_density(3), np.zeros((2, 100)),
@@ -778,6 +782,117 @@ def test_positivity_bound_on_states_that_are_not_psd(config, pulse):
         lone = sme.simulate_batch(config, table, rho0[b], dws[b:b + 1],
                                   dzs[b:b + 1])
         assert_rows_equal(lone, got, slice(b, b + 1))
+
+
+def per_node_solve(config, table, c_all, rho0, nodes, s_at_nodes):
+    """_solve as it was before its noise-free half became a table: E and
+    the certificate in blocks of 256 // n_batch checkpoints (at least
+    one), zipped node by node with S, so the desk ensemble's 150 rows take
+    it one checkpoint at a time. The reference the two-pass _solve must
+    equal bit for bit.
+    """
+    n_batch = len(rho0)
+    sqrt_eta = math.sqrt(config.eta)
+    first, group = sme._distinct(rho0)
+    states = rho0[first]
+    p0 = np.einsum("gii->gi", states).real
+    shown = p0 > 0.0
+    p0 = np.where(shown, p0, 1.0)
+    coherence = states / np.sqrt(p0[:, :, None] * p0[:, None, :])
+    log_p0 = np.log(p0)
+    in_trace = shown.T[:, None, group]
+    per_block = max(1, 256 // n_batch)
+    pairs = zip(itertools.chain.from_iterable(sme._node_exponents(
+        config, table, c_all, nodes, sme._TRAPEZOID)), s_at_nodes,
+        strict=True)
+    bounds = []
+    for block in iter(lambda: tuple(itertools.islice(pairs, per_block)), ()):
+        e = np.stack([e_n for e_n, _ in block])
+        diag_e = np.einsum("kii->ki", e).real
+        lam = np.linalg.eigvalsh(coherence[:, None] * np.exp(
+            e - 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])))[..., 0]
+        x = np.multiply(np.stack([s_n.real for _, s_n in block], axis=1),
+                        2.0 * sqrt_eta)
+        x += (log_p0[:, None] + diag_e).T[:, :, group]
+        theta = np.exp(
+            x - np.maximum.reduce(np.where(in_trace, x, -np.inf), axis=0))
+        theta /= sme._column_sum(np.where(in_trace, theta, 0.0))
+        lam = lam.T[:, group]
+        bounds.append(lam * np.where(lam < 0.0,
+                                     np.maximum.reduce(theta, axis=0),
+                                     np.minimum.reduce(theta, axis=0)))
+    rho = sme._conditioned_state(rho0, e[-1], block[-1][1].T, sqrt_eta)
+    checks = sme._final_checks(
+        rho, sme.DriftOperator(config).diagonal(table.alpha[nodes[-1]]))
+    return rho, sme.Diagnostics(times=table.times[nodes],
+                                min_eig=np.concatenate(bounds).T, **checks)
+
+
+def assert_solved_equal(got, want):
+    """(rho_final, diagnostics) pairs equal bit for bit."""
+    assert np.array_equal(got[0], want[0])
+    for field in fields(sme.Diagnostics):
+        assert np.array_equal(getattr(got[1], field.name),
+                              getattr(want[1], field.name)), field.name
+
+
+def distinct_states(n_qubits):
+    """|+><+| and rho0 that pass _populations but are not all states: not
+    PSD, a zero population, both (and perturbed_states() at 3 qubits)."""
+    rng = np.random.default_rng(23)
+    d = 2 ** n_qubits
+    states = [model.plus_density(n_qubits)] + [
+        hermitian_with_positive_diagonal(rng, d, zero_population, negative)
+        for zero_population, negative in ((False, True), (True, False),
+                                          (True, True))]
+    if n_qubits == 3:
+        states += list(perturbed_states().values())
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs()))
+def test_solve_equals_the_per_node_loop(name, pulse, monkeypatch):
+    # the noise-free table and the passes over S change no bit: at every
+    # cadence, at batches of 1, 13 and 150, from one shared rho0 and from
+    # distinct ones, and through the interval law, which keeps its table
+    config = reference_designs()[name]
+    n_steps = 300
+    table = sme.build_table(config, pulse, n_steps)
+    c_all = sme.measurement_diag(config, table.output)
+    states = distinct_states(config.n_qubits)
+    every_node = np.arange(n_steps + 1)
+    for n_batch in (1, 13, 150):
+        dws, dzs = sme.trajectory_noise(table, 8, range(n_batch))
+        for rho0 in (np.broadcast_to(states[0], (n_batch,) + states[0].shape),
+                     np.stack([states[b % len(states)]
+                               for b in range(n_batch)])):
+            # S at every node; a node's S does not depend on the cadence
+            s_all = list(sme._stepped_exponents(
+                config, table, c_all, rho0, dws, dzs, every_node,
+                np.empty(dws.shape)))
+            for every in (1, 7, 0):
+                nodes = sme._checkpoints(n_steps, every)
+                assert_solved_equal(
+                    sme._solve(config, table, c_all, rho0, nodes,
+                               (s_all[n] for n in nodes)),
+                    per_node_solve(config, table, c_all, rho0, nodes,
+                                   (s_all[n] for n in nodes)))
+
+    solve, calls = sme._Certificate.solve, []
+
+    def spying(self, rho0, group, s_at_nodes):
+        s_nodes = list(s_at_nodes)
+        out = solve(self, rho0, group, iter(s_nodes))
+        calls.append((rho0, s_nodes, out))
+        return out
+
+    monkeypatch.setattr(sme._Certificate, "solve", spying)
+    law = sme.IntervalLaw(config, table)
+    for indices in (range(150), range(150, 163)):
+        law.sample(states[0], 4, indices)
+    for rho0, s_nodes, out in calls:
+        assert_solved_equal(out, per_node_solve(config, table, c_all, rho0,
+                                                law.nodes, iter(s_nodes)))
 
 
 class TestDiffusion:
@@ -1071,22 +1186,28 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("n_batch", [1, 13])
     @pytest.mark.parametrize("name, value", [
         ("_BLOCK_MATRICES", 1), ("_BLOCK_MATRICES", 7),
-        ("_BLOCK_MATRICES", 10 ** 6), ("_BLOCK_STEPS", 5)])
+        ("_BLOCK_MATRICES", 10 ** 6), ("_BLOCK_STEPS", 5),
+        # one checkpoint per pass; and 39 (batch 1) or 3 (batch 13) of the
+        # 44 or 101 checkpoints
+        ("_PASS_ENTRIES", 1), ("_PASS_ENTRIES", 8 * 39)])
     def test_block_sizes_invisible(self, config, monkeypatch, n_batch, name,
                                    value):
         table = sme.build_table(config, default_pulse(), 300)
         dws, dzs = sme.trajectory_noise(table, 2, range(n_batch))
         rho0 = model.plus_density(3)
-        want = sme.simulate_batch(config, table, rho0, dws, dzs,
-                                  checkpoint_every=7)
-        monkeypatch.setattr(sme, name, value)
-        got = sme.simulate_batch(config, table, rho0, dws, dzs,
-                                 checkpoint_every=7)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        for field in fields(sme.Diagnostics):
-            assert np.array_equal(getattr(got[2], field.name),
-                                  getattr(want[2], field.name)), field.name
+        for every in (7, 0):
+            want = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                      checkpoint_every=every)
+            with monkeypatch.context() as patch:
+                patch.setattr(sme, name, value)
+                got = sme.simulate_batch(config, table, rho0, dws, dzs,
+                                         checkpoint_every=every)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            for field in fields(sme.Diagnostics):
+                assert np.array_equal(getattr(got[2], field.name),
+                                      getattr(want[2], field.name)), (
+                    field.name)
 
     @pytest.mark.parametrize("n_batch", [1, 13])
     def test_checkpoint_cadence_invisible_in_results(self, config, n_batch):
