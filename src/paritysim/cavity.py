@@ -216,16 +216,21 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     else:
         raise ConfigError("drive must be a PulseSpec or a finite real number")
 
-    m, d = config.n_modes, config.dim
-    gen = np.zeros((d, m + 3, m + 3), dtype=complex)
-    for j in range(d):
-        gen[j, :m, :m], gen[j, :m, m], _, _ = state_space(config, j)
+    m = config.n_modes
+    # A_j depends on j only through its coupling class (equal signed chi
+    # sums), so one representative per class is integrated
+    reps, classes = model.distinct_rows(model.signed_chi_sums(config).T)
+    n_classes = len(reps)
+    gen = np.zeros((n_classes, m + 3, m + 3), dtype=complex)
+    for c, j in enumerate(reps):
+        gen[c, :m, :m], gen[c, :m, m], _, _ = state_space(config, j)
     gen[:, m, m + 1] = gen[:, m + 1, m + 2] = 1.0
 
-    # rows[b, k, a, j] = (expm(M_j h)^k)[a, b] for alpha rows a < m, filled
-    # by doubling; a block of nodes contracts straight into the table
+    # rows[b, k, a, j] = (expm(M_j h)^k)[a, b] for alpha rows a < m and
+    # class j, filled by doubling; a block of nodes contracts straight into
+    # the table
     n_block = min(_BLOCK_NODES, n_t)
-    rows = np.empty((m + 3, n_block, m, d), dtype=complex)
+    rows = np.empty((m + 3, n_block, m, n_classes), dtype=complex)
     rows[:, 0] = np.eye(m + 3, m)[:, :, None]
     power, n = expm(gen * h), 1           # power = expm(M h)^n
     while n < n_block:
@@ -234,8 +239,8 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
         power, n = power @ power, n + k
     advance = expm(gen * (n_block * h))
 
-    alpha = np.empty((n_t, m, d), dtype=complex)
-    z = np.zeros((d, m + 3), dtype=complex)
+    alpha = np.empty((n_t, m, n_classes), dtype=complex)
+    z = np.zeros((n_classes, m + 3), dtype=complex)
     z[:, m] = eps0
     # z is carried start to start, so node rounding never crosses a piece
     first = np.append(np.ceil(np.divide(starts, h)), n_t).clip(0, n_t)
@@ -253,5 +258,8 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
         z = np.einsum("jab,jb->ja", expm(gen * (b - a)), z)
 
     require_bounded(alpha)
+    if n_classes < config.dim:
+        # take keeps the layout C-contiguous, as a table built per state is
+        alpha = np.take(alpha, classes, axis=-1)
     output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
     return AmplitudeTable(times=times, alpha=alpha, output=output)

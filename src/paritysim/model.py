@@ -20,9 +20,9 @@ from .errors import ConfigError, checked, require_positive
 _EVEN = "even"
 _ODD = "odd"
 
-#: largest register a config may describe. The witness scan holds a
-#: (steps + 1, 2**n, 2**n) complex evolution: 0.26 GB at 6 qubits and the
-#: default 4000 steps, 1 GB at 7.
+#: largest register a config may describe. simulate_deterministic returns
+#: a (steps + 1, 2**n, 2**n) complex evolution: 0.26 GB at 6 qubits and
+#: its default 4000 steps, 1 GB at 7.
 MAX_QUBITS = 6
 #: most internal modes a config may describe. The amplitude table holds a
 #: (steps + 1, n_modes, 2**n) complex array, 0.6 GB at this cap, 6 qubits
@@ -239,6 +239,19 @@ def signed_chi_sums(config: ReadoutConfig) -> np.ndarray:
     basis state.
     """
     return config.chi @ sigma_z_signs(config.n_qubits).astype(float)
+
+
+def distinct_rows(rows):
+    """(first, group): rows[first] are the distinct rows (equal bytes), in
+    order, and rows[b] equals rows[first[group[b]]].
+
+    The one grouping of the package: the basis states of one coupling
+    class (equal columns of signed_chi_sums), of one output c, or the
+    batch rows of one initial state.
+    """
+    seen = {}
+    return np.unique([seen.setdefault(row.tobytes(), b)
+                      for b, row in enumerate(rows)], return_inverse=True)
 
 
 # -- design relations --------------------------------------------------------

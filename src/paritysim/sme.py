@@ -85,7 +85,11 @@ alone, so neither the checkpoint cadence nor the batch changes a bit of
 it, and it is exactly Hermitian (each integral is G + G^H). The
 conditioned solvers take it at their checkpoints by the trapezoid rule;
 simulate_deterministic, whose integrand is K alone, at every step by
-Simpson's rule on a table that carries the step midpoints.
+Simpson's rule on a table that carries the step midpoints. A caller that
+needs only the block E[rows][:, cols] asks for it alone, and each
+integral is then two small products, G_rc + (G_cr)^H:
+markov.witness_scan takes the (even, odd) block on one representative
+state per coupling class, so it forms no d x d array.
 
 Because rho is assembled from this formula, three diagnostics are
 rounding-level at every checkpoint by construction: trace_dev (the state
@@ -157,6 +161,7 @@ import numpy as np
 from . import model
 from .cavity import AmplitudeTable, integrate_amplitudes, time_grid
 from .errors import ConfigError, require_int
+from .model import distinct_rows
 from .pulse import PulseSpec, default_pulse
 
 #: diagnostic ceilings for a healthy trajectory at desk resolution
@@ -501,7 +506,8 @@ def _final_checks(rho, k_diag) -> dict:
     }
 
 
-def _node_exponents(config, table, c_all, nodes, weights):
+def _node_exponents(config, table, c_all, nodes, weights, rows=None,
+                    cols=None):
     """E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] at the sorted nodes.
 
     The quadrature of the table `weights` (_TRAPEZOID or _SIMPSON) on the
@@ -530,17 +536,30 @@ def _node_exponents(config, table, c_all, nodes, weights):
     one) are held at a time. Yields E at the nodes one block at a time,
     as (nodes in the block, d, d), in node order; a block of no node
     yields nothing.
+
+    rows and cols (index arrays, both or neither) ask for the block
+    E[rows][:, cols] alone, as (nodes in the block, len(rows), len(cols)):
+    the pairs are gathered at those states once, and each integral is
+    G_rc + (G_cr)^H from two small products plus gamma_mat[rows][:, cols]
+    (t_b - t_a), so no d x d array is formed. The default, every state,
+    keeps the one product G + G^H.
     """
     n_steps = len(table.times) - 1
-    dim, half_eta = config.dim, 0.5 * config.eta
-    minus_i_s = -1j * model.signed_chi_sums(config)
+    half_eta = 0.5 * config.eta
     gamma_dt = table.dt * DriftOperator(config).gamma_mat
+    # the states whose pairs are gathered: rows then cols, or every one
+    if rows is None:
+        keep, shape = slice(None), gamma_dt.shape
+    else:
+        keep, shape = np.concatenate([rows, cols]), (len(rows), len(cols))
+        gamma_dt = gamma_dt[np.ix_(rows, cols)]
+    minus_i_s = -1j * model.signed_chi_sums(config)[:, keep]
     sub = len(weights) - 1
     offsets = np.arange(sub + 1)
     weights = table.dt * weights
     block = max(1, _BLOCK_STEPS // sub) * sub
     nodes = np.asarray(nodes)
-    carry = np.zeros((dim, dim), dtype=complex)
+    carry = np.zeros(shape, dtype=complex)
     first = 0
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
@@ -553,20 +572,26 @@ def _node_exponents(config, table, c_all, nodes, weights):
         starts = np.append(whole, lo + anchor[partial] * sub)
         stops = np.append(whole + sub, ends[partial])
         # the pairs (a_r, b_r) at nodes lo..hi, as (node, r, d)
-        alpha = table.alpha[lo:hi + 1]
+        alpha = table.alpha[lo:hi + 1, :, keep]
         pair_a, pair_b = [minus_i_s * alpha], [alpha]
         if c_all is not None:
-            c = c_all[lo:hi + 1, None]
+            c = c_all[lo:hi + 1, None, keep]
             pair_a += [-half_eta * c, -half_eta * c ** 2]
             pair_b += [c, np.ones(c.shape)]
         pair_a = np.concatenate(pair_a, axis=1)
         pair_b = np.concatenate(pair_b, axis=1)
         gather = np.minimum(starts[:, None] + offsets, stops[:, None]) - lo
-        flat = (len(starts), -1, dim)
-        g = pair_a[gather].reshape(flat).swapaxes(-1, -2) @ (
-            pair_b[gather].conj()
-            * weights[stops - starts][:, :, None, None]).reshape(flat)
-        e = g + g.conj().swapaxes(-1, -2)
+        flat = (len(starts), -1, pair_a.shape[-1])
+        a = pair_a[gather].reshape(flat).swapaxes(-1, -2)
+        b = (pair_b[gather].conj()
+             * weights[stops - starts][:, :, None, None]).reshape(flat)
+        if rows is None:
+            g = a @ b
+            e = g + g.conj().swapaxes(-1, -2)
+        else:
+            n_rows = len(rows)
+            e = a[:, :n_rows] @ b[:, :, n_rows:]
+            e += (a[:, n_rows:] @ b[:, :, :n_rows]).conj().swapaxes(-1, -2)
         e += np.multiply.outer(stops - starts, gamma_dt)
         # E at the sub-anchors lo, lo + sub, ..., summed in order
         at_anchor = np.concatenate([carry[None], e[:len(whole)]])
@@ -704,14 +729,6 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
             _checkpoints(n_steps, checkpoint_every))
 
 
-def _distinct(rows):
-    """(first, group): rows[first] are the distinct rows (equal bytes), in
-    order, and rows[b] equals rows[first[group[b]]]."""
-    seen = {}
-    return np.unique([seen.setdefault(row.tobytes(), b)
-                      for b, row in enumerate(rows)], return_inverse=True)
-
-
 class _Certificate:
     """The noise-free half of _solve: one design, grid and set of states.
 
@@ -834,7 +851,7 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
     the basis adds or compares in an order fixed by the row alone, so
     neither the blocks, the passes nor the batch change a bit.
     """
-    first, group = _distinct(rho0)
+    first, group = distinct_rows(rho0)
     return _Certificate(config, table, c_all, nodes, rho0[first]).solve(
         rho0, group, s_at_nodes)
 
@@ -1193,7 +1210,7 @@ class IntervalLaw:
         self.c_all = measurement_diag(config, table.output)
         self.nodes = _checkpoints(n_steps)
         # S_i depends on c_i alone, so states of the same c share a column
-        first, self.columns = _distinct(self.c_all.T)
+        first, self.columns = distinct_rows(self.c_all.T)
         c_distinct = np.ascontiguousarray(self.c_all[:, first])
         c_pairs = c_distinct.view(float)
         n_s = c_pairs.shape[1]
@@ -1346,23 +1363,40 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
     so the amplitude table carries the step midpoints: it is built on
-    2 n_steps steps. _node_exponents takes each step's integral from
-    rank-one products (_SIMPSON) and sums them in order, so the result
-    does not depend on the block size. For intrinsic dephasing alone, pass
-    a config with chi = 0. rho0 (default |+>^n) is any (d, d) array, not
-    necessarily a state; ConfigError if it has another shape.
+    2 n_steps steps (_deterministic_exponents). _node_exponents takes each
+    step's integral from rank-one products (_SIMPSON) and sums them in
+    order, so the result does not depend on the block size. For intrinsic
+    dephasing alone, pass a config with chi = 0. rho0 (default |+>^n) is
+    any (d, d) array, not necessarily a state; ConfigError if it has
+    another shape.
     """
     n_steps = require_int("n_steps", n_steps, 1)
     rho0 = (model.plus_density(config.n_qubits) if rho0 is None
             else _square(rho0, config.dim))
-    table = build_table(config, pulse, 2 * n_steps)
+    times, blocks = _deterministic_exponents(config, pulse, n_steps)
     # rhos holds the exponents E_n until the final in-place exp
     rhos = np.empty((n_steps + 1, config.dim, config.dim), dtype=complex)
     row = 0
-    for block in _node_exponents(config, table, None,
-                                 np.arange(0, 2 * n_steps + 1, 2), _SIMPSON):
+    for block in blocks:
         rhos[row:row + len(block)] = block
         row += len(block)
     np.exp(rhos, out=rhos)
     rhos *= rho0
-    return DeterministicResult(times=table.times[::2], rhos=rhos)
+    return DeterministicResult(times=times, rhos=rhos)
+
+
+def _deterministic_exponents(config, pulse, n_steps: int, rows=None,
+                             cols=None):
+    """(times, blocks): the unconditional E_n = int_0^t_n K at each of
+    n_steps + 1 step ends, by composite Simpson.
+
+    The amplitude table is built on 2 n_steps steps, so it carries the
+    step midpoints, and blocks yields E at the step ends as
+    _node_exponents does (E[rows][:, cols] alone if both are given), one
+    block of nodes at a time. simulate_deterministic writes every block
+    into its result; markov.witness_scan reduces each one as it comes.
+    """
+    table = build_table(config, pulse, 2 * n_steps)
+    return table.times[::2], _node_exponents(
+        config, table, None, np.arange(0, 2 * n_steps + 1, 2), _SIMPSON,
+        rows, cols)

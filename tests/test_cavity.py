@@ -1,5 +1,6 @@
 """Pointer-mode dynamics: state space, transfer functions, steady states,
-the kappa design scan, and transient integration against closed forms."""
+the kappa design scan, transient integration against closed forms, and
+the table of one column per coupling class against the per-state one."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from scipy.integrate import solve_ivp
 from paritysim import cavity, model
 from paritysim.errors import ConfigError, ResonanceError
 from paritysim.pulse import PulseSpec, default_pulse
+
+from test_sme import reference_designs
 
 
 def single_mode_config(delta=0.0, kappa=2.0, chi=1.0):
@@ -447,6 +450,40 @@ class TestIntegrateAmplitudes:
         for drive in (True, np.bool_(True)):
             with pytest.raises(ConfigError, match="drive"):
                 cavity.integrate_amplitudes(cfg, drive, times)
+
+
+def every_state_alone(rows):
+    """model.distinct_rows with each row a class of its own."""
+    index = np.arange(len(rows))
+    return index, index
+
+
+def class_table_designs():
+    """reference_designs() and a 6-qubit chi-all-ones register."""
+    designs = reference_designs()
+    n = model.MAX_QUBITS
+    designs["6q_ones"] = designs["default"].replace(
+        n_qubits=n, chi=np.ones((2, n)), gamma_z=np.zeros(n))
+    return designs
+
+
+@pytest.mark.parametrize("name", sorted(class_table_designs()))
+@pytest.mark.parametrize("n_steps", [1, 1234, 10 ** 4])
+def test_class_table_is_the_per_state_table(name, n_steps, monkeypatch):
+    # states of one coupling class share A_j, so integrating one of them
+    # and copying its column gives the per-state table bit for bit, in the
+    # same C-contiguous layout
+    config, pulse = class_table_designs()[name], default_pulse()
+    times = cavity.time_grid(pulse.tau, n_steps)
+    for drive in (pulse, 0.37):
+        table = cavity.integrate_amplitudes(config, drive, times)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "distinct_rows", every_state_alone)
+            alone = cavity.integrate_amplitudes(config, drive, times)
+        for got, want in ((table.alpha, alone.alpha),
+                          (table.output, alone.output)):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
 
 
 class TestAgainstAdaptiveReference:

@@ -5,8 +5,12 @@ a Gram-Schmidt closed form, single qubit, degenerate inputs, the sign of
 the rates at the steady state and in the transient), trace distance,
 increasing-interval extraction, and the trace-distance witness between
 the parity reference states (its (even, odd) block against the full
-trace distance on 1-3 qubits).
+trace distance on 1-3 qubits; its class-weighted block against two
+dense evolutions over 1-4 qubits, 1-3 modes and coupling classes that
+span both parities, and at the register cap; its memory there).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,3 +402,78 @@ class TestWitnessScan:
         b = markov.witness_scan(config.replace(gamma_z=np.zeros(3)),
                                 n_steps=500)
         assert np.allclose(a.distance, b.distance, atol=1e-14)
+
+
+def two_run_distance(config, n_steps):
+    """The witness by its definition: both states evolved densely with
+    gamma_z off, then the trace distance of the pair at every step."""
+    n = config.n_qubits
+    clean = config.replace(gamma_z=np.zeros(n))
+    psi_p, psi_m = model.psi_plus(n), model.psi_minus(n)
+    evolved = [sme.simulate_deterministic(
+        clean, n_steps=n_steps, rho0=np.outer(psi, psi.conj())).rhos
+        for psi in ((psi_p + psi_m) / np.sqrt(2.0),
+                    (psi_p - psi_m) / np.sqrt(2.0))]
+    return markov.trace_distance(*evolved)
+
+
+def witness_designs():
+    """1-4 qubits x 1-3 modes, each with random chi, chi all ones and
+    random chi with a zero column (a qubit the modes do not see, so every
+    coupling class holds states of both parities), plus the 6-qubit
+    chi-all-ones register."""
+    rng = np.random.default_rng(71)
+    designs = {}
+    for n_qubits in range(1, 5):
+        for n_modes in range(1, 4):
+            kappa = rng.uniform(0.5, 3.0, n_modes)
+            delta = rng.uniform(-3.0, 3.0, n_modes)
+            zero_column = rng.uniform(0.5, 1.5, (n_modes, n_qubits))
+            zero_column[:, rng.integers(n_qubits)] = 0.0
+            for kind, chi in (
+                    ("random", rng.uniform(0.5, 1.5, (n_modes, n_qubits))),
+                    ("ones", np.ones((n_modes, n_qubits))),
+                    ("zero_column", zero_column)):
+                designs[f"{n_qubits}q_{n_modes}m_{kind}"] = \
+                    model.ReadoutConfig(
+                        n_qubits=n_qubits, n_modes=n_modes, chi=chi,
+                        kappa=kappa, delta=delta,
+                        gamma_z=rng.uniform(0.0, 0.05, n_qubits))
+    n = model.MAX_QUBITS
+    designs["6q_2m_ones"] = model.default_config().replace(
+        n_qubits=n, chi=np.ones((2, n)), gamma_z=np.zeros(n))
+    return designs
+
+
+@pytest.mark.parametrize("name", sorted(witness_designs()))
+def test_class_block_witness_matches_two_runs(name):
+    # E on the class representatives' (even, odd) block, weighted by the
+    # class sizes, against the distance of the two dense evolutions
+    config = witness_designs()[name]
+    if name.endswith("zero_column"):
+        _, group = model.distinct_rows(model.signed_chi_sums(config).T)
+        odd = model.popcounts(config.n_qubits) % 2
+        assert np.array_equal(np.bincount(group, odd),
+                              np.bincount(group, 1 - odd))
+    res = markov.witness_scan(config, n_steps=300)
+    reference = two_run_distance(config, 300)
+    assert res.distance.shape == reference.shape == (301,)
+    assert np.abs(res.distance - reference).max() < 1e-13
+    assert res.distance[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_witness_holds_no_evolution_at_the_register_cap(config, pulse):
+    # the whole (steps + 1, d, d) evolution would take 0.26 GB here, and
+    # the scan used to peak at 376 MB; it holds a block of nodes of the
+    # 4 x 3 class block and the amplitude table
+    n = model.MAX_QUBITS
+    wide = config.replace(n_qubits=n, chi=np.ones((config.n_modes, n)),
+                          gamma_z=np.full(n, config.gamma_z[0]))
+    tracemalloc.start()
+    try:
+        res = markov.witness_scan(wide, pulse, n_steps=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.distance.shape == (4001,)
+    assert peak < 64 * 2 ** 20

@@ -1,8 +1,9 @@
 """Register conventions, config round trips, and design helpers.
 
 Covers: bit/parity tables under the MSB-first labeling, sigma_z sign
-conventions, signed dispersive sums, the two-mode detuning design rule,
-config construction and validation, and the parity pointer states.
+conventions, signed dispersive sums and their classes, the two-mode
+detuning design rule, config construction and validation, and the parity
+pointer states.
 """
 
 import math
@@ -89,6 +90,15 @@ class TestSignedChiSums:
         # |011> = index 3: signs (+1, -1, -1)
         assert sums[0, 3] == pytest.approx(1.0 - 2.0 - 4.0)
         assert sums[0, 0] == pytest.approx(7.0)
+
+    def test_coupling_classes(self):
+        # chi all ones: the signed sums 3, 1, -1, -3 make four classes of
+        # the eight basis states, each led by its first member
+        sums = model.signed_chi_sums(make_config())
+        first, group = model.distinct_rows(sums.T)
+        assert first.tolist() == [0, 1, 3, 7]
+        assert group.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+        assert np.array_equal(sums.T[first][group], sums.T)
 
 
 class TestDesignRules:

@@ -18,6 +18,7 @@ interval law and from distinct rho0), the exponent E at the checkpoints
 against a step-by-step trapezoid sum of the full d x d integrand (bit
 for bit the same at a node whatever the cadence, in memory that does
 not grow with the grid, and not held at every checkpoint by the solve),
+a block E[rows][:, cols] of it against the slice of the full E,
 the unconditional evolution against a step-by-step Simpson sum of the
 full K (in at most 1.6 times the memory of its result at the register
 cap), no solver building K per node, typed errors on malformed batch
@@ -397,6 +398,31 @@ def test_node_exponents_are_the_trapezoid_rule(name, pulse, n_steps):
         for node, e in zip(nodes, got):
             want_bits = by_node.setdefault(node, e)
             assert np.array_equal(e, want_bits), (every, node)
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs()))
+def test_node_exponents_block_is_the_slice_of_the_full_e(name, pulse):
+    # E[rows][:, cols] from two small products per integral, for index
+    # sets in any order, against the slice of the full E, for both
+    # quadrature tables (the Simpson one on panel ends, K alone)
+    config = reference_designs()[name]
+    rng = np.random.default_rng(17)
+    n_steps = 4 * sme._BLOCK_STEPS + 2 * sme._SUB_STEPS + 6
+    table = sme.build_table(config, pulse, n_steps)
+    cases = [(sme.measurement_diag(config, table.output), sme._TRAPEZOID,
+              cadence_nodes(n_steps, 7)),
+             (None, sme._SIMPSON, np.arange(0, n_steps + 1, 2))]
+    for c_all, weights, nodes in cases:
+        full = np.concatenate(list(sme._node_exponents(
+            config, table, c_all, nodes, weights)))
+        for _ in range(4):
+            rows, cols = (rng.permutation(config.dim)[
+                :rng.integers(1, config.dim + 1)] for _ in "rc")
+            block = np.concatenate(list(sme._node_exponents(
+                config, table, c_all, nodes, weights, rows, cols)))
+            want = full[:, rows][:, :, cols]
+            assert block.shape == want.shape
+            assert np.abs(block - want).max() <= 1e-15 * np.abs(full).max()
 
 
 def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
@@ -793,7 +819,7 @@ def per_node_solve(config, table, c_all, rho0, nodes, s_at_nodes):
     """
     n_batch = len(rho0)
     sqrt_eta = math.sqrt(config.eta)
-    first, group = sme._distinct(rho0)
+    first, group = model.distinct_rows(rho0)
     states = rho0[first]
     p0 = np.einsum("gii->gi", states).real
     shown = p0 > 0.0
