@@ -32,13 +32,14 @@ and rho = rho~ / tr rho~. Only the populations feed the record,
     p = softmax(log p0 + 2 sqrt(eta) Re S - 2 eta R(t)),
     R_i(t) = int_0^t (Re c_i)^2 ds,
 
-so simulate_batch steps the d complex exponents S of each trajectory,
+so simulate_batch steps the complex exponents S of each trajectory,
 
     dS = sqrt(eta) c(t) m(S, t) dt + c(t) dW,
 
-and builds the d x d state only at the end. This holds only in the
-paper's regime, where qubit decay is neglected: a T1 term would couple
-the populations and break the elementwise solution.
+one per class of identical states (below), and builds the d x d state
+only at the end. This holds only in the paper's regime, where qubit
+decay is neglected: a T1 term would couple the populations and break the
+elementwise solution.
 
 In the same regime the law of the record is a mixture over basis states
 (the linear-trajectory picture of Jacobs & Knight, PRA 57, 2301 (1998);
@@ -130,6 +131,19 @@ least one per sweep, and the window slides on. S itself is built once
 per commit from the committed means, in step_sde's term order, so
 simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
+
+Each row of the sweep is a class of states: those whose column of c is
+the same bit for bit (grouped a block of nodes at a time, so no copy of
+every column is held) and whose log p0 is the same in every trajectory
+of the batch. The same operations on the same operands give the states
+of a class the same S and the same softmax terms at every node, and the
+maximum over the states is exact under any grouping; the two sums over
+the basis add the class values state by state, in the order of the
+states. So a class row stands for its states bit for bit, and the solver
+does at most the work of one row per state. From |+>, the 8 states of
+the default design fall into 4 classes and the 64 states of six qubits
+coupled alike to two modes into 7; distinct outputs or populations give
+every state a class of its own.
 
 Both solvers check their input in _batch_inputs and hand S at each
 checkpoint to one function, _solve, which splits the work in two. The
@@ -603,7 +617,7 @@ def _node_exponents(config, table, c_all, nodes, weights, rows=None,
             yield out
 
 
-def _column_sum(x) -> np.ndarray:
+def _column_sum(x, rows=None) -> np.ndarray:
     """Sum over axis 0, the rows added one after another.
 
     x.sum(axis=0) switches to pairwise summation when x has one column,
@@ -612,10 +626,16 @@ def _column_sum(x) -> np.ndarray:
     over every column at once: _final_checks sums each state's trace and
     purity with it, the S solve and _solve the softmax over the basis;
     an add.accumulate along the rows costs two to eight times as much.
+    rows, a sequence of row indices that may repeat, adds x[rows[0]],
+    x[rows[1]], ... in that order instead: the sum of x[rows] without
+    forming it. The S solve holds one row per class of states and adds
+    them in the order of the basis states.
     """
-    total = x[0].copy()
-    for row in x[1:]:
-        total += row
+    if rows is None:
+        rows = range(len(x))
+    total = x[rows[0]].copy()
+    for row in rows[1:]:
+        total += x[row]
     return total
 
 
@@ -856,6 +876,28 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
         rho0, group, s_at_nodes)
 
 
+def _output_columns(c_all):
+    """(first, columns) = distinct_rows(c_all.T), in bounded memory.
+
+    Groups the basis states by their column of c, bit for bit: c_all[:,
+    first] are the distinct columns, in order, and state i's is
+    columns[i]. The grouping is refined over blocks of _PASS_ENTRIES // d
+    nodes, each keyed on the group so far and the block's values, so no
+    copy of every column is held. Two states share a group exactly when
+    every block is equal, and distinct_rows numbers the groups in order of
+    their first state, so the result is that of the whole columns.
+    """
+    n_nodes, dim = c_all.shape
+    per_block = max(1, _PASS_ENTRIES // dim)
+    columns = np.zeros(dim, dtype=int)
+    for lo in range(0, n_nodes, per_block):
+        block = c_all[lo:lo + per_block]
+        # one state's key at a time: its group, then its block column
+        first, columns = distinct_rows(np.append(group, block[:, i])
+                                       for i, group in enumerate(columns))
+    return first, columns
+
+
 def _step_nodes(first, a0, a_pair, c0, curvature, dw, dz_factor,
                 dwz_factor, dt):
     """Exponents at the nodes of consecutive reduced steps, from first.
@@ -884,45 +926,65 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
                        records):
     """S at each node in turn, stepped by the reduced order-1.5 scheme.
 
-    Writes records[:, n] for every step. The recurrence is solved a window
-    of steps at a time by a fixed-point (Picard) sweep over the whole
-    window. Only Re S feeds the means, so the sweep runs on real arrays:
-    from the current iterate of Re S at every node of the window it
-    evaluates every step's mean and supporting means at once, and rebuilds
-    Re S from the window's exact first node in the loop's term order
-    (_step_nodes). The sweep is causal, so where its values equal the
-    iterate's on the first k nodes (NaN counted equal to the same NaN),
-    the steps up to node k + 1 started from exact values and are exact;
-    they are committed, at least one per sweep. The window then slides to
-    the first uncommitted step: steps already in it keep their last
-    iterate, and new ones are guessed with the last committed mean held
-    fixed. Complex S of the committed steps is built once from their
-    means, in the same term order, so every output is the one-step-at-a-
-    time loop's bit for bit. The arrays are basis-major, (d, steps,
-    columns), so each softmax reduces over whole contiguous blocks; node
-    values and noise factors are tabulated two windows at a time.
+    Writes records[:, n] for every step. The stepped rows are classes of
+    basis states, not the states: states whose column of c is the same bit
+    for bit (_output_columns) and whose log p0 is the same in every batch
+    row. Their S, softmax arguments and weights are then the same bits at
+    every node, so one row per class stands for all of them, and S is
+    yielded as S[classes], (d, n_batch), a new array each time. The two
+    sums over the basis add the class values state by state, in the order
+    of the states (_column_sum with rows), and the maximum is exact under
+    any grouping, so the means are those of d rows bit for bit.
+
+    The recurrence is solved a window of steps at a time by a fixed-point
+    (Picard) sweep over the whole window. Only Re S feeds the means, so
+    the sweep runs on real arrays: from the current iterate of Re S at
+    every node of the window it evaluates every step's mean and supporting
+    means at once, and rebuilds Re S from the window's exact first node in
+    the loop's term order (_step_nodes). The sweep is causal, so where its
+    values equal the iterate's on the first k nodes (NaN counted equal to
+    the same NaN), the steps up to node k + 1 started from exact values
+    and are exact; they are committed, at least one per sweep. The window
+    then slides to the first uncommitted step: steps already in it keep
+    their last iterate, and new ones are guessed with the last committed
+    mean held fixed. Complex S of the committed steps is built once from
+    their means, in the same term order, so every output is the one-step-
+    at-a-time loop's bit for bit. The arrays are class-major, (classes,
+    steps, columns), so each softmax reduces over whole contiguous blocks;
+    node values of c, gathered at one state per class, and noise factors
+    are tabulated two windows at a time.
     """
     n_steps = len(table.times) - 1
-    dim, n_batch = config.dim, len(dws)
+    n_batch = len(dws)
     dt, eta = table.dt, config.eta
     sqrt_dt, sqrt_eta = math.sqrt(dt), math.sqrt(eta)
     with np.errstate(divide="ignore"):
-        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)[:, None]
+        log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
+    # one row per class: states of one column of c and one log p0 in
+    # every batch row; state i's row is classes[i]
+    _, columns = _output_columns(c_all)
+    first, classes = distinct_rows(np.column_stack([columns, log_p0]))
+    n_class = len(first)
+    log_p0 = log_p0[first, None]
     log_p0_pair = np.tile(log_p0, 2)
 
     def scaled_means(re_s, log_p, w, r):
         """sqrt(eta) m = sum_i p_i w_i at every step of a window.
 
-        re_s has shape (d, steps, columns); w = 2 sqrt(eta) Re c and
-        r = 2 eta R are each step's node values, shape (d, steps, 1).
-        Returns (steps, columns).
+        re_s has shape (classes, steps, columns); w = 2 sqrt(eta) Re c and
+        r = 2 eta R are each step's node values, shape (classes, steps,
+        1). Returns (steps, columns).
         """
         x = np.multiply(re_s, 2.0 * sqrt_eta)
         x += log_p
         x -= r
         x -= np.maximum.reduce(x, axis=0)
-        p = np.exp(x, out=x)
-        return _column_sum(p * w) / _column_sum(p)
+        # p w and p side by side: one pass over the states sums both
+        terms = np.empty((len(x), 2) + x.shape[1:])
+        p = np.exp(x, out=terms[:, 1])
+        np.multiply(p, w, out=terms[:, 0])
+        total = _column_sum(terms, classes)
+        return total[0] / total[1]
 
     # a window holds window x n_batch columns of every buffer, and each
     # step is evaluated several times before it is committed; past 4
@@ -930,13 +992,13 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
     # batch gets a shorter window
     window = max(1, min(_BLOCK_STEPS, 4 * _BLOCK_STEPS // max(1, n_batch)))
     # Re S at the window's first node, exact, then the iterate at the rest
-    re_s = np.zeros((dim, window + 1, n_batch))
+    re_s = np.zeros((n_class, window + 1, n_batch))
     n_iterate = 0
-    s = np.zeros((dim, n_batch), dtype=complex)
+    s = np.zeros((n_class, n_batch), dtype=complex)
     m_last = np.zeros(n_batch)
-    r = np.zeros((dim, 1, 1))
+    r = np.zeros((n_class, 1, 1))
     tab_lo = tab_hi = 0
-    yield s
+    yield s.take(classes, axis=0)
     k = 1
     a = 0
     while a < n_steps:
@@ -947,7 +1009,7 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
             # the step factors, for up to two windows from step a on
             r_lo = r[:, a - tab_lo, None]
             tab_lo, tab_hi = a, min(a + 2 * window, n_steps)
-            c = c_all[tab_lo:tab_hi + 1].T[:, :, None]
+            c = c_all[tab_lo:tab_hi + 1, first].T[:, :, None]
             re_c = c.real
             w = (2.0 * sqrt_eta) * re_c
             sq = re_c ** 2
@@ -996,8 +1058,8 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
             curvature[:, done], dw[:, done], dz_factor[:, done],
             dwz_factor[:, done], dt)
         while k < len(nodes) and nodes[k] <= a + n_exact:
-            # a copy: an S that _solve holds must not keep the window alive
-            yield s_nodes[:, nodes[k] - a].copy()
+            # a new array, so an S that _solve holds keeps no window alive
+            yield s_nodes[:, nodes[k] - a].take(classes, axis=0)
             k += 1
         s = s_nodes[:, -1]
         m_last = m0[n_exact - 1]
@@ -1013,10 +1075,11 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
                    checkpoint_every: int = 0):
     """Advance a batch of register states through the full record grid.
 
-    Steps the exponents S = int c dY of every trajectory (reduced step_sde)
-    and builds the final state from the elementwise solution (module
-    docstring), with E integrated by the trapezoid rule on the table's
-    nodes (_node_exponents). S is solved a window of steps at a time by an
+    Steps the exponents S = int c dY of every trajectory (reduced
+    step_sde), one per class of identical states, and builds the final
+    state from the elementwise solution (module docstring), with E
+    integrated by the trapezoid rule on the table's nodes
+    (_node_exponents). S is solved a window of steps at a time by an
     exact fixed-point sweep: every step of the window is evaluated at once,
     and the steps that started from exact values are committed.
     The sweep is causal, so those are bit for bit the values of step_sde
@@ -1210,7 +1273,7 @@ class IntervalLaw:
         self.c_all = measurement_diag(config, table.output)
         self.nodes = _checkpoints(n_steps)
         # S_i depends on c_i alone, so states of the same c share a column
-        first, self.columns = distinct_rows(self.c_all.T)
+        first, self.columns = _output_columns(self.c_all)
         c_distinct = np.ascontiguousarray(self.c_all[:, first])
         c_pairs = c_distinct.view(float)
         n_s = c_pairs.shape[1]

@@ -8,10 +8,13 @@ batch/single-trajectory equivalence (diagnostics included), the batch
 loop against its S loop written through step_sde with every checkpoint
 state built densely (records, final states and their diagnostics bit for
 bit, and min_eig a lower bound with the exact eigenvalue's sign, also
-around the solver's window edges and, NaN for NaN, on a table with a NaN
-node), min_eig inside Ostrowski's bracket on random states with and
-without a negative eigenvalue or a zero population, one eigvalsh matrix
-per checkpoint whatever the batch, results independent of block sizes,
+around the solver's window edges, where its classes of identical states
+are neither the columns of c nor the states, and, NaN for NaN, on a
+table with a NaN node), one stepped row per class, the stepper's memory
+on a long grid, the blockwise grouping of the columns of c against the
+grouping of whole columns, min_eig inside Ostrowski's bracket on random
+states with and without a negative eigenvalue or a zero population, one
+eigvalsh matrix per checkpoint whatever the batch, results independent of block sizes,
 pass sizes and checkpoint cadence, the checkpoint routine bit for bit
 against the one-block-at-a-time loop it replaced (also through the
 interval law and from distinct rho0), the exponent E at the checkpoints
@@ -604,6 +607,143 @@ def test_nan_output_node_is_step_sde(config, pulse):
     assert np.isfinite(ref_records[:, :300]).all()
     assert np.array_equal(records, ref_records, equal_nan=True)
     assert np.array_equal(s_nodes, ref_s, equal_nan=True)
+
+
+def uniform_register(n_qubits):
+    """The default design widened to n_qubits with chi all ones: the
+    outputs depend on the popcount alone, n_qubits + 1 distinct columns."""
+    default = model.default_config()
+    return default.replace(n_qubits=n_qubits,
+                           chi=np.ones((default.n_modes, n_qubits)),
+                           gamma_z=np.full(n_qubits, default.gamma_z[0]))
+
+
+def pure_density(amplitudes):
+    psi = np.asarray(amplitudes, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def class_cases():
+    """(config, states, n_steps) where the stepper's classes of identical
+    states are not the columns of c, nor the states: popcount columns,
+    a qubit with no coupling, populations that differ inside a column of
+    the default design (its states 1, 2 and 4 share one), one of them
+    zero, and the 6-qubit register. A batch cycles through the states."""
+    default = model.default_config()
+    uneven = np.ones(8)
+    uneven[1] = 1.5
+    hollow = np.ones(8)
+    hollow[2] = 0.0
+    hollow[1] = 0.5
+    return {
+        "4q_ones": (uniform_register(4), [model.plus_density(4)], 600),
+        "zero_chi_column": (
+            default.replace(chi=default.chi * np.array([1.0, 0.0, 1.0])),
+            [model.plus_density(3)], 600),
+        "populations": (default, [pure_density(hollow),
+                                  model.plus_density(3),
+                                  pure_density(uneven)], 600),
+        "6q_ones": (uniform_register(model.MAX_QUBITS),
+                    [model.plus_density(model.MAX_QUBITS)], 300),
+    }
+
+
+@pytest.mark.parametrize("n_batch", [1, 13])
+@pytest.mark.parametrize("name", sorted(class_cases()))
+def test_class_rows_are_step_sde(name, n_batch, pulse):
+    # one stepped row per class of states stands for every state of the
+    # class, and the sums over the basis still add state by state, so the
+    # results are the d-row loop's bit for bit
+    config, states, n_steps = class_cases()[name]
+    table = sme.build_table(config, pulse, n_steps)
+    dws, dzs = sme.trajectory_noise(table, 6, range(n_batch))
+    rho0 = np.stack([states[b % len(states)] for b in range(n_batch)])
+    for checkpoint_every in (7, 0):
+        rho, records, diagnostics = sme.simulate_batch(
+            config, table, rho0, dws, dzs, checkpoint_every=checkpoint_every)
+        ref_rho, ref_records, ref_diagnostics = step_sde_reference(
+            config, table, rho0, dws, dzs,
+            checkpoint_every=checkpoint_every or max(1, n_steps // 100))
+        assert np.array_equal(records, ref_records)
+        assert np.array_equal(rho, ref_rho)
+        assert_certified(diagnostics, ref_diagnostics)
+
+
+def test_stepper_holds_one_row_per_class(config, pulse, monkeypatch):
+    # 4 classes of 8 states on the default design from |+>, 7 of 64 at 6
+    # qubits with chi all ones, and every state alone when the
+    # populations differ inside every column
+    step_nodes, rows = sme._step_nodes, set()
+
+    def counting(first, *args):
+        rows.add(len(first))
+        return step_nodes(first, *args)
+
+    monkeypatch.setattr(sme, "_step_nodes", counting)
+    random_pure = pure_density(np.random.default_rng(3).uniform(0.5, 1.5, 8))
+    for design, rho0, want in (
+            (config, model.plus_density(3), 4),
+            (uniform_register(model.MAX_QUBITS),
+             model.plus_density(model.MAX_QUBITS), 7),
+            (config, random_pure, 8)):
+        table = sme.build_table(design, pulse, 300)
+        dws, dzs = sme.trajectory_noise(table, 0, range(3))
+        rows.clear()
+        sme.simulate_batch(design, table, rho0, dws, dzs)
+        assert rows == {want}
+
+
+def test_stepper_memory_does_not_grow_with_grid(config, pulse):
+    # the columns of c are grouped a block of nodes at a time, and c is
+    # gathered a table window at a time, so no copy of every column of the
+    # grid is held (at 10^5 steps one would take 12.8 MB)
+    n_steps = 10 ** 5
+    table = sme.build_table(config, pulse, n_steps)
+    c_all = sme.measurement_diag(config, table.output)
+    rho0, dws, dzs, nodes = sme._batch_inputs(
+        config, table, model.plus_density(3),
+        *sme.trajectory_noise(table, 0, [0]), 0)
+    records = np.empty(dws.shape)
+    tracemalloc.start()
+    try:
+        for _ in sme._stepped_exponents(config, table, c_all, rho0, dws, dzs,
+                                        nodes, records):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def output_table(name):
+    """c_all of a reference design or the 6-qubit register on 1500 steps;
+    "nan_node" is the default design's with a NaN at one node of state 2,
+    whose column it shares with states 1 and 4."""
+    designs = {**reference_designs(), "nan_node": model.default_config(),
+               "6q_ones": uniform_register(model.MAX_QUBITS)}
+    table = sme.build_table(designs[name], default_pulse(), 1500)
+    c_all = sme.measurement_diag(designs[name], table.output)
+    if name == "nan_node":
+        c_all[700, 2] = np.nan
+    return c_all
+
+
+@pytest.mark.parametrize("name", sorted(reference_designs())
+                         + ["6q_ones", "nan_node"])
+@pytest.mark.parametrize("pass_entries", [sme._PASS_ENTRIES, 40, 1])
+def test_output_columns_are_distinct_rows(name, pass_entries, monkeypatch):
+    # grouping over blocks of nodes, down to one node per block, gives the
+    # grouping of the whole columns
+    monkeypatch.setattr(sme, "_PASS_ENTRIES", pass_entries)
+    c_all = output_table(name)
+    got = sme._output_columns(c_all)
+    want = model.distinct_rows(c_all.T)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+    if name == "nan_node":
+        columns = got[1]
+        assert columns[1] == columns[4] != columns[2]
 
 
 def coarsen(dws, dzs, ratio, h):
