@@ -257,13 +257,13 @@ def ensemble_run(config: model.ReadoutConfig, pulse: PulseSpec = None,
                for kind in filter_kinds}
     # a filter that cannot be oriented fails here, before any sampling
     orientations = {kind: filt.orientation for kind, filt in filters.items()}
-    law = IntervalLaw(config, table)
+    law = IntervalLaw(config, table, rho0)
     chunk = max(1, _CHUNK_NUMBERS // (law.n_normals + config.dim ** 2))
 
     for start in range(0, n_traj, chunk):
         stop = min(start + chunk, n_traj)
         js, rho_final, record_sums, diags = law.sample(
-            rho0, base_seed, range(start, stop))
+            base_seed, range(start, stop))
         basis_index[start:stop] = js
         for kind, filt in filters.items():
             signals[kind][start:stop] = (

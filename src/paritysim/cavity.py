@@ -179,12 +179,21 @@ class AmplitudeTable:
         basis state j at times[i].
     output : ndarray, shape (n_t, 2**n)
         Output-line amplitude sum_k sqrt(kappa_k) alpha[i, k, j].
+    classes : ndarray of int, shape (2**n,)
+        classes[j] is the coupling class of basis state j (equal signed
+        chi sums, so equal A_j), numbered in order of the first state as
+        model.distinct_rows numbers them. States of one class have the
+        same alpha and output columns bit for bit, and the solvers step
+        and sample one column per class. None, for a table built by hand,
+        makes every state a class of its own, which is always exact.
     """
 
-    def __init__(self, times, alpha, output):
+    def __init__(self, times, alpha, output, classes=None):
         self.times = times
         self.alpha = alpha
         self.output = output
+        self.classes = (np.arange(np.shape(alpha)[-1]) if classes is None
+                        else classes)
         self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
 
 
@@ -199,7 +208,10 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     piece start (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)). Node
     k of a piece from a is expm(M_j (t_lo - a)) expm(M_j h)^k z(a), with the
     powers formed once; nothing is diagonalized, so a defective A_j is exact.
-    Raises ConfigError if an amplitude's |alpha|^2 is not finite.
+    One state per coupling class is integrated and its columns copied to
+    the others of its class; the table records the classes
+    (AmplitudeTable.classes). Raises ConfigError if an amplitude's
+    |alpha|^2 is not finite.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times) if times.ndim == 1 else 0
@@ -258,8 +270,12 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
         z = np.einsum("jab,jb->ja", expm(gen * (b - a)), z)
 
     require_bounded(alpha)
-    if n_classes < config.dim:
-        # take keeps the layout C-contiguous, as a table built per state is
-        alpha = np.take(alpha, classes, axis=-1)
     output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
-    return AmplitudeTable(times=times, alpha=alpha, output=output)
+    # take copies each class column to its states, C-contiguous, so the
+    # columns of a class are equal by construction. The class alpha is
+    # dropped before output is copied: holding every copy at once pushes
+    # the peak past malloc's trim threshold, and the freed memory is then
+    # returned and faulted back in on every build (2 ms of a 4 ms table)
+    alpha = np.take(alpha, classes, axis=-1)
+    output = np.take(output, classes, axis=-1)
+    return AmplitudeTable(times, alpha, output, classes)

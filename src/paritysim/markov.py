@@ -35,7 +35,7 @@ import numpy as np
 from . import model
 from .errors import ConfigError, require_int
 from .pulse import PulseSpec, default_pulse
-from .sme import _deterministic_exponents
+from .sme import _deterministic_exponents, build_table
 # witness_scan no longer evolves the whole state, but perfbench's tracer
 # test patches this lookup site by name, so the name stays importable from
 # here (ROADMAP, item 1)
@@ -138,31 +138,32 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
 
     With gamma_z = 0, K_ij depends on states i and j only through their
     signed chi sums (model.signed_chi_sums), so E_ij depends only on the
-    pair of coupling classes: the distinct columns of those sums, which
-    may hold states of both parities. With P_e and P_o the class
-    indicators of the even and odd states and X = exp(E) on class
-    representatives, B = (2/d) P_e X P_o^T, whose singular values are those
-    of (2/d) N_e^(1/2) X N_o^(1/2), N holding the class sizes within each
-    parity. So E is integrated on the representatives' block alone
-    (sme._deterministic_exponents) and each block of nodes is reduced to
-    its distances through trace_distance as it comes: no (steps, d, d)
-    array is formed. On the default design that is a 2 x 2 matrix per
-    node instead of 8 x 8. The reporting window is [t_off - sigma/2, tau]:
-    the pulse turn-off, where amplitude information stored in the modes
-    flows back into the register.
+    pair of coupling classes, which the amplitude table carries
+    (AmplitudeTable.classes) and which may hold states of both parities.
+    With P_e and P_o the class indicators of the even and odd states and
+    X = exp(E) on class representatives, B = (2/d) P_e X P_o^T, whose
+    singular values are those of (2/d) N_e^(1/2) X N_o^(1/2), N holding
+    the class sizes within each parity. So E is integrated on the
+    representatives' block alone (sme._deterministic_exponents) and each
+    block of nodes is reduced to its distances through trace_distance as
+    it comes: no (steps, d, d) array is formed. On the default design that
+    is a 2 x 2 matrix per node instead of 8 x 8. The reporting window is
+    [t_off - sigma/2, tau]: the pulse turn-off, where amplitude
+    information stored in the modes flows back into the register.
     """
     n_steps = require_int("n_steps", n_steps, 1)
     if pulse is None:
         pulse = default_pulse()
     clean = config.replace(gamma_z=np.zeros(config.n_qubits))
-    reps, classes = model.distinct_rows(model.signed_chi_sums(config).T)
-    # the size of each class within each parity; a class may hold both
-    sizes = [np.bincount(classes[model.parity_indices(config.n_qubits, p)],
-                         minlength=len(reps)) for p in ("even", "odd")]
+    table = build_table(clean, pulse, 2 * n_steps)
+    # the first state of each class, and the size of each class within
+    # each parity; a class may hold both
+    reps = np.unique(table.classes, return_index=True)[1]
+    odd = model.popcounts(config.n_qubits) % 2
+    sizes = [np.bincount(table.classes, weights) for weights in (1 - odd, odd)]
     (rows, n_even), (cols, n_odd) = [(reps[n > 0], n[n > 0]) for n in sizes]
     weight = (2.0 / config.dim) * np.sqrt(np.multiply.outer(n_even, n_odd))
-    times, blocks = _deterministic_exponents(clean, pulse, n_steps, rows,
-                                             cols)
+    times, blocks = _deterministic_exponents(clean, table, rows, cols)
     # D is the trace norm, twice trace_distance(B, 0): B goes through
     # trace_distance, the function perfbench times
     dist = np.concatenate([2.0 * trace_distance(weight * np.exp(e), 0.0)

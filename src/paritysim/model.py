@@ -246,8 +246,9 @@ def distinct_rows(rows):
     order, and rows[b] equals rows[first[group[b]]].
 
     The one grouping of the package: the basis states of one coupling
-    class (equal columns of signed_chi_sums), of one output c, or the
-    batch rows of one initial state.
+    class (equal columns of signed_chi_sums), the stepper's rows of one
+    coupling class and one initial population, or the batch rows of one
+    initial state.
     """
     seen = {}
     return np.unique([seen.setdefault(row.tobytes(), b)

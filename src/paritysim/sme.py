@@ -132,18 +132,18 @@ per commit from the committed means, in step_sde's term order, so
 simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
-Each row of the sweep is a class of states: those whose column of c is
-the same bit for bit (grouped a block of nodes at a time, so no copy of
-every column is held) and whose log p0 is the same in every trajectory
-of the batch. The same operations on the same operands give the states
-of a class the same S and the same softmax terms at every node, and the
-maximum over the states is exact under any grouping; the two sums over
-the basis add the class values state by state, in the order of the
-states. So a class row stands for its states bit for bit, and the solver
-does at most the work of one row per state. From |+>, the 8 states of
-the default design fall into 4 classes and the 64 states of six qubits
-coupled alike to two modes into 7; distinct outputs or populations give
-every state a class of its own.
+Each row of the sweep is a class of states: those of one coupling
+class of the amplitude table (AmplitudeTable.classes, whose columns of
+c are equal by construction) whose log p0 is the same in every
+trajectory of the batch. The same operations on the same operands give
+the states of a class the same S and the same softmax terms at every
+node, and the maximum over the states is exact under any grouping; the
+two sums over the basis add the class values state by state, in the
+order of the states. So a class row stands for its states bit for bit,
+and the solver does at most the work of one row per state. From |+>,
+the 8 states of the default design fall into 4 classes and the 64
+states of six qubits coupled alike to two modes into 7; distinct
+couplings or populations give every state a class of its own.
 
 Both solvers check their input in _batch_inputs and hand S at each
 checkpoint to one function, _solve, which splits the work in two. The
@@ -338,8 +338,8 @@ def mixture_noise(config: model.ReadoutConfig, table: AmplitudeTable, rho0,
                   base_seed: int, indices):
     """(js, dws, dzs): the per-step noise of ensemble trajectories `indices`.
 
-    Row r replays trajectory indices[r] of IntervalLaw(config,
-    table).sample (analysis.ensemble_run) step by step: the same basis
+    Row r replays trajectory indices[r] of IntervalLaw(config, table,
+    rho0).sample (analysis.ensemble_run) step by step: the same basis
     state j and normals xi_k from trajectory_rng(base_seed, index), and
     on each checkpoint interval k the 2 L step normals
 
@@ -356,8 +356,8 @@ def mixture_noise(config: model.ReadoutConfig, table: AmplitudeTable, rho0,
     Raises ConfigError if the table does not hold (n_modes, d) amplitudes
     per node, or rho0 is not one (d, d) state shared by every index.
     """
-    law = IntervalLaw(config, table, replay=True)
-    _, js, xi = law.normals(rho0, base_seed, indices)
+    law = IntervalLaw(config, table, rho0, replay=True)
+    js, xi = law.normals(base_seed, indices)
     n_batch, n_steps = len(js), len(table.times) - 1
     zeta = np.empty((n_batch, 2 * n_steps))
     for row, index in enumerate(indices):
@@ -691,12 +691,20 @@ def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
 
 
 def _check_table(config, table):
-    """ConfigError unless the table holds (n_modes, d) amplitudes per node."""
+    """ConfigError unless the table holds (n_modes, d) amplitudes per node
+    and one coupling class in 0..d-1 per basis state."""
     if table.alpha.shape[1:] != (config.n_modes, config.dim):
         raise ConfigError(
             f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
             f"states) per node; the config needs ({config.n_modes}, "
             f"{config.dim})")
+    classes = np.asarray(table.classes)
+    if (classes.shape != (config.dim,) or classes.dtype.kind not in "iu"
+            or classes.min() < 0 or classes.max() >= config.dim):
+        raise ConfigError(
+            f"amplitude table classes have shape {classes.shape} and dtype "
+            f"{classes.dtype}; need one integer in 0..{config.dim - 1} per "
+            "basis state")
 
 
 def _checkpoints(n_steps: int, checkpoint_every=0) -> np.ndarray:
@@ -876,28 +884,6 @@ def _solve(config, table, c_all, rho0, nodes, s_at_nodes):
         rho0, group, s_at_nodes)
 
 
-def _output_columns(c_all):
-    """(first, columns) = distinct_rows(c_all.T), in bounded memory.
-
-    Groups the basis states by their column of c, bit for bit: c_all[:,
-    first] are the distinct columns, in order, and state i's is
-    columns[i]. The grouping is refined over blocks of _PASS_ENTRIES // d
-    nodes, each keyed on the group so far and the block's values, so no
-    copy of every column is held. Two states share a group exactly when
-    every block is equal, and distinct_rows numbers the groups in order of
-    their first state, so the result is that of the whole columns.
-    """
-    n_nodes, dim = c_all.shape
-    per_block = max(1, _PASS_ENTRIES // dim)
-    columns = np.zeros(dim, dtype=int)
-    for lo in range(0, n_nodes, per_block):
-        block = c_all[lo:lo + per_block]
-        # one state's key at a time: its group, then its block column
-        first, columns = distinct_rows(np.append(group, block[:, i])
-                                       for i, group in enumerate(columns))
-    return first, columns
-
-
 def _step_nodes(first, a0, a_pair, c0, curvature, dw, dz_factor,
                 dwz_factor, dt):
     """Exponents at the nodes of consecutive reduced steps, from first.
@@ -927,14 +913,16 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
     """S at each node in turn, stepped by the reduced order-1.5 scheme.
 
     Writes records[:, n] for every step. The stepped rows are classes of
-    basis states, not the states: states whose column of c is the same bit
-    for bit (_output_columns) and whose log p0 is the same in every batch
-    row. Their S, softmax arguments and weights are then the same bits at
-    every node, so one row per class stands for all of them, and S is
-    yielded as S[classes], (d, n_batch), a new array each time. The two
-    sums over the basis add the class values state by state, in the order
-    of the states (_column_sum with rows), and the maximum is exact under
-    any grouping, so the means are those of d rows bit for bit.
+    basis states, not the states: states of one coupling class of the
+    table (table.classes, whose columns of c are equal) whose log p0 is
+    the same in every batch row. Their S, softmax arguments and weights
+    are then the same bits at every node, so one row per class stands for
+    all of them, and S is yielded as S[classes], (d, n_batch), a new array
+    each time. The two sums over the basis add the class values state by
+    state, in the order of the states (_column_sum with rows), and the
+    maximum is exact under any grouping, so the means are those of d rows
+    bit for bit. Two coupling classes whose outputs happen to be equal
+    bit for bit are stepped as two rows, which is still exact.
 
     The recurrence is solved a window of steps at a time by a fixed-point
     (Picard) sweep over the whole window. Only Re S feeds the means, so
@@ -960,10 +948,9 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
     sqrt_dt, sqrt_eta = math.sqrt(dt), math.sqrt(eta)
     with np.errstate(divide="ignore"):
         log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
-    # one row per class: states of one column of c and one log p0 in
+    # one row per class: states of one coupling class and one log p0 in
     # every batch row; state i's row is classes[i]
-    _, columns = _output_columns(c_all)
-    first, classes = distinct_rows(np.column_stack([columns, log_p0]))
+    first, classes = distinct_rows(np.column_stack([table.classes, log_p0]))
     n_class = len(first)
     log_p0 = log_p0[first, None]
     log_p0_pair = np.tile(log_p0, 2)
@@ -1228,7 +1215,8 @@ def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
 
 
 class IntervalLaw:
-    """Exact law of S and three record sums over each checkpoint interval.
+    """Exact law of S and three record sums over each checkpoint interval,
+    for one design, one grid and one initial state rho0.
 
     The checkpoints are simulate_batch's default ones; interval k spans L
     steps (the last may be shorter). Step n has the normals (z1, z2) of
@@ -1236,14 +1224,17 @@ class IntervalLaw:
     + z2/sqrt(3)). For the record of basis state j, dY = r dt + dW' with
     r = 2 sqrt(eta) Re c_j (module docstring), the interval's vector v_k,
 
-        the increments of (Re S_i, Im S_i) for each distinct column c_i,
+        the increments of (Re S_i, Im S_i) for each coupling class i,
         sum g_n dY_n over its left nodes, g = (j_even, j_odd, 1),
 
     with j_even and j_odd the nominal records of the parity references
     (nominal_record), is v_k = mean[k, j] + A_k z. S_i depends on c_i
-    alone, so basis states whose c is the same bit for bit share one
-    column (columns[i] is state i's): D = 2 u + 3 entries for u distinct
-    columns, at most 2 d + 3. Per step n, A_k's column for z1 is
+    alone, and the states of one coupling class of the table share c
+    (AmplitudeTable.classes), so they share one column (columns[i] is
+    state i's, one representative per class): D = 2 u + 3 entries for u
+    classes, at most 2 d + 3. Two classes whose outputs happen to be
+    equal bit for bit keep a column each: the law draws more normals but
+    is still exact. Per step n, A_k's column for z1 is
     (sqrt(dt)/2) (c_n + c_n+1) in the S part and sqrt(dt) g_n in the
     record part, and for z2 (sqrt(dt)/(2 sqrt(3))) (c_n - c_n+1) and 0.
     mean[k, columns[j]] holds sum dt [c_n (r_n/3 + r_n+1/6) + c_n+1
@@ -1257,23 +1248,28 @@ class IntervalLaw:
     takes at most _BLOCK_ENTRIES numbers (at least one interval), so
     building the law holds a bounded amount. n_normals is the sum of
     min(D, 2 L) over the intervals, the normals one trajectory draws.
-    sample builds the noise-free half of _solve (_Certificate) for its
-    rho0 on the first call and keeps it for later calls from the same
-    rho0, so an ensemble's chunks share one E and one certificate.
+    The noise-free half of _solve (_Certificate) of rho0 is built on the
+    first call of sample and kept, so an ensemble's chunks share one E
+    and one certificate, and mixture_noise never builds it.
 
     Raises ConfigError if the table does not hold (n_modes, d) amplitudes
-    per node.
+    and one coupling class per basis state, or rho0 is not one (d, d)
+    array with non-negative populations of unit trace.
     """
 
     def __init__(self, config: model.ReadoutConfig, table: AmplitudeTable,
-                 replay: bool = False):
+                 rho0, replay: bool = False):
         _check_table(config, table)
+        self.rho0 = _square(rho0, config.dim)
+        self.cdf = np.cumsum(_populations(self.rho0))
+        self.cdf /= self.cdf[-1]
         n_steps, dt = len(table.times) - 1, table.dt
         self.config, self.table = config, table
         self.c_all = measurement_diag(config, table.output)
         self.nodes = _checkpoints(n_steps)
-        # S_i depends on c_i alone, so states of the same c share a column
-        first, self.columns = _output_columns(self.c_all)
+        # S_i depends on c_i alone: one column per coupling class
+        first, self.columns = np.unique(table.classes, return_index=True,
+                                        return_inverse=True)[1:]
         c_distinct = np.ascontiguousarray(self.c_all[:, first])
         c_pairs = c_distinct.view(float)
         n_s = c_pairs.shape[1]
@@ -1311,30 +1307,26 @@ class IntervalLaw:
             self.runs.append((k0, k1, factor, q))
         self.n_normals = sum(f.shape[0] * f.shape[1]
                              for _, _, f, _ in self.runs)
-        self._certified = None
+        self._certificate = None
 
-    def normals(self, rho0, base_seed: int, indices):
-        """(rho0, js, xi): the draws of the trajectories `indices`.
+    def normals(self, base_seed: int, indices):
+        """(js, xi): the draws of the trajectories `indices`.
 
         The stream trajectory_rng(base_seed, index) draws the basis state
         j with probability rho0_jj (one uniform, inverted through the
         cumulative populations) and then the n_normals entries of row xi,
-        xi_k for each interval in turn. rho0 is one (d, d) state shared by
-        every index; ConfigError if it is not.
+        xi_k for each interval in turn.
         """
-        rho0 = _square(rho0, self.config.dim)
-        cdf = np.cumsum(_populations(rho0))
-        cdf /= cdf[-1]
         js = np.empty(len(indices), dtype=int)
         xi = np.empty((len(indices), self.n_normals))
         for row, index in enumerate(indices):
             rng = trajectory_rng(base_seed, index)
             # side="right" never lands on a state of zero population
-            js[row] = np.searchsorted(cdf, rng.random(), side="right")
+            js[row] = np.searchsorted(self.cdf, rng.random(), side="right")
             rng.standard_normal(out=xi[row])
-        return rho0, js, xi
+        return js, xi
 
-    def sample(self, rho0, base_seed: int, indices):
+    def sample(self, base_seed: int, indices):
         """(js, rho_final, record_sums, diagnostics) of trajectories
         `indices`, drawn exactly in law.
 
@@ -1343,17 +1335,16 @@ class IntervalLaw:
         the running sum of the S parts, written straight into the (nodes,
         d, n_batch) layout _solve reads. The final states and the
         diagnostics come from the per-row pass of _solve, as in
-        sample_batch, on the certificate of rho0 that the law keeps (built
-        on the first call from this rho0, by its bytes).
-        record_sums, shape (n_batch, 3), holds sum g_n dY_n over the whole
-        record for g = (j_even, j_odd, 1). Every row is reduced on its
-        own, so a trajectory's results do not depend on the other indices
-        drawn with it; mixture_noise gives its per-step noise. ConfigError
-        if indices is empty, or as normals() raises.
+        sample_batch, on the certificate of rho0 that the law builds on
+        its first sample and keeps. record_sums, shape (n_batch, 3), holds
+        sum g_n dY_n over the whole record for g = (j_even, j_odd, 1).
+        Every row is reduced on its own, so a trajectory's results do not
+        depend on the other indices drawn with it; mixture_noise gives its
+        per-step noise. ConfigError if indices is empty.
         """
         if not len(indices):
             raise ConfigError("no trajectory indices; need at least one")
-        rho0, js, xi = self.normals(rho0, base_seed, indices)
+        js, xi = self.normals(base_seed, indices)
         n_batch, dim = len(js), self.config.dim
         # basis-major, (intervals, D, n_batch)
         v = np.ascontiguousarray(
@@ -1374,13 +1365,12 @@ class IntervalLaw:
         s = np.zeros((len(self.nodes), dim, n_batch), dtype=complex)
         s.real[1:] = v[:, 0:n_s:2][:, self.columns]
         s.imag[1:] = v[:, 1:n_s:2][:, self.columns]
-        # an ensemble samples chunk after chunk from one state
-        key = (rho0.dtype.str, rho0.tobytes())
-        if self._certified is None or self._certified[0] != key:
-            self._certified = key, _Certificate(
-                self.config, self.table, self.c_all, self.nodes, rho0[None])
-        rho, diagnostics = self._certified[1].solve(
-            np.broadcast_to(rho0, (n_batch, dim, dim)),
+        if self._certificate is None:
+            self._certificate = _Certificate(
+                self.config, self.table, self.c_all, self.nodes,
+                self.rho0[None])
+        rho, diagnostics = self._certificate.solve(
+            np.broadcast_to(self.rho0, (n_batch, dim, dim)),
             np.zeros(n_batch, dtype=int), iter(s))
         return js, rho, v[-1, n_s:].T.copy(), diagnostics
 
@@ -1436,7 +1426,8 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     n_steps = require_int("n_steps", n_steps, 1)
     rho0 = (model.plus_density(config.n_qubits) if rho0 is None
             else _square(rho0, config.dim))
-    times, blocks = _deterministic_exponents(config, pulse, n_steps)
+    times, blocks = _deterministic_exponents(
+        config, build_table(config, pulse, 2 * n_steps))
     # rhos holds the exponents E_n until the final in-place exp
     rhos = np.empty((n_steps + 1, config.dim, config.dim), dtype=complex)
     row = 0
@@ -1448,18 +1439,17 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
     return DeterministicResult(times=times, rhos=rhos)
 
 
-def _deterministic_exponents(config, pulse, n_steps: int, rows=None,
-                             cols=None):
-    """(times, blocks): the unconditional E_n = int_0^t_n K at each of
-    n_steps + 1 step ends, by composite Simpson.
+def _deterministic_exponents(config, table, rows=None, cols=None):
+    """(times, blocks): the unconditional E_n = int_0^t_n K at every step
+    end, by composite Simpson.
 
-    The amplitude table is built on 2 n_steps steps, so it carries the
-    step midpoints, and blocks yields E at the step ends as
-    _node_exponents does (E[rows][:, cols] alone if both are given), one
-    block of nodes at a time. simulate_deterministic writes every block
-    into its result; markov.witness_scan reduces each one as it comes.
+    table is built on twice the steps (build_table(config, pulse,
+    2 * n_steps)), so it carries the step midpoints, and blocks yields E
+    at the step ends, its even nodes, as _node_exponents does
+    (E[rows][:, cols] alone if both are given), one block of nodes at a
+    time. simulate_deterministic writes every block into its result;
+    markov.witness_scan reduces each one as it comes.
     """
-    table = build_table(config, pulse, 2 * n_steps)
     return table.times[::2], _node_exponents(
-        config, table, None, np.arange(0, 2 * n_steps + 1, 2), _SIMPSON,
+        config, table, None, np.arange(0, len(table.times), 2), _SIMPSON,
         rows, cols)

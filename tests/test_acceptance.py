@@ -5,9 +5,9 @@ per criterion. Each test states its tolerance inline; shared expensive
 fixtures (the desk-resolution amplitude table and the 500-trajectory
 ensemble) are module-scoped so the suite stays within tens of minutes.
 
-Criterion 5 is split in three: the invariant clauses and the positivity
-floor at the desk resolution, and the same floor at ten times the step
-count.
+Criterion 5 is split in four: the invariant clauses and the positivity
+floor at the desk resolution, the same floor at ten times the step
+count, and both on the sampled desk ensemble.
 """
 
 import numpy as np
@@ -129,6 +129,21 @@ def test_criterion_05_positivity_floor(desk_diagnostics):
     # check at 10^5 steps.
     floor = desk_diagnostics.worst()["min_eig"]
     assert floor > -1e-8, f"min eigenvalue {floor:.3e} at 10^4 steps"
+
+
+def test_criterion_05_on_the_sampled_ensemble(desk_ensemble):
+    # the ensemble is drawn from the interval law, not stepped: its
+    # states come from the same certificate and must meet the same floor
+    # and invariants
+    diagnostics = desk_ensemble.diagnostics
+    worst = diagnostics.worst()
+    assert worst["min_eig"] > -1e-8, \
+        f"min eigenvalue {worst['min_eig']:.3e} on the desk ensemble"
+    assert worst["trace_dev"] < 1e-10
+    assert worst["herm_dev"] < 1e-12
+    assert worst["purity_excess"] <= 1e-8
+    assert worst["diag_drift"] < 1e-10
+    assert diagnostics.violations() == []
 
 
 def test_criterion_05_positivity_floor_fine_steps(config, pulse):

@@ -209,17 +209,19 @@ class TestEnsembleRun:
     def test_chunk_size_invariance(self, config, summary, monkeypatch):
         # chunks of 7 trajectories: each counts its normals and its state.
         # E and the certificate are built on the first chunk and reused by
-        # the others, and no chunk groups its broadcast rho0 rows: the one
-        # distinct_rows call of sme groups the law's output columns
-        law = sme.IntervalLaw(config, sme.build_table(config, None, 2000))
+        # the others, and nothing in sme groups rows: no chunk groups its
+        # broadcast rho0 rows, and the law reads its columns from the
+        # table's coupling classes
+        law = sme.IntervalLaw(config, sme.build_table(config, None, 2000),
+                              model.plus_density(config.n_qubits))
         monkeypatch.setattr(analysis, "_CHUNK_NUMBERS",
                             7 * (law.n_normals + config.dim ** 2))
         sample, chunks = sme.IntervalLaw.sample, []
         calls = {"_node_exponents": 0, "distinct_rows": 0}
 
-        def counting(self, rho0, base_seed, indices):
+        def counting(self, base_seed, indices):
             chunks.append(len(indices))
-            return sample(self, rho0, base_seed, indices)
+            return sample(self, base_seed, indices)
 
         def counted(name):
             original = getattr(sme, name)
@@ -236,7 +238,7 @@ class TestEnsembleRun:
             config, n_traj=24, n_steps=2000, base_seed=123,
             filter_kinds=("matched", "uniform"))
         assert chunks == [7, 7, 7, 3]
-        assert calls == {"_node_exponents": 1, "distinct_rows": 1}
+        assert calls == {"_node_exponents": 1, "distinct_rows": 0}
         assert np.array_equal(again.signals["matched"],
                               summary.signals["matched"])
         assert np.array_equal(again.signals["uniform"],

@@ -484,6 +484,14 @@ def test_class_table_is_the_per_state_table(name, n_steps, monkeypatch):
                           (table.output, alone.output)):
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
+        # the table's classes are the grouping of its outputs and of the
+        # signed chi sums, and a table built per state carries each alone
+        assert np.array_equal(table.classes,
+                              model.distinct_rows(table.output.T)[1])
+        assert np.array_equal(
+            table.classes,
+            model.distinct_rows(model.signed_chi_sums(config).T)[1])
+        assert np.array_equal(alone.classes, np.arange(config.dim))
 
 
 class TestAgainstAdaptiveReference:

@@ -53,9 +53,9 @@ class TestMixtureNoise:
         # index's stream; a row does not depend on the other indices drawn
         # with it
         table = sme.build_table(config, default_pulse(), 250)
-        law = sme.IntervalLaw(config, table)
+        law = sme.IntervalLaw(config, table, rho0)
         js, dws, dzs = sme.mixture_noise(config, table, rho0, 8, range(6))
-        _, law_js, xi = law.normals(rho0, 8, range(6))
+        law_js, xi = law.normals(8, range(6))
         assert np.array_equal(js, law_js)
         for index in range(6):
             rng = sme.trajectory_rng(8, index)
@@ -73,9 +73,12 @@ class TestMixtureNoise:
         (2 * model.plus_density(3), "unit trace"),
     ], ids=["other_register", "negative", "trace_two"])
     def test_bad_state_rejected(self, config, state, match):
+        # the law of one state checks it when it is built
         table = sme.build_table(config, default_pulse(), 10)
         with pytest.raises(ConfigError, match=match):
             sme.mixture_noise(config, table, state, 0, range(2))
+        with pytest.raises(ConfigError, match=match):
+            sme.IntervalLaw(config, table, state)
 
 
 def test_ensemble_basis_index_follows_populations(config):
@@ -162,7 +165,8 @@ def test_interval_law_is_exact(cfg, n_steps, seed):
     # (12 steps per interval, then 10); 57 take one step per interval, so
     # 2 L < D there
     table = sme.build_table(cfg, default_pulse(), n_steps)
-    law = sme.IntervalLaw(cfg, table)
+    rho0 = model.plus_density(cfg.n_qubits)
+    law = sme.IntervalLaw(cfg, table, rho0)
     columns = law.columns
     width = 2 * columns.max() + 5
     expand = np.concatenate([np.stack([2 * columns, 2 * columns + 1],
@@ -184,9 +188,8 @@ def test_interval_law_is_exact(cfg, n_steps, seed):
     lengths = set(np.diff(law.nodes))
     assert lengths == {57: {1}, 250: {2}, 1234: {12, 10}}[n_steps]
 
-    rho0 = model.plus_density(cfg.n_qubits)
     indices = [seed, seed + 1, seed + 7]
-    js, rho, sums, diagnostics = law.sample(rho0, seed, indices)
+    js, rho, sums, diagnostics = law.sample(seed, indices)
     replay_js, dws, dzs = sme.mixture_noise(cfg, table, rho0, seed, indices)
     assert np.array_equal(js, replay_js)
     want_rho, records, want_diag = sme.sample_batch(cfg, table, rho0, js,
@@ -226,13 +229,13 @@ class TestRowsIndependent:
     def test_block_of_states_invisible(self, config, rho0, batch,
                                        monkeypatch, name, value):
         table, js, dws, dzs, want = batch
-        want_law = sme.IntervalLaw(config, table).sample(rho0, 6, range(150))
+        want_law = sme.IntervalLaw(config, table, rho0).sample(6, range(150))
         monkeypatch.setattr(sme, name, value)
         got = sme.sample_batch(config, table, rho0, js[:13], dws[:13],
                                dzs[:13])
         assert_rows_equal(got, want, slice(0, 13))
         # the law builds its certificate under the patched value
-        got_law = sme.IntervalLaw(config, table).sample(rho0, 6, range(150))
+        got_law = sme.IntervalLaw(config, table, rho0).sample(6, range(150))
         for got_part, want_part in zip(got_law[:3], want_law[:3]):
             assert np.array_equal(got_part, want_part)
         for field in fields(sme.Diagnostics):
@@ -328,7 +331,8 @@ class TestRejected:
     @pytest.mark.parametrize("build", [
         lambda config, table: sme.mixture_noise(
             config, table, model.plus_density(config.n_qubits), 0, range(2)),
-        lambda config, table: sme.IntervalLaw(config, table),
+        lambda config, table: sme.IntervalLaw(
+            config, table, model.plus_density(config.n_qubits)),
     ], ids=["mixture_noise", "interval_law"])
     @pytest.mark.parametrize("other", [
         dict(n_qubits=2, chi=np.ones((2, 2)), gamma_z=np.zeros(2)),
@@ -343,9 +347,10 @@ class TestRejected:
             build(config.replace(**other), table)
 
     def test_interval_law_needs_a_trajectory(self, config, rho0):
-        law = sme.IntervalLaw(config, sme.build_table(config, None, 100))
+        law = sme.IntervalLaw(config, sme.build_table(config, None, 100),
+                              rho0)
         with pytest.raises(ConfigError, match="no trajectory indices"):
-            law.sample(rho0, 0, [])
+            law.sample(0, [])
 
     @pytest.mark.parametrize("js, match", [
         (np.zeros(3, dtype=int), "one integer per noise row"),

@@ -673,7 +673,8 @@ def test_class_rows_are_step_sde(name, n_batch, pulse):
 def test_stepper_holds_one_row_per_class(config, pulse, monkeypatch):
     # 4 classes of 8 states on the default design from |+>, 7 of 64 at 6
     # qubits with chi all ones, and every state alone when the
-    # populations differ inside every column
+    # populations differ inside every column, or when a table built by
+    # hand carries no coupling classes
     step_nodes, rows = sme._step_nodes, set()
 
     def counting(first, *args):
@@ -692,12 +693,18 @@ def test_stepper_holds_one_row_per_class(config, pulse, monkeypatch):
         rows.clear()
         sme.simulate_batch(design, table, rho0, dws, dzs)
         assert rows == {want}
+    built = sme.build_table(config, pulse, 300)
+    table = AmplitudeTable(built.times, built.alpha, built.output)
+    dws, dzs = sme.trajectory_noise(table, 0, range(3))
+    rows.clear()
+    sme.simulate_batch(config, table, model.plus_density(3), dws, dzs)
+    assert rows == {config.dim}
 
 
 def test_stepper_memory_does_not_grow_with_grid(config, pulse):
-    # the columns of c are grouped a block of nodes at a time, and c is
-    # gathered a table window at a time, so no copy of every column of the
-    # grid is held (at 10^5 steps one would take 12.8 MB)
+    # the classes come from the table, and c is gathered a table window
+    # at a time, so no copy of every column of the grid is held (at 10^5
+    # steps one would take 12.8 MB)
     n_steps = 10 ** 5
     table = sme.build_table(config, pulse, n_steps)
     c_all = sme.measurement_diag(config, table.output)
@@ -714,36 +721,6 @@ def test_stepper_memory_does_not_grow_with_grid(config, pulse):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
-
-
-def output_table(name):
-    """c_all of a reference design or the 6-qubit register on 1500 steps;
-    "nan_node" is the default design's with a NaN at one node of state 2,
-    whose column it shares with states 1 and 4."""
-    designs = {**reference_designs(), "nan_node": model.default_config(),
-               "6q_ones": uniform_register(model.MAX_QUBITS)}
-    table = sme.build_table(designs[name], default_pulse(), 1500)
-    c_all = sme.measurement_diag(designs[name], table.output)
-    if name == "nan_node":
-        c_all[700, 2] = np.nan
-    return c_all
-
-
-@pytest.mark.parametrize("name", sorted(reference_designs())
-                         + ["6q_ones", "nan_node"])
-@pytest.mark.parametrize("pass_entries", [sme._PASS_ENTRIES, 40, 1])
-def test_output_columns_are_distinct_rows(name, pass_entries, monkeypatch):
-    # grouping over blocks of nodes, down to one node per block, gives the
-    # grouping of the whole columns
-    monkeypatch.setattr(sme, "_PASS_ENTRIES", pass_entries)
-    c_all = output_table(name)
-    got = sme._output_columns(c_all)
-    want = model.distinct_rows(c_all.T)
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w)
-    if name == "nan_node":
-        columns = got[1]
-        assert columns[1] == columns[4] != columns[2]
 
 
 def coarsen(dws, dzs, ratio, h):
@@ -1053,9 +1030,9 @@ def test_solve_equals_the_per_node_loop(name, pulse, monkeypatch):
         return out
 
     monkeypatch.setattr(sme._Certificate, "solve", spying)
-    law = sme.IntervalLaw(config, table)
+    law = sme.IntervalLaw(config, table, states[0])
     for indices in (range(150), range(150, 163)):
-        law.sample(states[0], 4, indices)
+        law.sample(4, indices)
     for rho0, s_nodes, out in calls:
         assert_solved_equal(out, per_node_solve(config, table, c_all, rho0,
                                                 law.nodes, iter(s_nodes)))
@@ -1340,6 +1317,23 @@ class TestSimulateBatch:
         dws, dzs = sme.trajectory_noise(table, 0, range(2))
         with pytest.raises(ConfigError, match="amplitude table"):
             sme.simulate_batch(small, table, model.plus_density(2), dws, dzs)
+
+    @pytest.mark.parametrize("classes, match", [
+        (np.zeros(7, dtype=int), r"shape \(7,\)"),
+        (np.zeros(8), "dtype float64"),
+        (np.array([0, 1, 1, 2, 1, 2, 2, 8]), "one integer in 0..7"),
+        (np.array([0, 1, 1, 2, 1, 2, 2, -1]), "one integer in 0..7"),
+    ], ids=["too_short", "float", "above_register", "negative"])
+    def test_bad_table_classes_rejected(self, config, classes, match):
+        built = sme.build_table(config, default_pulse(), 100)
+        table = AmplitudeTable(built.times, built.alpha, built.output,
+                               classes)
+        rho0 = model.plus_density(3)
+        dws, dzs = sme.trajectory_noise(table, 0, range(2))
+        with pytest.raises(ConfigError, match=match):
+            sme.simulate_batch(config, table, rho0, dws, dzs)
+        with pytest.raises(ConfigError, match=match):
+            sme.IntervalLaw(config, table, rho0)
 
     @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
