@@ -116,11 +116,14 @@ simulate_batch writes the step in that reduced form (no diffusion calls)
 and adds the remaining terms in step_sde's order.
 
 It does not take the steps one at a time. The recurrence is solved a
-window of up to _BLOCK_STEPS steps at a time (fewer for a batch wider
-than 4 trajectories, so the buffers stay bounded) by an exact fixed-point
-sweep, a waveform relaxation (Lelarasmee, Ruehli & Sangiovanni-
-Vincentelli, IEEE Trans. CAD 1, 131 (1982)). Only Re S feeds the means,
-and every product in the step has one real factor, so the sweep runs on
+window of steps at a time, so that a window holds at most _WINDOW_ENTRIES
+numbers per buffer (stepped rows x trajectories x steps, at least one
+step), by an exact fixed-point sweep, a waveform relaxation (Lelarasmee,
+Ruehli & Sangiovanni-Vincentelli, IEEE Trans. CAD 1, 131 (1982)). The
+sweep's count of calls is fixed, so the window is as long as the bound
+allows: on the default design from |+> (4 rows) 1024 steps for one
+trajectory and 102 for a batch of 10. Only Re S feeds the means, and
+every product in the step has one real factor, so the sweep runs on
 real arrays: from the current iterate of Re S it evaluates the means of
 every step of the window at once and rebuilds Re S from the window's
 first node, which is exact. The sweep is causal: a step is exact when
@@ -189,12 +192,14 @@ DIAGNOSTIC_THRESHOLDS = {
 }
 
 #: steps per block of _node_exponents (rounded down to whole sub-blocks,
-#: at least one), and per window of the fixed-point solve of S in
-#: _stepped_exponents for up to 4 trajectories; a wider batch gets a window
-#: of 4 * _BLOCK_STEPS // n_batch steps, so a window spans at most
-#: 4 * _BLOCK_STEPS trajectory-steps (or one step of a batch wider than
-#: that)
+#: at least one)
 _BLOCK_STEPS = 256
+
+#: stepped rows x trajectories x steps of one window of the fixed-point
+#: solve of S in _stepped_exponents (at least one step); bounds the memory
+#: of a sweep, and each sweep costs about 40 numpy calls whatever it
+#: holds, so the window is as long as this allows
+_WINDOW_ENTRIES = 4096
 
 #: steps per sub-block of the conditioned solvers' E (_TRAPEZOID)
 _SUB_STEPS = 16
@@ -217,7 +222,8 @@ _BLOCK_ENTRIES = 1 << 20
 _BLOCK_MATRICES = 256
 
 #: d x checkpoints x rows of the populations one pass of _solve holds (at
-#: least one checkpoint); bounds the memory of a pass
+#: least one checkpoint), and output words per block of _check_table (at
+#: least one node); bounds the memory of a pass
 _PASS_ENTRIES = 1 << 15
 
 
@@ -691,8 +697,11 @@ def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
 
 
 def _check_table(config, table):
-    """ConfigError unless the table holds (n_modes, d) amplitudes per node
-    and one coupling class in 0..d-1 per basis state."""
+    """ConfigError unless the table holds (n_modes, d) amplitudes and d
+    outputs per node, and one coupling class in 0..d-1 per basis state
+    whose states all have the output column of its first state, bit for
+    bit (a NaN equal to the same NaN): the solvers read c at that state
+    alone."""
     if table.alpha.shape[1:] != (config.n_modes, config.dim):
         raise ConfigError(
             f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
@@ -705,6 +714,24 @@ def _check_table(config, table):
             f"amplitude table classes have shape {classes.shape} and dtype "
             f"{classes.dtype}; need one integer in 0..{config.dim - 1} per "
             "basis state")
+    output = np.ascontiguousarray(table.output, dtype=complex)
+    if output.shape[1:] != (config.dim,):
+        raise ConfigError(
+            f"amplitude table holds {output.shape[1:]} outputs per node; "
+            f"the config needs ({config.dim},)")
+    # each state's real and imaginary words against its class's first
+    # state's, a block of nodes at a time
+    first, inverse = np.unique(classes, return_index=True,
+                               return_inverse=True)[1:]
+    words = (2 * first[inverse, None] + [0, 1]).ravel()
+    bits = output.view(np.int64)
+    step = max(1, _PASS_ENTRIES // len(words))
+    for lo in range(0, len(bits), step):
+        block = bits[lo:lo + step]
+        if not (block.take(words, axis=1) == block).all():
+            raise ConfigError(
+                "amplitude table classes merge basis states whose outputs "
+                "differ")
 
 
 def _checkpoints(n_steps: int, checkpoint_every=0) -> np.ndarray:
@@ -973,11 +1000,8 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
         total = _column_sum(terms, classes)
         return total[0] / total[1]
 
-    # a window holds window x n_batch columns of every buffer, and each
-    # step is evaluated several times before it is committed; past 4
-    # trajectories that arithmetic outweighs the calls saved, so a wider
-    # batch gets a shorter window
-    window = max(1, min(_BLOCK_STEPS, 4 * _BLOCK_STEPS // max(1, n_batch)))
+    # a window holds n_class x window x n_batch numbers of every buffer
+    window = max(1, _WINDOW_ENTRIES // (n_class * n_batch))
     # Re S at the window's first node, exact, then the iterate at the rest
     re_s = np.zeros((n_class, window + 1, n_batch))
     n_iterate = 0
@@ -1097,8 +1121,9 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        If the table is not one of (n_modes, d) amplitudes per node (a
-        table of that shape built from other physics goes undetected), the
+        If the table is not one of (n_modes, d) amplitudes and d outputs
+        per node (a table of that shape built from other physics goes
+        undetected), its classes merge states whose outputs differ, the
         noise arrays or rho0 do not have the shapes above, the noise
         arrays hold no rows, a noise value is not finite, rho0 has a
         negative population or a trace off 1 by more than

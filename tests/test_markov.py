@@ -2,7 +2,9 @@
 
 Covers: the canonical rates of the drift (one-mode coupling term against
 a Gram-Schmidt closed form, single qubit, degenerate inputs, the sign of
-the rates at the steady state and in the transient), trace distance,
+the rates at the steady state and in the transient), trace distance
+(its closed form on blocks of at most two rows or columns against the
+SVD),
 increasing-interval extraction, and the trace-distance witness between
 the parity reference states (its (even, odd) block against the full
 trace distance on 1-3 qubits; its class-weighted block against two
@@ -276,6 +278,37 @@ class TestTraceDistance:
         out = markov.trace_distance(rhos, sigs)
         assert out.shape == (3,)
         assert np.allclose(out, 0.75)
+
+    @pytest.mark.parametrize("kind", ["random", "rank_one", "zero"])
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 5), (5, 1), (2, 5),
+                                       (5, 2)])
+    def test_narrow_blocks_match_svd(self, rng, shape, kind):
+        # at most two rows or columns: the closed form, to rounding of the
+        # norm; rank one is where the determinant of B^H B would cancel
+        def normal(size):
+            return rng.normal(size=size) + 1j * rng.normal(size=size)
+        n = 200
+        if kind == "random":
+            b = normal((n,) + shape) * 10.0 ** rng.uniform(-6, 6, (n, 1, 1))
+        elif kind == "rank_one":
+            b = normal((n, shape[0], 1)) * normal((n, 1, shape[1]))
+        else:
+            b = np.zeros((n,) + shape, dtype=complex)
+        want = 0.5 * np.linalg.svd(b, compute_uv=False).sum(axis=-1)
+        got = markov.trace_distance(b, 0.0)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * np.linalg.norm(b, axis=(-2, -1)))
+        assert markov.trace_distance(b[0].real, 0.0) == pytest.approx(
+            0.5 * np.linalg.svd(b[0].real, compute_uv=False).sum(),
+            rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_wider_blocks_take_the_svd(self, rng, dim):
+        b = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim,
+                                                                   dim))
+        want = 0.5 * np.linalg.svd(b, compute_uv=False).sum(axis=-1)
+        assert np.array_equal(markov.trace_distance(b, 0.0), want)
 
 
 class TestIncreasingIntervals:

@@ -10,9 +10,10 @@ state built densely (records, final states and their diagnostics bit for
 bit, and min_eig a lower bound with the exact eigenvalue's sign, also
 around the solver's window edges, where its classes of identical states
 are neither the columns of c nor the states, and, NaN for NaN, on a
-table with a NaN node), one stepped row per class, the stepper's memory
-on a long grid, the blockwise grouping of the columns of c against the
-grouping of whole columns, min_eig inside Ostrowski's bracket on random
+table with a NaN node), one stepped row per class, the count of sweeps
+of one long trajectory, the stepper's memory on a long grid, the
+blockwise grouping of the columns of c against the grouping of whole
+columns, min_eig inside Ostrowski's bracket on random
 states with and without a negative eigenvalue or a zero population, one
 eigvalsh matrix per checkpoint whatever the batch, results independent of block sizes,
 pass sizes and checkpoint cadence, the checkpoint routine bit for bit
@@ -560,12 +561,16 @@ def test_batch_loop_is_step_sde_on_additive_noise(name, pulse):
         assert_certified(diagnostics, ref_diagnostics)
 
 
-#: grids around the window of the S solve (_BLOCK_STEPS steps for one
-#: trajectory): one step, a window less one, one window, one window and a
-#: step, and past the two windows tabulated at a time; a batch of 13 gets
-#: a shorter window, so its grids end windows elsewhere
-WINDOW_EDGES = [1, sme._BLOCK_STEPS - 1, sme._BLOCK_STEPS,
-                sme._BLOCK_STEPS + 1, 2 * sme._BLOCK_STEPS + 1]
+#: steps per window of the S solve for one trajectory on the default
+#: design from |+>, whose 8 states are stepped as 4 rows
+ONE_TRAJECTORY_WINDOW = sme._WINDOW_ENTRIES // 4
+
+#: grids around that window and around the _BLOCK_STEPS blocks of E: one
+#: step, a window or block less one, one window or block, one and a step,
+#: and past the two windows tabulated at a time (or two blocks); a batch
+#: of 13 gets a window of 78 steps, so its grids end windows elsewhere
+WINDOW_EDGES = [1] + [n for edge in (sme._BLOCK_STEPS, ONE_TRAJECTORY_WINDOW)
+                      for n in (edge - 1, edge, edge + 1, 2 * edge + 1)]
 
 
 @pytest.mark.parametrize("checkpoint_every", [1, 0])
@@ -699,6 +704,25 @@ def test_stepper_holds_one_row_per_class(config, pulse, monkeypatch):
     rows.clear()
     sme.simulate_batch(config, table, model.plus_density(3), dws, dzs)
     assert rows == {config.dim}
+
+
+def test_one_trajectory_sweeps_a_long_window(config, pulse, monkeypatch):
+    # a sweep costs about 40 numpy calls whatever its window holds, so one
+    # trajectory's 4 rows get a window of 1024 steps, not the 256 of a
+    # bound on steps alone (1038 calls here); each sweep steps its window
+    # once and its committed steps once
+    step_nodes, calls = sme._step_nodes, []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return step_nodes(*args)
+
+    monkeypatch.setattr(sme, "_step_nodes", counting)
+    table = sme.build_table(config, pulse, 30000)
+    dws, dzs = sme.trajectory_noise(table, 0, [0])
+    sme.simulate_batch(config, table, model.plus_density(3), dws, dzs)
+    assert set(calls) == {4}
+    assert len(calls) <= 400
 
 
 def test_stepper_memory_does_not_grow_with_grid(config, pulse):
@@ -1323,7 +1347,10 @@ class TestSimulateBatch:
         (np.zeros(8), "dtype float64"),
         (np.array([0, 1, 1, 2, 1, 2, 2, 8]), "one integer in 0..7"),
         (np.array([0, 1, 1, 2, 1, 2, 2, -1]), "one integer in 0..7"),
-    ], ids=["too_short", "float", "above_register", "negative"])
+        # one class over states whose outputs differ: the solvers would
+        # read state 0's c for all of them
+        (np.zeros(8, dtype=int), "merge basis states whose outputs differ"),
+    ], ids=["too_short", "float", "above_register", "negative", "merged"])
     def test_bad_table_classes_rejected(self, config, classes, match):
         built = sme.build_table(config, default_pulse(), 100)
         table = AmplitudeTable(built.times, built.alpha, built.output,
@@ -1333,7 +1360,39 @@ class TestSimulateBatch:
         with pytest.raises(ConfigError, match=match):
             sme.simulate_batch(config, table, rho0, dws, dzs)
         with pytest.raises(ConfigError, match=match):
+            sme.sample_batch(config, table, rho0, [0, 5], dws, dzs)
+        with pytest.raises(ConfigError, match=match):
             sme.IntervalLaw(config, table, rho0)
+
+    @pytest.mark.parametrize("pass_entries", [None, 16])
+    def test_table_classes_checked_bit_for_bit(self, config, monkeypatch,
+                                               pass_entries):
+        # built tables, tables built by hand without classes and hand-built
+        # classes over equal outputs pass; a NaN equals the same NaN, and
+        # one state alone off its class by a NaN or a sign of zero fails,
+        # in one block of nodes or in blocks of one node
+        if pass_entries:
+            monkeypatch.setattr(sme, "_PASS_ENTRIES", pass_entries)
+        built = sme.build_table(config, default_pulse(), 100)
+        merged = np.array([0, 1, 1, 1, 1, 1, 1, 0])
+        output = built.output.copy()
+        output[:, merged == 1] = output[:, 1, None]
+        output[:, 7] = output[:, 0]
+        good = [built, AmplitudeTable(built.times, built.alpha, output),
+                AmplitudeTable(built.times, built.alpha, output, merged)]
+        output = output.copy()
+        output[40, merged == 1] = np.nan
+        good.append(AmplitudeTable(built.times, built.alpha, output, merged))
+        for table in good:
+            sme._check_table(config, table)
+        for node, value in ((60, np.nan), (0, -0.0)):
+            bad = output.copy()
+            bad[node, 4] = value
+            assert not np.array_equal(bad.view(np.int64),
+                                      output.view(np.int64))
+            with pytest.raises(ConfigError, match="outputs differ"):
+                sme._check_table(config, AmplitudeTable(
+                    built.times, built.alpha, bad, merged))
 
     @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
@@ -1347,6 +1406,8 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("name, value", [
         ("_BLOCK_MATRICES", 1), ("_BLOCK_MATRICES", 7),
         ("_BLOCK_MATRICES", 10 ** 6), ("_BLOCK_STEPS", 5),
+        # one step per window; and 65 (batch 1) or 5 (batch 13) steps
+        ("_WINDOW_ENTRIES", 1), ("_WINDOW_ENTRIES", 4 * 13 * 5),
         # one checkpoint per pass; and 39 (batch 1) or 3 (batch 13) of the
         # 44 or 101 checkpoints
         ("_PASS_ENTRIES", 1), ("_PASS_ENTRIES", 8 * 39)])
