@@ -183,9 +183,10 @@ class AmplitudeTable:
         classes[j] is the coupling class of basis state j (equal signed
         chi sums, so equal A_j), numbered in order of the first state as
         model.distinct_rows numbers them. States of one class have the
-        same alpha and output columns bit for bit, and the solvers step
-        and sample one column per class. None, for a table built by hand,
-        makes every state a class of its own, which is always exact.
+        same alpha and output columns bit for bit, and the solvers step,
+        sample and integrate E on one column per class. None, for a table
+        built by hand, makes every state a class of its own, which is
+        always exact.
     """
 
     def __init__(self, times, alpha, output, classes=None):

@@ -22,10 +22,10 @@ Two tools:
   parity sector are useless here: the generator is elementwise, so their
   disjoint-support trace distance is constant at 1. The distance is the
   trace norm of the (even, odd) block of the evolved difference, and
-  without intrinsic dephasing that block is fixed by the exponent on one
-  representative state per coupling class (equal signed chi sums), so
-  the scan integrates only that small block, weighted by the class
-  sizes, and reduces it to distances a block of nodes at a time.
+  without intrinsic dephasing that block is fixed by the exponent on the
+  coupling classes (equal signed chi sums), which the scan integrates,
+  reads the block off, weights by the class sizes and reduces to
+  distances a block of nodes at a time.
 """
 
 from dataclasses import dataclass, field
@@ -154,37 +154,39 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     D is the trace norm of B.
 
     With gamma_z = 0, K_ij depends on states i and j only through their
-    signed chi sums (model.signed_chi_sums), so E_ij depends only on the
-    pair of coupling classes, which the amplitude table carries
-    (AmplitudeTable.classes) and which may hold states of both parities.
-    With P_e and P_o the class indicators of the even and odd states and
-    X = exp(E) on class representatives, B = (2/d) P_e X P_o^T, whose
+    signed chi sums (model.signed_chi_sums), so E_ij = F[class(i),
+    class(j)] depends only on the pair of coupling classes, which the
+    amplitude table carries (AmplitudeTable.classes) and which may hold
+    states of both parities. With P_e and P_o the class indicators of the
+    even and odd states and X = exp(F), B = (2/d) P_e X P_o^T, whose
     singular values are those of (2/d) N_e^(1/2) X N_o^(1/2), N holding
-    the class sizes within each parity. So E is integrated on the
-    representatives' block alone (sme._deterministic_exponents) and each
-    block of nodes is reduced to its distances through trace_distance as
-    it comes: no (steps, d, d) array is formed. On the default design that
-    is a 2 x 2 matrix per node instead of 8 x 8. The reporting window is
-    [t_off - sigma/2, tau]: the pulse turn-off, where amplitude
-    information stored in the modes flows back into the register.
+    the class sizes within each parity. F is the coupling part of E and
+    leaves the gamma part out (sme._deterministic_exponents), so it is E
+    at gamma_z = 0 whatever the config's gamma_z. The scan takes the (even,
+    odd) block of F on each block of nodes and reduces it to its distances
+    through trace_distance as it comes, and no (steps, d, d) array is
+    formed. On the default design that is a 2 x 2 matrix per node instead
+    of 8 x 8. The reporting window is [t_off - sigma/2, tau]: the pulse
+    turn-off, where amplitude information stored in the modes flows back
+    into the register.
     """
     n_steps = require_int("n_steps", n_steps, 1)
     if pulse is None:
         pulse = default_pulse()
-    clean = config.replace(gamma_z=np.zeros(config.n_qubits))
-    table = build_table(clean, pulse, 2 * n_steps)
-    # the first state of each class, and the size of each class within
-    # each parity; a class may hold both
-    reps = np.unique(table.classes, return_index=True)[1]
+    table = build_table(config, pulse, 2 * n_steps)
+    # the classes with an even and with an odd state, and the size of each
+    # within each parity; a class may hold both
     odd = model.popcounts(config.n_qubits) % 2
     sizes = [np.bincount(table.classes, weights) for weights in (1 - odd, odd)]
-    (rows, n_even), (cols, n_odd) = [(reps[n > 0], n[n > 0]) for n in sizes]
+    (rows, n_even), (cols, n_odd) = [(np.flatnonzero(n), n[n > 0])
+                                     for n in sizes]
     weight = (2.0 / config.dim) * np.sqrt(np.multiply.outer(n_even, n_odd))
-    times, blocks = _deterministic_exponents(clean, table, rows, cols)
+    times, blocks = _deterministic_exponents(config, table)
     # D is the trace norm, twice trace_distance(B, 0): B goes through
     # trace_distance, the function perfbench times
-    dist = np.concatenate([2.0 * trace_distance(weight * np.exp(e), 0.0)
-                           for e in blocks])
+    dist = np.concatenate([
+        2.0 * trace_distance(weight * np.exp(f[:, rows[:, None], cols]), 0.0)
+        for f in blocks])
     intervals = increasing_intervals(times, dist)
     window = (pulse.t_off - pulse.sigma / 2.0, pulse.tau)
     return WitnessResult(times=times, distance=dist,

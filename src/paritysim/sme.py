@@ -77,20 +77,19 @@ index I of an ensemble is not simulate_trajectory(trajectory_index=I).
 Both solvers are valid only without qubit decay.
 
 E has one integrator, _node_exponents, and no solver builds a d x d K
-per node: the integrand is the constant gamma part of K plus rank-one
-products of the node vectors (alpha_0, ..., alpha_{m-1}, c), so each
-integral is one matrix product over its nodes. E at a node is the running
-sum of the integrals over fixed sub-blocks counted from step 0, plus one
+per node. E_ij(t) = t gamma_ij + F(t)[class(i), class(j)]: gamma is
+constant, and F, u x u for u coupling classes (AmplitudeTable.classes),
+integrates rank-one products of the class vectors (alpha_0, ...,
+alpha_{m-1}, c), all whole sub-blocks of a block of steps in one product.
+F at a node is the running sum of those integrals from step 0, plus one
 partial integral from the node's sub-anchor. It depends on the node
 alone, so neither the checkpoint cadence nor the batch changes a bit of
 it, and it is exactly Hermitian (each integral is G + G^H). The
 conditioned solvers take it at their checkpoints by the trapezoid rule;
 simulate_deterministic, whose integrand is K alone, at every step by
-Simpson's rule on a table that carries the step midpoints. A caller that
-needs only the block E[rows][:, cols] asks for it alone, and each
-integral is then two small products, G_rc + (G_cr)^H:
-markov.witness_scan takes the (even, odd) block on one representative
-state per coupling class, so it forms no d x d array.
+Simpson's rule on a table that carries the step midpoints. Both expand
+it to E (_class_exponents); markov.witness_scan reads its (even, odd)
+block off F, so it forms no d x d array.
 
 Because rho is assembled from this formula, three diagnostics are
 rounding-level at every checkpoint by construction: trace_dev (the state
@@ -526,60 +525,43 @@ def _final_checks(rho, k_diag) -> dict:
     }
 
 
-def _node_exponents(config, table, c_all, nodes, weights, rows=None,
-                    cols=None):
-    """E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] at the sorted nodes.
+def _node_exponents(config, table, c_all, nodes, weights):
+    """F, the coupling part of E, on the coupling classes at sorted nodes.
 
-    The quadrature of the table `weights` (_TRAPEZOID or _SIMPSON) on the
-    table's nodes, from rank-one products instead of a d x d K per node.
-    With W_k,ij = s_k,i - s_k,j (DriftOperator), the integrand is
-    gamma_mat + F + F^H with
+    E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] is t gamma_mat + F, and F
+    depends on states i and j only through their coupling classes
+    (AmplitudeTable.classes), so it is u x u for u classes and is taken on
+    the first state of each (_class_exponents expands it). With W_k,ij =
+    s_k,i - s_k,j (DriftOperator), F's integrand is P + P^H with
 
-        F = -i sum_k (s_k o alpha_k) alpha_k^H - (eta/2) (c c^H + c^2 1^T),
+        P = -i sum_k (s_k o alpha_k) alpha_k^H - (eta/2) (c c^H + c^2 1^T),
 
-    so with node weights w_n the integral over nodes a..b is
-
-        gamma_mat (t_b - t_a) + G + G^H,
-        G = sum_n w_n sum_r a_{r,n} b_{r,n}^H,
-
-    the pairs (a_r, b_r) being (-i s_k o alpha_k, alpha_k) for each mode,
-    (-(eta/2) c, c) and (-(eta/2) c^2, 1): one matrix product over the
-    nodes and pairs, and exactly Hermitian. c_all None drops the last two
-    pairs, leaving K alone. E at node n is the in-order running sum of the
-    integrals over the whole sub-blocks of len(weights) - 1 steps before
-    it, counted from step 0, plus the integral from its sub-anchor to n.
-    The integral from node a to node b takes row b - a of `weights`, over
-    len(weights) gathered nodes, those past b repeating node b with weight
-    0, so E at a node depends on the node alone, not on the other nodes
-    asked for nor on the block size. Only the carry and the integrals of
-    one block of at most _BLOCK_STEPS steps (whole sub-blocks, at least
-    one) are held at a time. Yields E at the nodes one block at a time,
-    as (nodes in the block, d, d), in node order; a block of no node
-    yields nothing.
-
-    rows and cols (index arrays, both or neither) ask for the block
-    E[rows][:, cols] alone, as (nodes in the block, len(rows), len(cols)):
-    the pairs are gathered at those states once, and each integral is
-    G_rc + (G_cr)^H from two small products plus gamma_mat[rows][:, cols]
-    (t_b - t_a), so no d x d array is formed. The default, every state,
-    keeps the one product G + G^H.
+    so the quadrature of the table `weights` (_TRAPEZOID or _SIMPSON) over
+    nodes a..b is G + G^H, exactly Hermitian, G = sum_n w_n sum_r a_{r,n}
+    b_{r,n}^H with the pairs (a_r, b_r) (-i s_k o alpha_k, alpha_k) for
+    each mode, (-(eta/2) c, c) and (-(eta/2) c^2, 1); c_all None drops the
+    last two, leaving K alone. F at node n is the in-order running sum of
+    the integrals over the whole sub-blocks of len(weights) - 1 steps
+    from step 0, plus the integral from its sub-anchor a to n, row n - a
+    of `weights` over len(weights) gathered nodes, those past n repeating
+    n with weight 0. A block of at most _BLOCK_STEPS steps (whole
+    sub-blocks, at least one) takes its whole sub-blocks in one product
+    over windows of its pairs. So F at a node depends on the node alone,
+    not on the other nodes asked for nor on the block size. Yields F at
+    the nodes a block at a time, as (nodes in the block, u, u), classes in
+    label order; a block of no node yields nothing.
     """
     n_steps = len(table.times) - 1
     half_eta = 0.5 * config.eta
-    gamma_dt = table.dt * DriftOperator(config).gamma_mat
-    # the states whose pairs are gathered: rows then cols, or every one
-    if rows is None:
-        keep, shape = slice(None), gamma_dt.shape
-    else:
-        keep, shape = np.concatenate([rows, cols]), (len(rows), len(cols))
-        gamma_dt = gamma_dt[np.ix_(rows, cols)]
-    minus_i_s = -1j * model.signed_chi_sums(config)[:, keep]
+    reps = np.unique(table.classes, return_index=True)[1]
+    minus_i_s = -1j * model.signed_chi_sums(config)[:, reps]
     sub = len(weights) - 1
-    offsets = np.arange(sub + 1)
     weights = table.dt * weights
     block = max(1, _BLOCK_STEPS // sub) * sub
     nodes = np.asarray(nodes)
-    carry = np.zeros(shape, dtype=complex)
+    carry = np.zeros((len(reps), len(reps)), dtype=complex)
+    # whole sub-blocks' node weights (symmetric: a shared node has one)
+    node_weights = weights[sub, np.arange(block + 1) % sub, None, None]
     first = 0
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
@@ -587,40 +569,52 @@ def _node_exponents(config, table, c_all, nodes, weights, rows=None,
         ends = nodes[first:last]
         first = last
         anchor = (ends - lo) // sub
-        partial = ends - lo > anchor * sub
-        whole = np.arange(lo, hi - sub + 1, sub)
-        starts = np.append(whole, lo + anchor[partial] * sub)
-        stops = np.append(whole + sub, ends[partial])
-        # the pairs (a_r, b_r) at nodes lo..hi, as (node, r, d)
-        alpha = table.alpha[lo:hi + 1, :, keep]
-        pair_a, pair_b = [minus_i_s * alpha], [alpha]
+        rise = ends - lo - anchor * sub
+        partial = rise > 0
+        # the pairs (a_r, conj b_r) at nodes lo..hi, as C-ordered (node,
+        # r, u) (take, where a fancy index would order u first)
+        alpha = np.take(table.alpha[lo:hi + 1], reps, axis=2)
+        pair_a, pair_b = [minus_i_s * alpha], [alpha.conj()]
         if c_all is not None:
-            c = c_all[lo:hi + 1, None, keep]
+            c = np.take(c_all[lo:hi + 1], reps, axis=1)[:, None]
             pair_a += [-half_eta * c, -half_eta * c ** 2]
-            pair_b += [c, np.ones(c.shape)]
-        pair_a = np.concatenate(pair_a, axis=1)
-        pair_b = np.concatenate(pair_b, axis=1)
-        gather = np.minimum(starts[:, None] + offsets, stops[:, None]) - lo
-        flat = (len(starts), -1, pair_a.shape[-1])
-        a = pair_a[gather].reshape(flat).swapaxes(-1, -2)
-        b = (pair_b[gather].conj()
-             * weights[stops - starts][:, :, None, None]).reshape(flat)
-        if rows is None:
-            g = a @ b
-            e = g + g.conj().swapaxes(-1, -2)
-        else:
-            n_rows = len(rows)
-            e = a[:, :n_rows] @ b[:, :, n_rows:]
-            e += (a[:, n_rows:] @ b[:, :, :n_rows]).conj().swapaxes(-1, -2)
-        e += np.multiply.outer(stops - starts, gamma_dt)
-        # E at the sub-anchors lo, lo + sub, ..., summed in order
-        at_anchor = np.concatenate([carry[None], e[:len(whole)]])
+            pair_b += [c.conj(), np.ones(c.shape)]
+        a = np.concatenate(pair_a, axis=1)
+        b = np.concatenate(pair_b, axis=1)
+        n_whole, n_pairs, u = (hi - lo) // sub, *a.shape[1:]
+        # whole sub-blocks: one product over views of sub + 1 nodes each,
+        # sharing end nodes (np.ndarray costs a sixth of as_strided)
+        view = dict(shape=(n_whole, (sub + 1) * n_pairs, u), dtype=complex,
+                    offset=0, strides=(sub * a.strides[0],) + a.strides[1:])
+        e = (np.ndarray(buffer=a, **view).swapaxes(-1, -2)
+             @ np.ndarray(buffer=b * node_weights[:hi - lo + 1], **view))
+        if partial.any():
+            rise = rise[partial]
+            gather = (sub * anchor[partial, None]
+                      + np.minimum(np.arange(sub + 1), rise[:, None]))
+            flat = (len(rise), (sub + 1) * n_pairs, u)
+            e = np.concatenate([e, a[gather].reshape(flat).swapaxes(-1, -2)
+                                @ (b[gather] * weights[rise, :, None, None])
+                                .reshape(flat)])
+        e += e.conj().swapaxes(-1, -2)
+        # F at the sub-anchors lo, lo + sub, ..., summed in order
+        at_anchor = np.concatenate([carry[None], e[:n_whole]])
         np.cumsum(at_anchor, axis=0, out=at_anchor)
         carry = at_anchor[-1]
         out = at_anchor[anchor]
-        out[partial] += e[len(whole):]
+        out[partial] += e[n_whole:]
         if len(out):
             yield out
+
+
+def _class_exponents(config, table, times, f) -> np.ndarray:
+    """E = t gamma_mat + F[class(i), class(j)], (len(f), d, d), from F at
+    nodes of those times (_node_exponents): exactly Hermitian, and at a
+    node a function of its F and its time alone."""
+    classes = np.unique(table.classes, return_inverse=True)[1]
+    e = f.reshape(len(f), -1)[:, f.shape[-1] * classes[:, None] + classes]
+    e.real += np.multiply.outer(times, DriftOperator(config).gamma_mat)
+    return e
 
 
 def _column_sum(x, rows=None) -> np.ndarray:
@@ -700,8 +694,8 @@ def _check_table(config, table):
     """ConfigError unless the table holds (n_modes, d) amplitudes and d
     outputs per node, and one coupling class in 0..d-1 per basis state
     whose states all have the output column of its first state, bit for
-    bit (a NaN equal to the same NaN): the solvers read c at that state
-    alone."""
+    bit (a NaN equal to the same NaN), and whose states share their signed
+    chi sums: the solvers read c and alpha at that state alone."""
     if table.alpha.shape[1:] != (config.n_modes, config.dim):
         raise ConfigError(
             f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
@@ -732,6 +726,10 @@ def _check_table(config, table):
             raise ConfigError(
                 "amplitude table classes merge basis states whose outputs "
                 "differ")
+    chi_sums = model.signed_chi_sums(config)
+    if not np.array_equal(chi_sums[:, first[inverse]], chi_sums):
+        raise ConfigError("amplitude table classes merge basis states whose "
+                          "signed chi sums differ")
 
 
 def _checkpoints(n_steps: int, checkpoint_every=0) -> np.ndarray:
@@ -787,9 +785,10 @@ def _batch_inputs(config, table, rho0, dws, dzs, checkpoint_every):
 class _Certificate:
     """The noise-free half of _solve: one design, grid and set of states.
 
-    Built once from (config, table, c_all, nodes, states), it streams E at
-    the checkpoint nodes (_node_exponents) once and keeps no d x d array
-    per node:
+    Built once from (config, table, c_all, nodes, states), it streams F
+    at the checkpoint nodes (_node_exponents) once, expands it to E
+    (_class_exponents) one eigvalsh call at a time and keeps no d x d
+    array per node:
 
         diag_e   (nodes, d)  the real diagonal E_n,ii at each node,
         lam      (g, nodes)  lambda_n of each of the g states at each node,
@@ -804,8 +803,9 @@ class _Certificate:
 
     from stacked eigvalsh calls of up to _BLOCK_MATRICES matrices (g times
     the nodes of one call, at least one node); eigvalsh takes each matrix
-    on its own, so the stacking changes no bit. Nothing here depends on
-    the noise, so one certificate serves every batch that starts from
+    on its own, so the stacking changes no bit. C_n needs the whole E, as
+    exp(t gamma) does not factor through the classes. Nothing here depends
+    on the noise, so one certificate serves every batch that starts from
     these states on this grid: IntervalLaw keeps one per law.
     """
 
@@ -823,7 +823,8 @@ class _Certificate:
         exponents = itertools.chain.from_iterable(_node_exponents(
             config, table, c_all, nodes, _TRAPEZOID))
         for lo in range(0, len(nodes), per_call):
-            e = np.stack(tuple(itertools.islice(exponents, per_call)))
+            f = np.stack(tuple(itertools.islice(exponents, per_call)))
+            e = _class_exponents(config, table, self.times[lo:lo + len(f)], f)
             self.e_final = e[-1].copy()
             diag_e = self.diag_e[lo:lo + len(e)]
             diag_e[:] = np.einsum("kii->ki", e).real
@@ -1441,40 +1442,39 @@ def simulate_deterministic(config: model.ReadoutConfig, pulse=None,
         E_{n+1} = E_n + (h/6) (K(t_n) + 4 K(t_n + h/2) + K(t_n + h)),
 
     so the amplitude table carries the step midpoints: it is built on
-    2 n_steps steps (_deterministic_exponents). _node_exponents takes each
-    step's integral from rank-one products (_SIMPSON) and sums them in
-    order, so the result does not depend on the block size. For intrinsic
-    dephasing alone, pass a config with chi = 0. rho0 (default |+>^n) is
-    any (d, d) array, not necessarily a state; ConfigError if it has
-    another shape.
+    2 n_steps steps (_deterministic_exponents). Each step's integral of F
+    is taken from rank-one products (_SIMPSON) and summed in order, and
+    each block is expanded to E (_class_exponents) into the result, so the
+    result does not depend on the block size. For intrinsic dephasing
+    alone, pass a config with chi = 0. rho0 (default |+>^n) is any (d, d)
+    array, not necessarily a state; ConfigError if it has another shape.
     """
     n_steps = require_int("n_steps", n_steps, 1)
     rho0 = (model.plus_density(config.n_qubits) if rho0 is None
             else _square(rho0, config.dim))
-    times, blocks = _deterministic_exponents(
-        config, build_table(config, pulse, 2 * n_steps))
+    table = build_table(config, pulse, 2 * n_steps)
+    times, blocks = _deterministic_exponents(config, table)
     # rhos holds the exponents E_n until the final in-place exp
     rhos = np.empty((n_steps + 1, config.dim, config.dim), dtype=complex)
     row = 0
-    for block in blocks:
-        rhos[row:row + len(block)] = block
-        row += len(block)
+    for f in blocks:
+        rhos[row:row + len(f)] = _class_exponents(
+            config, table, times[row:row + len(f)], f)
+        row += len(f)
     np.exp(rhos, out=rhos)
     rhos *= rho0
     return DeterministicResult(times=times, rhos=rhos)
 
 
-def _deterministic_exponents(config, table, rows=None, cols=None):
-    """(times, blocks): the unconditional E_n = int_0^t_n K at every step
-    end, by composite Simpson.
+def _deterministic_exponents(config, table):
+    """(times, blocks): F of the unconditional E_n = int_0^t_n K at every
+    step end, by composite Simpson.
 
     table is built on twice the steps (build_table(config, pulse,
-    2 * n_steps)), so it carries the step midpoints, and blocks yields E
-    at the step ends, its even nodes, as _node_exponents does
-    (E[rows][:, cols] alone if both are given), one block of nodes at a
-    time. simulate_deterministic writes every block into its result;
-    markov.witness_scan reduces each one as it comes.
+    2 * n_steps)), so it carries the step midpoints, and blocks yields F
+    (E at gamma_z = 0) at the step ends, its even nodes, as
+    _node_exponents does. simulate_deterministic expands each block into
+    its result (_class_exponents); markov.witness_scan reduces each one.
     """
     return table.times[::2], _node_exponents(
-        config, table, None, np.arange(0, len(table.times), 2), _SIMPSON,
-        rows, cols)
+        config, table, None, np.arange(0, len(table.times), 2), _SIMPSON)

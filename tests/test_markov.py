@@ -480,7 +480,7 @@ def witness_designs():
 
 @pytest.mark.parametrize("name", sorted(witness_designs()))
 def test_class_block_witness_matches_two_runs(name):
-    # E on the class representatives' (even, odd) block, weighted by the
+    # F's (even, odd) block of coupling classes, weighted by the
     # class sizes, against the distance of the two dense evolutions
     config = witness_designs()[name]
     if name.endswith("zero_column"):

@@ -22,14 +22,16 @@ interval law and from distinct rho0), the exponent E at the checkpoints
 against a step-by-step trapezoid sum of the full d x d integrand (bit
 for bit the same at a node whatever the cadence, in memory that does
 not grow with the grid, and not held at every checkpoint by the solve),
-a block E[rows][:, cols] of it against the slice of the full E,
-the unconditional evolution against a step-by-step Simpson sum of the
-full K (in at most 1.6 times the memory of its result at the register
-cap), no solver building K per node, typed errors on malformed batch
-input and on a deterministic rho0 of the wrong shape, the elementwise
-conditioned solver against the dense d x d stepper at fine steps, and
-property tests of its state over register size, mode count, eta and
-phi.
+E expanded from its coupling-class part F against the per-state
+trapezoid and Simpson sums over fixed and random designs (bit for bit
+the same whatever the cadence and block size), the memory of E and the
+certificate at six qubits, the unconditional evolution against a
+step-by-step Simpson sum of the full K (in at most 1.6 times the memory
+of its result at the register cap), no solver building K per node,
+typed errors on malformed batch input and on a deterministic rho0 of the
+wrong shape, the elementwise conditioned solver against the dense d x d
+stepper at fine steps, and property tests of its state over register
+size, mode count, eta and phi.
 """
 
 import itertools
@@ -277,10 +279,13 @@ def cadence_nodes(n_steps, every):
 
 
 def node_exponents(config, table, nodes):
-    """E of the conditioned solvers at the nodes, as (len(nodes), d, d)."""
-    return np.concatenate(list(sme._node_exponents(
-        config, table, sme.measurement_diag(config, table.output), nodes,
-        sme._TRAPEZOID)))
+    """E of the conditioned solvers at the nodes, as (len(nodes), d, d):
+    F on the coupling classes, expanded by the solvers' own helper."""
+    return sme._class_exponents(
+        config, table, table.times[nodes], np.concatenate(list(
+            sme._node_exponents(
+                config, table, sme.measurement_diag(config, table.output),
+                nodes, sme._TRAPEZOID))))
 
 
 def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
@@ -404,29 +409,70 @@ def test_node_exponents_are_the_trapezoid_rule(name, pulse, n_steps):
             assert np.array_equal(e, want_bits), (every, node)
 
 
-@pytest.mark.parametrize("name", sorted(reference_designs()))
-def test_node_exponents_block_is_the_slice_of_the_full_e(name, pulse):
-    # E[rows][:, cols] from two small products per integral, for index
-    # sets in any order, against the slice of the full E, for both
-    # quadrature tables (the Simpson one on panel ends, K alone)
-    config = reference_designs()[name]
-    rng = np.random.default_rng(17)
-    n_steps = 4 * sme._BLOCK_STEPS + 2 * sme._SUB_STEPS + 6
+def uniform_register(n_qubits):
+    """The default design widened to n_qubits with chi all ones: the
+    outputs depend on the popcount alone, n_qubits + 1 distinct columns."""
+    default = model.default_config()
+    return default.replace(n_qubits=n_qubits,
+                           chi=np.ones((default.n_modes, n_qubits)),
+                           gamma_z=np.full(n_qubits, default.gamma_z[0]))
+
+
+def class_exponent_designs():
+    """reference_designs() and designs whose coupling classes hold several
+    states: chi all ones at 4 and 6 qubits, and a qubit with no coupling."""
+    default = model.default_config()
+    return {**reference_designs(), "4q_ones": uniform_register(4),
+            "zero_chi_column": default.replace(
+                chi=default.chi * np.array([1.0, 0.0, 1.0])),
+            "6q_ones": uniform_register(model.MAX_QUBITS)}
+
+
+def assert_class_exponents(config, pulse, n_steps):
+    """E from F on the coupling classes against the per-state references.
+
+    For both quadratures: the trapezoid E of the conditioned solvers at
+    cadences 1, 7 and the default, and the Simpson E of
+    simulate_deterministic at every step end of a midpoint table, each
+    expanded by _class_exponents, within 1e-12 of the step-by-step sums of
+    the full d x d integrand, exactly Hermitian, and bit for bit the same
+    at a node whatever the cadence and whatever _BLOCK_STEPS.
+    """
     table = sme.build_table(config, pulse, n_steps)
-    cases = [(sme.measurement_diag(config, table.output), sme._TRAPEZOID,
-              cadence_nodes(n_steps, 7)),
-             (None, sme._SIMPSON, np.arange(0, n_steps + 1, 2))]
-    for c_all, weights, nodes in cases:
-        full = np.concatenate(list(sme._node_exponents(
-            config, table, c_all, nodes, weights)))
-        for _ in range(4):
-            rows, cols = (rng.permutation(config.dim)[
-                :rng.integers(1, config.dim + 1)] for _ in "rc")
-            block = np.concatenate(list(sme._node_exponents(
-                config, table, c_all, nodes, weights, rows, cols)))
-            want = full[:, rows][:, :, cols]
-            assert block.shape == want.shape
-            assert np.abs(block - want).max() <= 1e-15 * np.abs(full).max()
+    trapezoid = trapezoid_exponents(config, table, np.arange(n_steps + 1))
+    midpoints = sme.build_table(config, pulse, 2 * n_steps)
+    simpson = simpson_exponents(config, midpoints)
+    by_node, simpson_bits = {}, []
+    for block_steps in (sme._BLOCK_STEPS, 1, 5, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sme, "_BLOCK_STEPS", block_steps)
+            for every in (1, 7, max(1, n_steps // 100)):
+                nodes = cadence_nodes(n_steps, every)
+                got = node_exponents(config, table, nodes)
+                want = trapezoid[nodes]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+                for node, e in zip(nodes, got):
+                    assert np.array_equal(e, by_node.setdefault(node, e)), (
+                        block_steps, every, node)
+            times, blocks = sme._deterministic_exponents(config, midpoints)
+            got = sme._class_exponents(config, midpoints, times,
+                                       np.concatenate(list(blocks)))
+        assert np.abs(got - simpson).max() <= 1e-12 * np.abs(simpson).max()
+        assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+        simpson_bits.append(got)
+        assert np.array_equal(got, simpson_bits[0]), block_steps
+
+
+@pytest.mark.parametrize("name", sorted(class_exponent_designs()))
+def test_class_exponents_are_the_per_state_rules(name, pulse):
+    # E_ij = t gamma_ij + F[class(i), class(j)], F integrated on one state
+    # per coupling class; grids ending off a sub-block, past two blocks of
+    # 256 steps (150 steps at 6 qubits, where the references are large)
+    config = class_exponent_designs()[name]
+    assert_class_exponents(
+        config, pulse, 150 if config.n_qubits == model.MAX_QUBITS
+        else 2 * sme._BLOCK_STEPS + 2 * sme._SUB_STEPS + 3)
 
 
 def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
@@ -445,6 +491,31 @@ def test_node_exponents_memory_does_not_grow_with_grid(config, pulse):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_class_exponents_memory_at_six_qubits(pulse):
+    # E is integrated on the 7 coupling classes, not on the 64 states, and
+    # the certificate holds the d x d E of one eigvalsh call and its
+    # exponential. Measured before this test first ran: 0.77 MiB and 12.9
+    # MiB (E on every state took 10.7 MiB, and its certificate 16.5)
+    config = uniform_register(model.MAX_QUBITS)
+    table = sme.build_table(config, pulse, 10 ** 4)
+    c_all = sme.measurement_diag(config, table.output)
+    nodes = sme._checkpoints(10 ** 4)
+    peaks = []
+    for build in (lambda: list(sme._node_exponents(config, table, c_all,
+                                                   nodes, sme._TRAPEZOID)),
+                  lambda: sme._Certificate(
+                      config, table, c_all, nodes,
+                      model.plus_density(config.n_qubits)[None])):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1 * 2 ** 20
+    assert peaks[1] < 14 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", sorted(reference_designs()))
@@ -612,15 +683,6 @@ def test_nan_output_node_is_step_sde(config, pulse):
     assert np.isfinite(ref_records[:, :300]).all()
     assert np.array_equal(records, ref_records, equal_nan=True)
     assert np.array_equal(s_nodes, ref_s, equal_nan=True)
-
-
-def uniform_register(n_qubits):
-    """The default design widened to n_qubits with chi all ones: the
-    outputs depend on the popcount alone, n_qubits + 1 distinct columns."""
-    default = model.default_config()
-    return default.replace(n_qubits=n_qubits,
-                           chi=np.ones((default.n_modes, n_qubits)),
-                           gamma_z=np.full(n_qubits, default.gamma_z[0]))
 
 
 def pure_density(amplitudes):
@@ -821,6 +883,20 @@ def test_conditioned_state_properties(cfg, seed):
         assert np.array_equal(rec[b], rec_b[0])
 
 
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cfg=register_configs(),
+       chi=st.sampled_from(["random", "ones", "zero_column"]),
+       n_steps=st.sampled_from([1, 2 * sme._SUB_STEPS + 3, 300]))
+def test_class_exponents_over_random_designs(cfg, chi, n_steps):
+    # chi all ones and a qubit with no coupling put several states in a
+    # class; random chi leaves every state alone
+    if chi == "ones":
+        cfg = cfg.replace(chi=np.ones_like(cfg.chi))
+    elif chi == "zero_column":
+        cfg = cfg.replace(chi=cfg.chi * (np.arange(cfg.n_qubits) > 0))
+    assert_class_exponents(cfg, default_pulse(), n_steps)
+
+
 def hermitian_with_positive_diagonal(rng, d, zero_population, negative):
     """A unit-trace Hermitian matrix whose populations pass _populations.
 
@@ -951,7 +1027,7 @@ def test_positivity_bound_on_states_that_are_not_psd(config, pulse):
         assert_rows_equal(lone, got, slice(b, b + 1))
 
 
-def per_node_solve(config, table, c_all, rho0, nodes, s_at_nodes):
+def per_node_solve(config, table, rho0, nodes, s_at_nodes):
     """_solve as it was before its noise-free half became a table: E and
     the certificate in blocks of 256 // n_batch checkpoints (at least
     one), zipped node by node with S, so the desk ensemble's 150 rows take
@@ -969,9 +1045,8 @@ def per_node_solve(config, table, c_all, rho0, nodes, s_at_nodes):
     log_p0 = np.log(p0)
     in_trace = shown.T[:, None, group]
     per_block = max(1, 256 // n_batch)
-    pairs = zip(itertools.chain.from_iterable(sme._node_exponents(
-        config, table, c_all, nodes, sme._TRAPEZOID)), s_at_nodes,
-        strict=True)
+    pairs = zip(node_exponents(config, table, nodes), s_at_nodes,
+                strict=True)
     bounds = []
     for block in iter(lambda: tuple(itertools.islice(pairs, per_block)), ()):
         e = np.stack([e_n for e_n, _ in block])
@@ -1042,7 +1117,7 @@ def test_solve_equals_the_per_node_loop(name, pulse, monkeypatch):
                 assert_solved_equal(
                     sme._solve(config, table, c_all, rho0, nodes,
                                (s_all[n] for n in nodes)),
-                    per_node_solve(config, table, c_all, rho0, nodes,
+                    per_node_solve(config, table, rho0, nodes,
                                    (s_all[n] for n in nodes)))
 
     solve, calls = sme._Certificate.solve, []
@@ -1058,7 +1133,7 @@ def test_solve_equals_the_per_node_loop(name, pulse, monkeypatch):
     for indices in (range(150), range(150, 163)):
         law.sample(4, indices)
     for rho0, s_nodes, out in calls:
-        assert_solved_equal(out, per_node_solve(config, table, c_all, rho0,
+        assert_solved_equal(out, per_node_solve(config, table, rho0,
                                                 law.nodes, iter(s_nodes)))
 
 
@@ -1370,9 +1445,12 @@ class TestSimulateBatch:
         # built tables, tables built by hand without classes and hand-built
         # classes over equal outputs pass; a NaN equals the same NaN, and
         # one state alone off its class by a NaN or a sign of zero fails,
-        # in one block of nodes or in blocks of one node
+        # in one block of nodes or in blocks of one node. Uncoupled, every
+        # state has the same signed chi sums, so any grouping is one of
+        # coupling classes
         if pass_entries:
             monkeypatch.setattr(sme, "_PASS_ENTRIES", pass_entries)
+        config = config.replace(chi=np.zeros_like(config.chi))
         built = sme.build_table(config, default_pulse(), 100)
         merged = np.array([0, 1, 1, 1, 1, 1, 1, 0])
         output = built.output.copy()
@@ -1393,6 +1471,21 @@ class TestSimulateBatch:
             with pytest.raises(ConfigError, match="outputs differ"):
                 sme._check_table(config, AmplitudeTable(
                     built.times, built.alpha, bad, merged))
+
+    def test_classes_across_coupling_classes_rejected(self, config):
+        # states 0 and 7 of the default design have different signed chi
+        # sums, so their amplitudes differ, although the outputs are made
+        # equal here; read at state 0 alone, E was off by 2.9 at 500 steps
+        built = sme.build_table(config, default_pulse(), 100)
+        merged = np.array([0, 1, 1, 1, 1, 1, 1, 0])
+        output = built.output.copy()
+        output[:, merged == 1] = output[:, 1, None]
+        output[:, 7] = output[:, 0]
+        table = AmplitudeTable(built.times, built.alpha, output, merged)
+        dws, dzs = sme.trajectory_noise(table, 0, range(2))
+        with pytest.raises(ConfigError, match="signed chi sums differ"):
+            sme.simulate_batch(config, table, model.plus_density(3), dws,
+                               dzs)
 
     @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
