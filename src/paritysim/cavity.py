@@ -168,39 +168,42 @@ def kappa_separation_scan(kappas, chi: float = 1.0, eps: float = 1.0):
 
 
 class AmplitudeTable:
-    """Mode amplitudes for every basis state, sampled on a uniform grid.
+    """Mode amplitudes of every coupling class, sampled on a uniform grid.
+
+    The states of a coupling class (equal signed chi sums, so equal A_j)
+    share their amplitudes and output, so the table holds one column per
+    class, C-contiguous as the solvers read it.
 
     Attributes
     ----------
     times : ndarray, shape (n_t,)
         Uniform sample times.
-    alpha : ndarray, shape (n_t, n_modes, 2**n)
-        alpha[i, k, j] is the amplitude of mode k conditioned on register
-        basis state j at times[i].
-    output : ndarray, shape (n_t, 2**n)
-        Output-line amplitude sum_k sqrt(kappa_k) alpha[i, k, j].
+    alpha : ndarray, shape (n_t, n_modes, u)
+        alpha[i, k, c] is the amplitude of mode k conditioned on a basis
+        state of class c at times[i].
+    output : ndarray, shape (n_t, u)
+        Output-line amplitude sum_k sqrt(kappa_k) alpha[i, k, c].
     classes : ndarray of int, shape (2**n,)
-        classes[j] is the coupling class of basis state j (equal signed
-        chi sums, so equal A_j), numbered in order of the first state as
-        model.distinct_rows numbers them. States of one class have the
-        same alpha and output columns bit for bit, and the solvers step,
-        sample and integrate E on one column per class. None, for a table
-        built by hand, makes every state a class of its own, which is
-        always exact.
+        classes[j] is the column of basis state j, so a per-state value is
+        read through it: alpha[..., classes] and output[:, classes] have
+        one column per basis state. integrate_amplitudes numbers the
+        classes in order of their first state, as model.distinct_rows
+        does. None, for a table built by hand, makes every state a class
+        of its own, so per-state arrays are a valid table.
     """
 
     def __init__(self, times, alpha, output, classes=None):
         self.times = times
-        self.alpha = alpha
-        self.output = output
+        self.alpha = np.ascontiguousarray(alpha)
+        self.output = np.ascontiguousarray(output)
         self.classes = (np.arange(np.shape(alpha)[-1]) if classes is None
-                        else classes)
+                        else np.asarray(classes))
         self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
 
 
 def integrate_amplitudes(config: model.ReadoutConfig, drive,
                          times) -> AmplitudeTable:
-    """Exact pointer amplitudes of every basis state, from vacuum at t = 0.
+    """Exact pointer amplitudes of every coupling class, from vacuum at t = 0.
 
     drive is a PulseSpec or a real constant switched on at t = 0; times is
     a uniform grid from 0, as time_grid makes. On each envelope piece z_j =
@@ -209,10 +212,9 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     piece start (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)). Node
     k of a piece from a is expm(M_j (t_lo - a)) expm(M_j h)^k z(a), with the
     powers formed once; nothing is diagonalized, so a defective A_j is exact.
-    One state per coupling class is integrated and its columns copied to
-    the others of its class; the table records the classes
-    (AmplitudeTable.classes). Raises ConfigError if an amplitude's
-    |alpha|^2 is not finite.
+    One state per coupling class is integrated, and the table holds its
+    column for the class (AmplitudeTable.classes). Raises ConfigError if an
+    amplitude's |alpha|^2 is not finite.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times) if times.ndim == 1 else 0
@@ -272,11 +274,4 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
 
     require_bounded(alpha)
     output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
-    # take copies each class column to its states, C-contiguous, so the
-    # columns of a class are equal by construction. The class alpha is
-    # dropped before output is copied: holding every copy at once pushes
-    # the peak past malloc's trim threshold, and the freed memory is then
-    # returned and faulted back in on every build (2 ms of a 4 ms table)
-    alpha = np.take(alpha, classes, axis=-1)
-    output = np.take(output, classes, axis=-1)
     return AmplitudeTable(times, alpha, output, classes)

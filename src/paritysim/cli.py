@@ -154,12 +154,14 @@ def _cmd_respond(args) -> int:
     # before any file is written, so a singular design leaves none behind
     even, odd = cavity.parity_outputs(config, pulse.eps_ss)
     table = sme.build_table(config, pulse, args.steps)
-    # a complex row viewed as floats is (re, im) per basis state
+    # a complex row viewed as floats is (re, im) per basis state; take, as
+    # a fancy index is not C-contiguous and cannot be viewed so
     header = ["t"] + [f"{part}_out_{model.bitstring(j, config.n_qubits)}"
                       for j in range(config.dim) for part in ("re", "im")]
     out = _out_dir(args)
+    per_state = table.output.take(table.classes, axis=1)
     manifest.write_csv(out, "response.csv", header,
-                       (table.times, *table.output.view(float).T))
+                       (table.times, *per_state.view(float).T))
     manifest.write_json(out, "response_summary.json", {
         "steady_even": [even[0].real, even[0].imag],
         "steady_odd": [odd[0].real, odd[0].imag],

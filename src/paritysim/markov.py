@@ -28,6 +28,7 @@ Two tools:
   distances a block of nodes at a time.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,12 @@ def canonical_rates(k) -> np.ndarray:
     return np.linalg.eigvalsh((walsh @ k @ walsh)[..., 1:, 1:] / dim)
 
 
+@functools.cache
+def _row_pairs(n_rows: int):
+    """(i, j) of every pair of rows i < j, built once per row count."""
+    return np.triu_indices(n_rows, 1)
+
+
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray):
     """Trace distance (1/2) sum of singular values of rho_a - rho_b.
 
@@ -84,7 +91,7 @@ def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray):
         diff = diff.swapaxes(-1, -2)
     norm = (np.abs(diff) ** 2).sum(axis=(-2, -1))
     if diff.shape[-1] == 2:
-        i, j = np.triu_indices(diff.shape[-2], 1)
+        i, j = _row_pairs(diff.shape[-2])
         minors = (diff[..., i, 0] * diff[..., j, 1]
                   - diff[..., i, 1] * diff[..., j, 0])
         norm += 2.0 * np.sqrt((np.abs(minors) ** 2).sum(axis=-1))

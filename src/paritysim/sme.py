@@ -135,17 +135,17 @@ simulate_batch's results equal step_sde's bit for bit at any batch and
 any checkpoint cadence.
 
 Each row of the sweep is a class of states: those of one coupling
-class of the amplitude table (AmplitudeTable.classes, whose columns of
-c are equal by construction) whose log p0 is the same in every
-trajectory of the batch. The same operations on the same operands give
-the states of a class the same S and the same softmax terms at every
-node, and the maximum over the states is exact under any grouping; the
-two sums over the basis add the class values state by state, in the
-order of the states. So a class row stands for its states bit for bit,
-and the solver does at most the work of one row per state. From |+>,
-the 8 states of the default design fall into 4 classes and the 64
-states of six qubits coupled alike to two modes into 7; distinct
-couplings or populations give every state a class of its own.
+class of the amplitude table (AmplitudeTable.classes, which share one
+column of c) whose log p0 is the same in every trajectory of the batch.
+The same operations on the same operands give the states of a class the
+same S and the same softmax terms at every node, and the maximum over
+the states is exact under any grouping; the two sums over the basis add
+the class values state by state, in the order of the states. So a class
+row stands for its states bit for bit, and the solver does at most the
+work of one row per state. From |+>, the 8 states of the default design
+fall into 4 classes and the 64 states of six qubits coupled alike to two
+modes into 7; distinct couplings or populations give every state a
+class of its own.
 
 Both solvers check their input in _batch_inputs and hand S at each
 checkpoint to one function, _solve, which splits the work in two. The
@@ -221,8 +221,7 @@ _BLOCK_ENTRIES = 1 << 20
 _BLOCK_MATRICES = 256
 
 #: d x checkpoints x rows of the populations one pass of _solve holds (at
-#: least one checkpoint), and output words per block of _check_table (at
-#: least one node); bounds the memory of a pass
+#: least one checkpoint); bounds the memory of a pass
 _PASS_ENTRIES = 1 << 15
 
 
@@ -358,8 +357,8 @@ def mixture_noise(config: model.ReadoutConfig, table: AmplitudeTable, rho0,
     reproduces the ensemble trajectory to rounding. Row r belongs to
     indices[r] alone, so (base_seed, index, n_steps) replays a trajectory.
 
-    Raises ConfigError if the table does not hold (n_modes, d) amplitudes
-    per node, or rho0 is not one (d, d) state shared by every index.
+    Raises ConfigError where IntervalLaw raises, on the table or on rho0,
+    which is one (d, d) state shared by every index.
     """
     law = IntervalLaw(config, table, rho0, replay=True)
     js, xi = law.normals(base_seed, indices)
@@ -530,9 +529,9 @@ def _node_exponents(config, table, c_all, nodes, weights):
 
     E = int_0^t [K - (eta/2) (c_i + conj c_j)^2] is t gamma_mat + F, and F
     depends on states i and j only through their coupling classes
-    (AmplitudeTable.classes), so it is u x u for u classes and is taken on
-    the first state of each (_class_exponents expands it). With W_k,ij =
-    s_k,i - s_k,j (DriftOperator), F's integrand is P + P^H with
+    (AmplitudeTable.classes), so it is u x u for the table's u columns
+    (_class_exponents expands it). With W_k,ij = s_k,i - s_k,j
+    (DriftOperator), F's integrand is P + P^H with
 
         P = -i sum_k (s_k o alpha_k) alpha_k^H - (eta/2) (c c^H + c^2 1^T),
 
@@ -548,18 +547,20 @@ def _node_exponents(config, table, c_all, nodes, weights):
     sub-blocks, at least one) takes its whole sub-blocks in one product
     over windows of its pairs. So F at a node depends on the node alone,
     not on the other nodes asked for nor on the block size. Yields F at
-    the nodes a block at a time, as (nodes in the block, u, u), classes in
-    label order; a block of no node yields nothing.
+    the nodes a block at a time, as (nodes in the block, u, u), in the
+    table's column order; a block of no node yields nothing.
     """
     n_steps = len(table.times) - 1
     half_eta = 0.5 * config.eta
-    reps = np.unique(table.classes, return_index=True)[1]
-    minus_i_s = -1j * model.signed_chi_sums(config)[:, reps]
+    u = table.alpha.shape[-1]
+    # each column's signed chi sums: the states of a class share theirs
+    minus_i_s = np.empty((config.n_modes, u), dtype=complex)
+    minus_i_s[:, table.classes] = -1j * model.signed_chi_sums(config)
     sub = len(weights) - 1
     weights = table.dt * weights
     block = max(1, _BLOCK_STEPS // sub) * sub
     nodes = np.asarray(nodes)
-    carry = np.zeros((len(reps), len(reps)), dtype=complex)
+    carry = np.zeros((u, u), dtype=complex)
     # whole sub-blocks' node weights (symmetric: a shared node has one)
     node_weights = weights[sub, np.arange(block + 1) % sub, None, None]
     first = 0
@@ -571,12 +572,11 @@ def _node_exponents(config, table, c_all, nodes, weights):
         anchor = (ends - lo) // sub
         rise = ends - lo - anchor * sub
         partial = rise > 0
-        # the pairs (a_r, conj b_r) at nodes lo..hi, as C-ordered (node,
-        # r, u) (take, where a fancy index would order u first)
-        alpha = np.take(table.alpha[lo:hi + 1], reps, axis=2)
+        # the pairs (a_r, conj b_r) at nodes lo..hi, as (node, r, u)
+        alpha = table.alpha[lo:hi + 1]
         pair_a, pair_b = [minus_i_s * alpha], [alpha.conj()]
         if c_all is not None:
-            c = np.take(c_all[lo:hi + 1], reps, axis=1)[:, None]
+            c = c_all[lo:hi + 1, None]
             pair_a += [-half_eta * c, -half_eta * c ** 2]
             pair_b += [c.conj(), np.ones(c.shape)]
         a = np.concatenate(pair_a, axis=1)
@@ -611,8 +611,8 @@ def _class_exponents(config, table, times, f) -> np.ndarray:
     """E = t gamma_mat + F[class(i), class(j)], (len(f), d, d), from F at
     nodes of those times (_node_exponents): exactly Hermitian, and at a
     node a function of its F and its time alone."""
-    classes = np.unique(table.classes, return_inverse=True)[1]
-    e = f.reshape(len(f), -1)[:, f.shape[-1] * classes[:, None] + classes]
+    cols = table.classes
+    e = f.reshape(len(f), -1)[:, f.shape[-1] * cols[:, None] + cols]
     e.real += np.multiply.outer(times, DriftOperator(config).gamma_mat)
     return e
 
@@ -686,48 +686,35 @@ def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
     stochastic record.
     """
     idx = model.parity_indices(config.n_qubits, parity)[0]
-    c = measurement_diag(config, table.output[:-1, idx])
+    c = measurement_diag(config, table.output[:-1, table.classes[idx]])
     return math.sqrt(config.eta) * 2.0 * c.real
 
 
 def _check_table(config, table):
-    """ConfigError unless the table holds (n_modes, d) amplitudes and d
-    outputs per node, and one coupling class in 0..d-1 per basis state
-    whose states all have the output column of its first state, bit for
-    bit (a NaN equal to the same NaN), and whose states share their signed
-    chi sums: the solvers read c and alpha at that state alone."""
-    if table.alpha.shape[1:] != (config.n_modes, config.dim):
+    """ConfigError unless the table holds the amplitudes of n_modes modes
+    and the outputs on the same u columns, and classes names one of them
+    for each of the d basis states, every column at least once, with the
+    states of one column sharing their signed chi sums: the solvers read
+    alpha and c of a state in its class's column."""
+    n_columns = np.shape(table.alpha)[-1]
+    if (np.shape(table.alpha)[1:] != (config.n_modes, n_columns)
+            or np.shape(table.output)[1:] != (n_columns,)):
         raise ConfigError(
-            f"amplitude table holds {table.alpha.shape[1:]} (modes, basis "
-            f"states) per node; the config needs ({config.n_modes}, "
-            f"{config.dim})")
+            f"amplitude table holds {np.shape(table.alpha)[1:]} (modes, "
+            f"columns) and {np.shape(table.output)[1:]} outputs per node; "
+            f"need {config.n_modes} modes and an output per column")
     classes = np.asarray(table.classes)
     if (classes.shape != (config.dim,) or classes.dtype.kind not in "iu"
-            or classes.min() < 0 or classes.max() >= config.dim):
+            or classes.min() < 0 or classes.max() >= n_columns
+            or len(np.unique(classes)) != n_columns):
         raise ConfigError(
             f"amplitude table classes have shape {classes.shape} and dtype "
-            f"{classes.dtype}; need one integer in 0..{config.dim - 1} per "
-            "basis state")
-    output = np.ascontiguousarray(table.output, dtype=complex)
-    if output.shape[1:] != (config.dim,):
-        raise ConfigError(
-            f"amplitude table holds {output.shape[1:]} outputs per node; "
-            f"the config needs ({config.dim},)")
-    # each state's real and imaginary words against its class's first
-    # state's, a block of nodes at a time
-    first, inverse = np.unique(classes, return_index=True,
-                               return_inverse=True)[1:]
-    words = (2 * first[inverse, None] + [0, 1]).ravel()
-    bits = output.view(np.int64)
-    step = max(1, _PASS_ENTRIES // len(words))
-    for lo in range(0, len(bits), step):
-        block = bits[lo:lo + step]
-        if not (block.take(words, axis=1) == block).all():
-            raise ConfigError(
-                "amplitude table classes merge basis states whose outputs "
-                "differ")
+            f"{classes.dtype}; need one integer per basis state naming each "
+            f"of the {n_columns} columns")
     chi_sums = model.signed_chi_sums(config)
-    if not np.array_equal(chi_sums[:, first[inverse]], chi_sums):
+    by_column = np.empty((config.n_modes, n_columns))
+    by_column[:, classes] = chi_sums
+    if not np.array_equal(by_column[:, classes], chi_sums):
         raise ConfigError("amplitude table classes merge basis states whose "
                           "signed chi sums differ")
 
@@ -832,7 +819,8 @@ class _Certificate:
             e -= 0.5 * (diag_e[:, :, None] + diag_e[:, None, :])
             self.lam[:, lo:lo + len(e)] = np.linalg.eigvalsh(
                 coherence[:, None] * np.exp(e, out=e))[..., 0]
-        self.k_diag = DriftOperator(config).diagonal(table.alpha[nodes[-1]])
+        self.k_diag = DriftOperator(config).diagonal(
+            table.alpha[nodes[-1]][:, table.classes])
 
     def solve(self, rho0, group, s_at_nodes):
         """(rho_final, diagnostics) of the rows rho0 from S at the nodes.
@@ -942,7 +930,7 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
 
     Writes records[:, n] for every step. The stepped rows are classes of
     basis states, not the states: states of one coupling class of the
-    table (table.classes, whose columns of c are equal) whose log p0 is
+    table (table.classes, which share one column of c) whose log p0 is
     the same in every batch row. Their S, softmax arguments and weights
     are then the same bits at every node, so one row per class stands for
     all of them, and S is yielded as S[classes], (d, n_batch), a new array
@@ -967,8 +955,8 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
     their means, in the same term order, so every output is the one-step-
     at-a-time loop's bit for bit. The arrays are class-major, (classes,
     steps, columns), so each softmax reduces over whole contiguous blocks;
-    node values of c, gathered at one state per class, and noise factors
-    are tabulated two windows at a time.
+    node values of c, read in each row's column of the table, and noise
+    factors are tabulated two windows at a time.
     """
     n_steps = len(table.times) - 1
     n_batch = len(dws)
@@ -981,6 +969,7 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
     first, classes = distinct_rows(np.column_stack([table.classes, log_p0]))
     n_class = len(first)
     log_p0 = log_p0[first, None]
+    columns = table.classes[first]
     log_p0_pair = np.tile(log_p0, 2)
 
     def scaled_means(re_s, log_p, w, r):
@@ -1021,7 +1010,7 @@ def _stepped_exponents(config, table, c_all, rho0, dws, dzs, nodes,
             # the step factors, for up to two windows from step a on
             r_lo = r[:, a - tab_lo, None]
             tab_lo, tab_hi = a, min(a + 2 * window, n_steps)
-            c = c_all[tab_lo:tab_hi + 1, first].T[:, :, None]
+            c = c_all[tab_lo:tab_hi + 1, columns].T[:, :, None]
             re_c = c.real
             w = (2.0 * sqrt_eta) * re_c
             sq = re_c ** 2
@@ -1122,15 +1111,16 @@ def simulate_batch(config: model.ReadoutConfig, table: AmplitudeTable,
     Raises
     ------
     ConfigError
-        If the table is not one of (n_modes, d) amplitudes and d outputs
-        per node (a table of that shape built from other physics goes
-        undetected), its classes merge states whose outputs differ, the
-        noise arrays or rho0 do not have the shapes above, the noise
-        arrays hold no rows, a noise value is not finite, rho0 has a
-        negative population or a trace off 1 by more than
-        DIAGNOSTIC_THRESHOLDS["trace_dev"], or
-        checkpoint_every is not an integer or is negative (0 means the
-        default cadence, max(1, n_steps // 100) steps).
+        If the table does not hold n_modes amplitudes and an output on
+        each of its columns per node (a table built from other physics
+        goes undetected), its classes do not name one column per basis
+        state and each column at least once, or they merge states whose
+        signed chi sums differ; if the noise arrays or rho0 do not have
+        the shapes above, the noise arrays hold no rows, a noise value is
+        not finite, rho0 has a negative population or a trace off 1 by
+        more than DIAGNOSTIC_THRESHOLDS["trace_dev"], or checkpoint_every
+        is not an integer or is negative (0 means the default cadence,
+        max(1, n_steps // 100) steps).
     """
     rho0, dws, dzs, nodes = _batch_inputs(config, table, rho0, dws, dzs,
                                           checkpoint_every)
@@ -1154,17 +1144,18 @@ def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
         w1 = dW - dZ/dt + dt (r1/3 + r0/6),
 
     so S is one real weight per grid node times c at that node, summed
-    over each checkpoint interval as one real product on c read as
-    (Re c, Im c) pairs; each S yielded is a new array. Writes
-    records[:, n] = r(t_n) + dW_n / dt for every step.
+    over each checkpoint interval as one real product on the table's
+    columns of c read as (Re c, Im c) pairs; each S yielded is a new array
+    of the states' rows, read through table.classes. Writes records[:, n]
+    = r(t_n) + dW_n / dt for every step.
     """
     dt = table.dt
     sqrt_eta = math.sqrt(config.eta)
     re_c, c_pairs = c_all.real, c_all.view(float)
-    s = np.zeros((len(dws), 2 * config.dim))
+    s = np.zeros((len(dws), c_pairs.shape[1]))
     lo = 0
     for hi in nodes:
-        r = (2.0 * sqrt_eta) * re_c[lo:hi + 1, js].T
+        r = (2.0 * sqrt_eta) * re_c[lo:hi + 1, table.classes[js]].T
         dw = dws[:, lo:hi]
         dz = dzs[:, lo:hi] / dt
         weights = np.zeros(r.shape)
@@ -1175,7 +1166,7 @@ def _sampled_exponents(config, table, c_all, js, dws, dzs, nodes, records):
         s = s + np.einsum("bl,li->bi", weights, c_pairs[lo:hi + 1])
         records[:, lo:hi] = r[:, :-1] + dw / dt
         lo = hi
-        yield s.view(complex).T
+        yield s.view(complex).T[table.classes]
 
 
 def sample_batch(config: model.ReadoutConfig, table: AmplitudeTable,
@@ -1255,14 +1246,14 @@ class IntervalLaw:
 
     with j_even and j_odd the nominal records of the parity references
     (nominal_record), is v_k = mean[k, j] + A_k z. S_i depends on c_i
-    alone, and the states of one coupling class of the table share c
-    (AmplitudeTable.classes), so they share one column (columns[i] is
-    state i's, one representative per class): D = 2 u + 3 entries for u
-    classes, at most 2 d + 3. Two classes whose outputs happen to be
-    equal bit for bit keep a column each: the law draws more normals but
-    is still exact. Per step n, A_k's column for z1 is
-    (sqrt(dt)/2) (c_n + c_n+1) in the S part and sqrt(dt) g_n in the
-    record part, and for z2 (sqrt(dt)/(2 sqrt(3))) (c_n - c_n+1) and 0.
+    alone, and the states of one coupling class of the table share c, so
+    they share its column: columns is AmplitudeTable.classes (columns[i]
+    is state i's), and D = 2 u + 3 entries for the table's u columns, at
+    most 2 d + 3. Two classes whose outputs happen to be equal bit for bit
+    keep a column each: the law draws more normals but is still exact.
+    Per step n, A_k's column for z1 is (sqrt(dt)/2) (c_n + c_n+1) in the
+    S part and sqrt(dt) g_n in the record part, and for z2 (sqrt(dt)/(2
+    sqrt(3))) (c_n - c_n+1) and 0.
     mean[k, columns[j]] holds sum dt [c_n (r_n/3 + r_n+1/6) + c_n+1
     (r_n+1/3 + r_n/6)] in the S part, the node weights of
     _sampled_exponents, and sum g_n r_n dt in the record part. The
@@ -1278,9 +1269,9 @@ class IntervalLaw:
     first call of sample and kept, so an ensemble's chunks share one E
     and one certificate, and mixture_noise never builds it.
 
-    Raises ConfigError if the table does not hold (n_modes, d) amplitudes
-    and one coupling class per basis state, or rho0 is not one (d, d)
-    array with non-negative populations of unit trace.
+    Raises ConfigError where simulate_batch raises on the table, or if
+    rho0 is not one (d, d) array with non-negative populations of unit
+    trace.
     """
 
     def __init__(self, config: model.ReadoutConfig, table: AmplitudeTable,
@@ -1294,13 +1285,11 @@ class IntervalLaw:
         self.c_all = measurement_diag(config, table.output)
         self.nodes = _checkpoints(n_steps)
         # S_i depends on c_i alone: one column per coupling class
-        first, self.columns = np.unique(table.classes, return_index=True,
-                                        return_inverse=True)[1:]
-        c_distinct = np.ascontiguousarray(self.c_all[:, first])
-        c_pairs = c_distinct.view(float)
+        self.columns = table.classes
+        c_pairs = self.c_all.view(float)
         n_s = c_pairs.shape[1]
         width = n_s + 3
-        r_all = (2.0 * math.sqrt(config.eta)) * c_distinct.real
+        r_all = (2.0 * math.sqrt(config.eta)) * self.c_all.real
         g_all = np.stack([nominal_record(config, table, "even"),
                           nominal_record(config, table, "odd"),
                           np.ones(n_steps)], axis=-1)
@@ -1308,7 +1297,7 @@ class IntervalLaw:
         block = max(1, _BLOCK_ENTRIES // (2 * int(lengths.max()) * width))
         starts = np.union1d(np.arange(0, len(lengths), block),
                             np.flatnonzero(np.diff(lengths)) + 1)
-        self.mean = np.empty((len(lengths), len(first), width))
+        self.mean = np.empty((len(lengths), self.c_all.shape[1], width))
         self.runs = []
         for k0, k1 in zip(starts, np.append(starts[1:], len(lengths))):
             length = lengths[k0]

@@ -207,7 +207,8 @@ class TestInverseDynamics:
                                             cavity.time_grid(60.0, 6000))
         for j in range(cfg.dim):
             steady = cavity.steady_state_amplitudes(cfg, j, 0.3)
-            assert np.max(np.abs(table.alpha[-1, :, j] - steady)) < 1e-12
+            assert np.max(np.abs(
+                table.alpha[-1, :, table.classes[j]] - steady)) < 1e-12
 
 
 class TestSteadyStates:
@@ -352,7 +353,8 @@ class TestIntegrateAmplitudes:
             lam = -1j * dtil - 1.0
             a_ss = -1j * np.sqrt(2.0) * eps / (1j * dtil + 1.0)
             expected = a_ss * (1.0 - np.exp(lam * times))
-            err = np.max(np.abs(table.alpha[:, 0, j] - expected))
+            err = np.max(np.abs(table.alpha[:, 0, table.classes[j]]
+                                - expected))
             assert err < 1e-8
 
     def test_two_mode_plateau_propagation(self):
@@ -368,8 +370,9 @@ class TestIntegrateAmplitudes:
             A, B, _, _ = cavity.state_space(cfg, j)
             a_ss = -np.linalg.solve(A, B) * pulse.eps_ss
             prop = scipy.linalg.expm(A * 3.0)
-            expected = prop @ (table.alpha[i1, :, j] - a_ss) + a_ss
-            err = np.max(np.abs(table.alpha[i2, :, j] - expected))
+            column = table.classes[j]
+            expected = prop @ (table.alpha[i1, :, column] - a_ss) + a_ss
+            err = np.max(np.abs(table.alpha[i2, :, column] - expected))
             assert err < 1e-7
 
     def test_output_is_weighted_amplitude_sum(self):
@@ -403,7 +406,7 @@ class TestIntegrateAmplitudes:
         i = round(7.0 / table.dt)
         for j in range(cfg.dim):
             ss = cavity.steady_state_output(cfg, j, pulse.eps_ss)
-            assert abs(table.output[i, j] - ss) < 1e-2
+            assert abs(table.output[i, table.classes[j]] - ss) < 1e-2
 
     def test_bad_grid_rejected(self):
         cfg = single_mode_config()
@@ -470,9 +473,9 @@ def class_table_designs():
 @pytest.mark.parametrize("name", sorted(class_table_designs()))
 @pytest.mark.parametrize("n_steps", [1, 1234, 10 ** 4])
 def test_class_table_is_the_per_state_table(name, n_steps, monkeypatch):
-    # states of one coupling class share A_j, so integrating one of them
-    # and copying its column gives the per-state table bit for bit, in the
-    # same C-contiguous layout
+    # states of one coupling class share A_j, so the column integrated for
+    # the class, read through classes, is the per-state table bit for bit;
+    # the class arrays are C-contiguous
     config, pulse = class_table_designs()[name], default_pulse()
     times = cavity.time_grid(pulse.tau, n_steps)
     for drive in (pulse, 0.37):
@@ -482,15 +485,20 @@ def test_class_table_is_the_per_state_table(name, n_steps, monkeypatch):
             alone = cavity.integrate_amplitudes(config, drive, times)
         for got, want in ((table.alpha, alone.alpha),
                           (table.output, alone.output)):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got[..., table.classes], want)
             assert got.flags.c_contiguous
-        # the table's classes are the grouping of its outputs and of the
-        # signed chi sums, and a table built per state carries each alone
-        assert np.array_equal(table.classes,
-                              model.distinct_rows(table.output.T)[1])
+        # one column per class: the table's classes are the grouping of
+        # the signed chi sums and of its per-state outputs, and a table
+        # built per state carries each state alone
+        n_classes = table.classes.max() + 1
+        assert table.alpha.shape == (len(times), config.n_modes, n_classes)
+        assert table.output.shape == (len(times), n_classes)
         assert np.array_equal(
             table.classes,
             model.distinct_rows(model.signed_chi_sums(config).T)[1])
+        assert np.array_equal(
+            table.classes,
+            model.distinct_rows(table.output[:, table.classes].T)[1])
         assert np.array_equal(alone.classes, np.arange(config.dim))
 
 
@@ -502,7 +510,7 @@ class TestAgainstAdaptiveReference:
         times = cavity.time_grid(pulse.tau, 3000)
         table = cavity.integrate_amplitudes(cfg, pulse, times)
         ref = adaptive_reference(cfg, pulse, times)
-        assert np.abs(table.alpha - ref).max() < 1e-10
+        assert np.abs(table.alpha[..., table.classes] - ref).max() < 1e-10
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_designs(self, seed):
@@ -512,7 +520,7 @@ class TestAgainstAdaptiveReference:
         times = cavity.time_grid(pulse.tau, int(rng.integers(100, 2000)))
         table = cavity.integrate_amplitudes(cfg, pulse, times)
         ref = adaptive_reference(cfg, pulse, times)
-        assert np.abs(table.alpha - ref).max() < 1e-10
+        assert np.abs(table.alpha[..., table.classes] - ref).max() < 1e-10
 
     def test_exceptional_point(self):
         # both A_j have a double eigenvalue; their eigenvector matrices
@@ -527,11 +535,11 @@ class TestAgainstAdaptiveReference:
         times = cavity.time_grid(pulse.tau, 2000)
         table = cavity.integrate_amplitudes(cfg, pulse, times)
         ref = adaptive_reference(cfg, pulse, times)
-        assert np.abs(table.alpha - ref).max() < 1e-10
+        assert np.abs(table.alpha[..., table.classes] - ref).max() < 1e-10
 
     def test_constant_drive(self):
         cfg = model.default_config()
         times = cavity.time_grid(6.0, 1000)
         table = cavity.integrate_amplitudes(cfg, 0.37, times)
         ref = adaptive_reference(cfg, 0.37, times)
-        assert np.abs(table.alpha - ref).max() < 1e-10
+        assert np.abs(table.alpha[..., table.classes] - ref).max() < 1e-10

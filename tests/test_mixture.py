@@ -172,7 +172,8 @@ def test_interval_law_is_exact(cfg, n_steps, seed):
     expand = np.concatenate([np.stack([2 * columns, 2 * columns + 1],
                                       axis=-1).ravel(),
                              width - 3 + np.arange(3)])
-    c_pairs = sme.measurement_diag(cfg, table.output).view(float)
+    c_pairs = sme.measurement_diag(
+        cfg, table.output.take(table.classes, axis=1)).view(float)
     basis = reference_basis(cfg, table)
     normals = 0
     for k0, k1, factor, _ in law.runs:
@@ -300,8 +301,8 @@ def test_one_node_weight_equals_two_part_sum(name, pulse):
     records = np.empty(dws.shape)
     rho, diagnostics = sme._solve(
         config, table, c_all, rho0s, nodes,
-        two_part_exponents(config, table, c_all, js, dws, dzs, nodes,
-                           records))
+        two_part_exponents(config, table, c_all[:, table.classes], js, dws,
+                           dzs, nodes, records))
     assert np.array_equal(got[1], records)
     assert np.abs(got[0] - rho).max() < 1e-13
     for field in fields(sme.Diagnostics):

@@ -11,9 +11,10 @@ bit, and min_eig a lower bound with the exact eigenvalue's sign, also
 around the solver's window edges, where its classes of identical states
 are neither the columns of c nor the states, and, NaN for NaN, on a
 table with a NaN node), one stepped row per class, the count of sweeps
-of one long trajectory, the stepper's memory on a long grid, the
-blockwise grouping of the columns of c against the grouping of whole
-columns, min_eig inside Ostrowski's bracket on random
+of one long trajectory, the stepper's memory on a long grid, the class
+table against its per-state expansion in every solver, and every solver
+rejecting a table whose classes skip or invent a column or merge
+signed chi sums, min_eig inside Ostrowski's bracket on random
 states with and without a negative eigenvalue or a zero population, one
 eigvalsh matrix per checkpoint whatever the batch, results independent of block sizes,
 pass sizes and checkpoint cadence, the checkpoint routine bit for bit
@@ -181,7 +182,8 @@ def test_deterministic_matches_rk4_reference(config):
     # at this step size they agree to round-off level
     n_steps = 1000
     table = sme.build_table(config, default_pulse(), 2 * n_steps)
-    ks = [sme.DriftOperator(config).coefficient(a) for a in table.alpha]
+    ks = [sme.DriftOperator(config).coefficient(a)
+          for a in table.alpha[..., table.classes]]
     h = 2.0 * table.dt
     rho = model.plus_density(3)
     ref = [rho]
@@ -205,13 +207,14 @@ def dense_reference(config, table, rho0, dws, dzs):
     the elementwise one but the stepper.
     """
     drift_op = sme.DriftOperator(config)
-    c_all = sme.measurement_diag(config, table.output)
+    alpha = table.alpha[..., table.classes]
+    c_all = sme.measurement_diag(config, table.output[:, table.classes])
     sqrt_eta = np.sqrt(config.eta)
     rho = np.array(rho0, dtype=complex)
-    k0, c0 = drift_op.coefficient(table.alpha[0]), c_all[0]
+    k0, c0 = drift_op.coefficient(alpha[0]), c_all[0]
     for n in range(len(table.times) - 1):
         t = table.times[n]
-        k1, c1 = drift_op.coefficient(table.alpha[n + 1]), c_all[n + 1]
+        k1, c1 = drift_op.coefficient(alpha[n + 1]), c_all[n + 1]
         rho = sme.step_sde(
             rho, t, table.dt,
             lambda y, tt: (k0 if tt == t else k1) * y,
@@ -232,7 +235,8 @@ def step_sde_exponents(config, table, rho0, dws, dzs):
     sqrt_eta = math.sqrt(eta)
     n_steps = len(times) - 1
     rho0 = np.broadcast_to(rho0, (len(dws), config.dim, config.dim))
-    c_col = sme.measurement_diag(config, table.output)[:, :, None]
+    c_col = sme.measurement_diag(
+        config, table.output[:, table.classes])[:, :, None]
     re_c = c_col.real
     with np.errstate(divide="ignore"):
         log_p0 = np.log(np.einsum("...ii->i...", rho0).real)
@@ -309,7 +313,8 @@ def step_sde_reference(config, table, rho0, dws, dzs, checkpoint_every):
         rho = sme._conditioned_state(rho0, e, s_nodes[node].T,
                                      math.sqrt(eta))
         checks.append({**sme._final_checks(
-            rho, np.einsum("ii->i", drift_op.coefficient(table.alpha[node]))),
+            rho, np.einsum("ii->i", drift_op.coefficient(
+                table.alpha[node][:, table.classes]))),
             "min_eig": np.linalg.eigvalsh(
                 0.5 * (rho + rho.conj().swapaxes(-1, -2)))[..., 0]})
     diagnostics = {name: np.stack([check[name] for check in checks], axis=-1)
@@ -370,8 +375,9 @@ def trapezoid_exponents(config, table, nodes):
     DriftOperator.coefficient at every node: the quadrature that
     _node_exponents forms from rank-one products, summed step by step.
     """
-    c = sme.measurement_diag(config, table.output)[:, :, None]
-    f = (sme.DriftOperator(config).coefficient(table.alpha)
+    c = sme.measurement_diag(config, table.output[:, table.classes])[
+        :, :, None]
+    f = (sme.DriftOperator(config).coefficient(table.alpha[..., table.classes])
          - (0.5 * config.eta) * (c + c.conj().swapaxes(-1, -2)) ** 2)
     return running_sum((0.5 * table.dt) * (f[:-1] + f[1:]), nodes)
 
@@ -384,7 +390,7 @@ def simpson_exponents(config, table):
     by DriftOperator.coefficient at every node: the composite Simpson rule
     that simulate_deterministic forms from rank-one products.
     """
-    k = sme.DriftOperator(config).coefficient(table.alpha)
+    k = sme.DriftOperator(config).coefficient(table.alpha[..., table.classes])
     steps = (2.0 * table.dt / 6.0) * (k[:-1:2] + 4.0 * k[1::2] + k[2::2])
     return running_sum(steps, np.arange(len(steps) + 1))
 
@@ -668,9 +674,10 @@ def test_nan_output_node_is_step_sde(config, pulse):
     # a NaN in c turns every later mean NaN; the solve must still end, on
     # the loop's values (NaN where it has NaN)
     built = sme.build_table(config, pulse, 600)
-    output = built.output.copy()
+    output = built.output[:, built.classes]
     output[300, 5] = np.nan
-    table = AmplitudeTable(built.times, built.alpha, output)
+    table = AmplitudeTable(built.times, built.alpha[..., built.classes],
+                           output)
     dws, dzs = sme.trajectory_noise(table, 4, range(3))
     rho0, dws, dzs, nodes = sme._batch_inputs(
         config, table, model.plus_density(3), dws, dzs, 1)
@@ -761,7 +768,8 @@ def test_stepper_holds_one_row_per_class(config, pulse, monkeypatch):
         sme.simulate_batch(design, table, rho0, dws, dzs)
         assert rows == {want}
     built = sme.build_table(config, pulse, 300)
-    table = AmplitudeTable(built.times, built.alpha, built.output)
+    table = AmplitudeTable(built.times, built.alpha[..., built.classes],
+                           built.output[:, built.classes])
     dws, dzs = sme.trajectory_noise(table, 0, range(3))
     rows.clear()
     sme.simulate_batch(config, table, model.plus_density(3), dws, dzs)
@@ -883,6 +891,16 @@ def test_conditioned_state_properties(cfg, seed):
         assert np.array_equal(rec[b], rec_b[0])
 
 
+def with_chi(cfg, chi):
+    """cfg with chi random, all ones or without its first qubit's coupling:
+    the last two put several states in a coupling class."""
+    if chi == "ones":
+        return cfg.replace(chi=np.ones_like(cfg.chi))
+    if chi == "zero_column":
+        return cfg.replace(chi=cfg.chi * (np.arange(cfg.n_qubits) > 0))
+    return cfg
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(cfg=register_configs(),
        chi=st.sampled_from(["random", "ones", "zero_column"]),
@@ -890,11 +908,76 @@ def test_conditioned_state_properties(cfg, seed):
 def test_class_exponents_over_random_designs(cfg, chi, n_steps):
     # chi all ones and a qubit with no coupling put several states in a
     # class; random chi leaves every state alone
-    if chi == "ones":
-        cfg = cfg.replace(chi=np.ones_like(cfg.chi))
-    elif chi == "zero_column":
-        cfg = cfg.replace(chi=cfg.chi * (np.arange(cfg.n_qubits) > 0))
-    assert_class_exponents(cfg, default_pulse(), n_steps)
+    assert_class_exponents(with_chi(cfg, chi), default_pulse(), n_steps)
+
+
+def assert_per_state_expansion_agrees(config, n_steps):
+    """The class table against its per-state expansion, built by hand
+    without classes.
+
+    Where every class holds one state the two are the same arrays, and
+    every result is the same bit for bit. Otherwise E is a u x u product
+    on the class table and d x d on the expansion, and the law has 2 u + 3
+    entries instead of 2 d + 3, so a result may differ in rounding: the
+    records and the drawn states, which read c state by state, are still
+    equal bit for bit, the states and diagnostics within 1e-13, and the
+    law's mean and covariance within 1e-13 of their largest entry.
+    """
+    table = sme.build_table(config, default_pulse(), n_steps)
+    per_state = AmplitudeTable(table.times, table.alpha[..., table.classes],
+                               table.output[:, table.classes])
+    exact = table.alpha.shape[-1] == config.dim
+    rho0 = model.plus_density(config.n_qubits)
+    dws, dzs = sme.trajectory_noise(table, 2, range(3))
+    js, mws, mzs = sme.mixture_noise(config, table, rho0, 2, range(3))
+
+    def assert_agree(got, want):
+        assert np.array_equal(got[-2], want[-2])
+        assert np.array_equal(got[-1].times, want[-1].times)
+        for x, y in ((got[-3], want[-3]), *(
+                (getattr(got[-1], f.name), getattr(want[-1], f.name))
+                for f in fields(sme.Diagnostics)[1:])):
+            if exact:
+                assert np.array_equal(x, y)
+            else:
+                assert np.abs(x - y).max() <= 1e-13
+
+    for every in (1, 0):
+        assert_agree(
+            *(sme.simulate_batch(config, t, rho0, dws, dzs, every)
+              for t in (table, per_state)))
+    assert_agree(*(sme.sample_batch(config, t, rho0, js, mws, mzs)
+                   for t in (table, per_state)))
+
+    laws = [sme.IntervalLaw(config, t, rho0) for t in (table, per_state)]
+    samples = [law.sample(2, range(3)) for law in laws]
+    assert np.array_equal(samples[0][0], samples[1][0])
+    if exact:
+        assert_agree(*samples)
+    columns = table.classes
+    expand = np.concatenate([np.stack([2 * columns, 2 * columns + 1],
+                                      axis=-1).ravel(),
+                             2 * table.alpha.shape[-1] + np.arange(3)])
+    covariance = [np.concatenate([f.swapaxes(-1, -2) @ f
+                                  for _, _, f, _ in law.runs])
+                  for law in laws]
+    for got, want in ((laws[0].mean[:, columns][..., expand], laws[1].mean),
+                      (covariance[0][:, expand[:, None], expand],
+                       covariance[1])):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cfg=register_configs(),
+       chi=st.sampled_from(["random", "ones", "zero_column"]),
+       n_steps=st.sampled_from([1, 150]))
+def test_class_table_solves_as_its_per_state_expansion(cfg, chi, n_steps):
+    assert_per_state_expansion_agrees(with_chi(cfg, chi), n_steps)
+
+
+@pytest.mark.parametrize("name", ["6q_ones", "zero_chi_column"])
+def test_class_table_solves_as_its_per_state_expansion_fixed(name):
+    assert_per_state_expansion_agrees(class_exponent_designs()[name], 150)
 
 
 def hermitian_with_positive_diagonal(rng, d, zero_population, negative):
@@ -1065,7 +1148,8 @@ def per_node_solve(config, table, rho0, nodes, s_at_nodes):
                                      np.minimum.reduce(theta, axis=0)))
     rho = sme._conditioned_state(rho0, e[-1], block[-1][1].T, sqrt_eta)
     checks = sme._final_checks(
-        rho, sme.DriftOperator(config).diagonal(table.alpha[nodes[-1]]))
+        rho, sme.DriftOperator(config).diagonal(
+            table.alpha[nodes[-1]][:, table.classes]))
     return rho, sme.Diagnostics(times=table.times[nodes],
                                 min_eig=np.concatenate(bounds).T, **checks)
 
@@ -1336,6 +1420,18 @@ DEGENERATE_IDS = ["1d_noise", "rho0_of_other_register",
                   "negative_rho0", "rho0_trace_two", "no_noise_rows"]
 
 
+def assert_table_rejected(config, table, match):
+    """Each solver that takes a table refuses this one with ConfigError."""
+    rho0 = model.plus_density(config.n_qubits)
+    dws, dzs = sme.trajectory_noise(table, 0, range(2))
+    with pytest.raises(ConfigError, match=match):
+        sme.simulate_batch(config, table, rho0, dws, dzs)
+    with pytest.raises(ConfigError, match=match):
+        sme.sample_batch(config, table, rho0, [0, 5], dws, dzs)
+    with pytest.raises(ConfigError, match=match):
+        sme.IntervalLaw(config, table, rho0)
+
+
 class TestSimulateBatch:
     def test_rows_match_single_runs(self, config):
         table = sme.build_table(config, default_pulse(), 250)
@@ -1420,72 +1516,49 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("classes, match", [
         (np.zeros(7, dtype=int), r"shape \(7,\)"),
         (np.zeros(8), "dtype float64"),
-        (np.array([0, 1, 1, 2, 1, 2, 2, 8]), "one integer in 0..7"),
-        (np.array([0, 1, 1, 2, 1, 2, 2, -1]), "one integer in 0..7"),
-        # one class over states whose outputs differ: the solvers would
-        # read state 0's c for all of them
-        (np.zeros(8, dtype=int), "merge basis states whose outputs differ"),
-    ], ids=["too_short", "float", "above_register", "negative", "merged"])
+        (np.array([0, 1, 1, 2, 1, 2, 2, 4]), "each of the 4 columns"),
+        (np.array([0, 1, 1, 2, 1, 2, 2, -1]), "each of the 4 columns"),
+    ], ids=["too_short", "float", "above_register", "negative"])
     def test_bad_table_classes_rejected(self, config, classes, match):
         built = sme.build_table(config, default_pulse(), 100)
-        table = AmplitudeTable(built.times, built.alpha, built.output,
-                               classes)
-        rho0 = model.plus_density(3)
-        dws, dzs = sme.trajectory_noise(table, 0, range(2))
-        with pytest.raises(ConfigError, match=match):
-            sme.simulate_batch(config, table, rho0, dws, dzs)
-        with pytest.raises(ConfigError, match=match):
-            sme.sample_batch(config, table, rho0, [0, 5], dws, dzs)
-        with pytest.raises(ConfigError, match=match):
-            sme.IntervalLaw(config, table, rho0)
+        assert_table_rejected(config, AmplitudeTable(
+            built.times, built.alpha, built.output, classes), match)
 
-    @pytest.mark.parametrize("pass_entries", [None, 16])
-    def test_table_classes_checked_bit_for_bit(self, config, monkeypatch,
-                                               pass_entries):
-        # built tables, tables built by hand without classes and hand-built
-        # classes over equal outputs pass; a NaN equals the same NaN, and
-        # one state alone off its class by a NaN or a sign of zero fails,
-        # in one block of nodes or in blocks of one node. Uncoupled, every
-        # state has the same signed chi sums, so any grouping is one of
-        # coupling classes
-        if pass_entries:
-            monkeypatch.setattr(sme, "_PASS_ENTRIES", pass_entries)
+    @pytest.mark.parametrize("labels", [[0] * 8, [0, 1, 1, 3, 1, 3, 3, 3]],
+                             ids=["one_of_four", "skips_column_2"])
+    def test_table_classes_name_every_column(self, config, labels):
+        # uncoupled, every state has the same signed chi sums, so only the
+        # columns no state is named to can fail the table
         config = config.replace(chi=np.zeros_like(config.chi))
         built = sme.build_table(config, default_pulse(), 100)
-        merged = np.array([0, 1, 1, 1, 1, 1, 1, 0])
-        output = built.output.copy()
-        output[:, merged == 1] = output[:, 1, None]
-        output[:, 7] = output[:, 0]
-        good = [built, AmplitudeTable(built.times, built.alpha, output),
-                AmplitudeTable(built.times, built.alpha, output, merged)]
-        output = output.copy()
-        output[40, merged == 1] = np.nan
-        good.append(AmplitudeTable(built.times, built.alpha, output, merged))
-        for table in good:
-            sme._check_table(config, table)
-        for node, value in ((60, np.nan), (0, -0.0)):
-            bad = output.copy()
-            bad[node, 4] = value
-            assert not np.array_equal(bad.view(np.int64),
-                                      output.view(np.int64))
-            with pytest.raises(ConfigError, match="outputs differ"):
-                sme._check_table(config, AmplitudeTable(
-                    built.times, built.alpha, bad, merged))
+        four_columns = AmplitudeTable(built.times, built.alpha[..., [0] * 4],
+                                      built.output[:, [0] * 4], labels)
+        assert_table_rejected(config, four_columns, "each of the 4 columns")
+        sme._check_table(config, AmplitudeTable(
+            built.times, built.alpha[..., :1], built.output[:, :1],
+            np.zeros(8, dtype=int)))
+
+    def test_table_column_counts_must_agree(self, config):
+        # class amplitudes with per-state outputs, and per-state amplitudes
+        # with class outputs
+        built = sme.build_table(config, default_pulse(), 100)
+        classes = built.classes
+        for alpha, output in ((built.alpha, built.output[:, classes]),
+                              (built.alpha[..., classes], built.output)):
+            assert_table_rejected(
+                config, AmplitudeTable(built.times, alpha, output, classes),
+                "an output per column")
 
     def test_classes_across_coupling_classes_rejected(self, config):
-        # states 0 and 7 of the default design have different signed chi
-        # sums, so their amplitudes differ, although the outputs are made
-        # equal here; read at state 0 alone, E was off by 2.9 at 500 steps
+        # state 3 of the default design is named to the column of states 1,
+        # 2 and 4, whose signed chi sums differ from its own, so the
+        # solvers would read the amplitudes of another A_j for it
         built = sme.build_table(config, default_pulse(), 100)
-        merged = np.array([0, 1, 1, 1, 1, 1, 1, 0])
-        output = built.output.copy()
-        output[:, merged == 1] = output[:, 1, None]
-        output[:, 7] = output[:, 0]
-        table = AmplitudeTable(built.times, built.alpha, output, merged)
-        dws, dzs = sme.trajectory_noise(table, 0, range(2))
-        with pytest.raises(ConfigError, match="signed chi sums differ"):
-            sme.simulate_batch(config, table, model.plus_density(3), dws,
-                               dzs)
+        merged = built.classes.copy()
+        merged[3] = merged[1]
+        assert merged[3] != built.classes[3]
+        table = AmplitudeTable(built.times, built.alpha, built.output, merged)
+        assert_table_rejected(config, table, "signed chi sums differ")
 
     @pytest.mark.parametrize("every", [2.5, float("nan"), True, -5])
     def test_non_integer_cadence_rejected(self, config, every):
