@@ -24,7 +24,6 @@ the time evolution exact as well (integrate_amplitudes).
 import numbers
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import model
 from .errors import (ConfigError, ResonanceError, require_int,
@@ -37,6 +36,43 @@ _BLOCK_NODES = 256
 #: largest |alpha| whose square is a finite float; the drift coefficient
 #: and the record's mean square every amplitude
 _MAX_AMPLITUDE = float(np.sqrt(np.finfo(float).max))
+
+#: coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, over
+#: b_0 so that exp(0) = I exactly, and the largest 1-norm theta_13 at which
+#: its backward error stays below the unit roundoff (Higham 2005, table 2.3)
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0,
+                    7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                    10559470521600.0, 670442572800.0, 33522128640.0,
+                    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0,
+                    1.0]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
+
+
+def _expm(a):
+    """Matrix exponential of each matrix of the stack a, shape (..., n, n).
+
+    [13/13] Pade approximant with scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)). Matrix j is scaled by its own
+    2**-s_j, s_j = max(0, ceil(log2(|a_j|_1 / theta_13))), and squared s_j
+    times, so its result does not depend on the rest of the stack.
+    """
+    b = _PADE13
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norms / _THETA13, 1.0)))
+    a = a / (2.0 ** s)[..., None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0.0))):
+        squared = s > k
+        r[squared] = r[squared] @ r[squared]
+    return r
 
 
 def time_grid(tau: float, n_steps: int) -> np.ndarray:
@@ -189,7 +225,10 @@ class AmplitudeTable:
         one column per basis state. integrate_amplitudes numbers the
         classes in order of their first state, as model.distinct_rows
         does. None, for a table built by hand, makes every state a class
-        of its own, so per-state arrays are a valid table.
+        of its own, so per-state arrays are a valid table. Such a table
+        solves to the same physics as the class table, but the normals
+        that sme.IntervalLaw and sme.mixture_noise draw depend on the
+        column count, so (seed, index) replays another trajectory on it.
     """
 
     def __init__(self, times, alpha, output, classes=None):
@@ -212,9 +251,11 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     piece start (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)). Node
     k of a piece from a is expm(M_j (t_lo - a)) expm(M_j h)^k z(a), with the
     powers formed once; nothing is diagonalized, so a defective A_j is exact.
-    One state per coupling class is integrated, and the table holds its
-    column for the class (AmplitudeTable.classes). Raises ConfigError if an
-    amplitude's |alpha|^2 is not finite.
+    Every propagator comes from one batched [13/13] Pade call (_expm;
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)). One state per
+    coupling class is integrated, and the table holds its column for the
+    class (AmplitudeTable.classes). Raises ConfigError if an amplitude's
+    |alpha|^2 is not finite.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times) if times.ndim == 1 else 0
@@ -241,36 +282,44 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
         gen[c, :m, :m], gen[c, :m, m], _, _ = state_space(config, j)
     gen[:, m, m + 1] = gen[:, m + 1, m + 2] = 1.0
 
+    # z is carried start to start, so node rounding never crosses a piece;
+    # pieces from the first that starts past the grid are not needed
+    first = np.append(np.ceil(np.divide(starts, h)), n_t).clip(0, n_t)
+    n_pieces = int(np.count_nonzero(first[:-1] < n_t))
+    stops = np.append(starts[1:], times[-1])[:n_pieces]
+    starts = starts[:n_pieces]
+    # every propagator from one call: the step, a block of steps, and for
+    # each piece the offset to its first node and its full length
+    n_block = min(_BLOCK_NODES, n_t)
+    spans = np.concatenate([[h, n_block * h], first[:n_pieces] * h - starts,
+                            stops - starts])
+    props = _expm(gen * spans[:, None, None, None])
+    power, advance = props[0], props[1]
+    to_node, across = props[2:2 + n_pieces], props[2 + n_pieces:]
+
     # rows[b, k, a, j] = (expm(M_j h)^k)[a, b] for alpha rows a < m and
     # class j, filled by doubling; a block of nodes contracts straight into
     # the table
-    n_block = min(_BLOCK_NODES, n_t)
     rows = np.empty((m + 3, n_block, m, n_classes), dtype=complex)
     rows[:, 0] = np.eye(m + 3, m)[:, :, None]
-    power, n = expm(gen * h), 1           # power = expm(M h)^n
+    n = 1                                 # power = expm(M h)^n
     while n < n_block:
         k = min(n, n_block - n)
         rows[:, n:n + k] = np.einsum("bkaj,jbc->ckaj", rows[:, :k], power)
         power, n = power @ power, n + k
-    advance = expm(gen * (n_block * h))
 
     alpha = np.empty((n_t, m, n_classes), dtype=complex)
     z = np.zeros((n_classes, m + 3), dtype=complex)
     z[:, m] = eps0
-    # z is carried start to start, so node rounding never crosses a piece
-    first = np.append(np.ceil(np.divide(starts, h)), n_t).clip(0, n_t)
-    stops = np.append(starts[1:], times[-1])
-    for i, (a, b, curv) in enumerate(zip(starts, stops, curvature)):
-        z[:, m + 2] = curv
-        if first[i] == n_t:
-            break
-        node = np.einsum("jab,jb->ja", expm(gen * (first[i] * h - a)), z)
+    for i in range(n_pieces):
+        z[:, m + 2] = curvature[i]
+        node = np.einsum("jab,jb->ja", to_node[i], z)
         for lo in range(int(first[i]), int(first[i + 1]), n_block):
             hi = min(lo + n_block, int(first[i + 1]))
             np.einsum("bkaj,jb->kaj", rows[:, :hi - lo], node,
                       out=alpha[lo:hi])
             node = np.einsum("jab,jb->ja", advance, node)
-        z = np.einsum("jab,jb->ja", expm(gen * (b - a)), z)
+        z = np.einsum("jab,jb->ja", across[i], z)
 
     require_bounded(alpha)
     output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))

@@ -692,17 +692,18 @@ def nominal_record(config: model.ReadoutConfig, table: AmplitudeTable,
 
 def _check_table(config, table):
     """ConfigError unless the table holds the amplitudes of n_modes modes
-    and the outputs on the same u columns, and classes names one of them
-    for each of the d basis states, every column at least once, with the
-    states of one column sharing their signed chi sums: the solvers read
+    and the outputs on the same u columns at each of its times, and
+    classes names one of them for each of the d basis states, every
+    column at least once, with the states of one column sharing their
+    signed chi sums: the solvers take the step count from times and read
     alpha and c of a state in its class's column."""
-    n_columns = np.shape(table.alpha)[-1]
-    if (np.shape(table.alpha)[1:] != (config.n_modes, n_columns)
-            or np.shape(table.output)[1:] != (n_columns,)):
+    n_t, n_columns = len(table.times), np.shape(table.alpha)[-1]
+    if (np.shape(table.alpha) != (n_t, config.n_modes, n_columns)
+            or np.shape(table.output) != (n_t, n_columns)):
         raise ConfigError(
-            f"amplitude table holds {np.shape(table.alpha)[1:]} (modes, "
-            f"columns) and {np.shape(table.output)[1:]} outputs per node; "
-            f"need {config.n_modes} modes and an output per column")
+            f"amplitude table holds alpha {np.shape(table.alpha)} and output "
+            f"{np.shape(table.output)} on {n_t} times; need a node per time "
+            f"of {config.n_modes} modes and an output per column")
     classes = np.asarray(table.classes)
     if (classes.shape != (config.dim,) or classes.dtype.kind not in "iu"
             or classes.min() < 0 or classes.max() >= n_columns

@@ -1,10 +1,14 @@
 """Pointer-mode dynamics: state space, transfer functions, steady states,
-the kappa design scan, transient integration against closed forms, and
-the table of one column per coupling class against the per-state one."""
+the kappa design scan, transient integration against closed forms, the
+table of one column per coupling class against the per-state one, and
+the batched matrix exponential against scipy's."""
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from paritysim import cavity, model
@@ -543,3 +547,84 @@ class TestAgainstAdaptiveReference:
         table = cavity.integrate_amplitudes(cfg, 0.37, times)
         ref = adaptive_reference(cfg, 0.37, times)
         assert np.abs(table.alpha[..., table.classes] - ref).max() < 1e-10
+
+
+#: largest relative max-abs difference allowed between _expm and
+#: scipy.linalg.expm: both are backward stable to about the unit roundoff
+#: u, so they differ by about cond(exp, a) u, which is near |a|_1 u = 1e-13
+#: at the largest 1-norm drawn, 1e3; the bound leaves a factor of 10
+EXPM_RTOL = 1e-12
+
+
+def expm_difference(got, want):
+    """Largest |got - want| of each matrix over its largest |want|."""
+    return (np.abs(got - want).max(axis=(-2, -1))
+            / np.abs(want).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("name", sorted(class_table_designs()))
+@pytest.mark.parametrize("n_steps", [1, 1234])
+def test_expm_matches_scipy_on_the_table_generators(name, n_steps,
+                                                    monkeypatch):
+    # every propagator of a table comes from one _expm call; on its own
+    # generators at its own spans it agrees with scipy, and so does the
+    # table built from scipy's propagators
+    config, pulse = class_table_designs()[name], default_pulse()
+    times = cavity.time_grid(pulse.tau, n_steps)
+    for drive in (pulse, 0.37):
+        calls, expm = [], cavity._expm
+
+        def recorded(a):
+            calls.append(a)
+            return expm(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cavity, "_expm", recorded)
+            table = cavity.integrate_amplitudes(config, drive, times)
+        assert len(calls) == 1
+        stack = calls[0]
+        assert expm_difference(cavity._expm(stack),
+                               scipy.linalg.expm(stack)).max() <= EXPM_RTOL
+        with monkeypatch.context() as patch:
+            patch.setattr(cavity, "_expm", scipy.linalg.expm)
+            want = cavity.integrate_amplitudes(config, drive, times)
+        scale = np.abs(want.alpha).max()
+        assert np.abs(table.alpha - want.alpha).max() <= EXPM_RTOL * scale
+        assert np.abs(table.output - want.output).max() \
+            <= EXPM_RTOL * np.abs(want.output).max()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       log_norms=st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=4))
+def test_expm_matches_scipy_on_random_stacks(seed, n, log_norms):
+    # complex Gaussian matrices, shifted so the rightmost eigenvalue lies on
+    # the imaginary axis (exp neither overflows nor vanishes) and scaled to
+    # 1-norms from 1e-8 to 1e3; the matrices of one stack take different
+    # powers of two, and each one's result is the same bits alone
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(len(log_norms), n, n)) \
+        + 1j * rng.normal(size=(len(log_norms), n, n))
+    a -= np.linalg.eigvals(a).real.max(axis=-1)[:, None, None] * np.eye(n)
+    a *= (10.0 ** np.array(log_norms)
+          / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    got = cavity._expm(a)
+    assert expm_difference(got, scipy.linalg.expm(a)).max() <= EXPM_RTOL
+    for i in range(len(a)):
+        assert np.array_equal(cavity._expm(a[i:i + 1])[0], got[i])
+
+
+def test_expm_of_a_jordan_block_is_its_series():
+    # a nilpotent block's exponential is the finite series I + N + N^2/2,
+    # which the [13/13] approximant reproduces to about the last bit
+    for jordan in (np.diag([1.0, 1.0], 1), np.diag([1j, 1j], 1)):
+        want = np.eye(3) + jordan + jordan @ jordan / 2
+        got = cavity._expm(jordan[None])[0]
+        assert np.abs(got - want).max() <= np.finfo(float).eps
+
+
+def test_expm_of_zero_is_the_identity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cavity._expm(np.zeros((2, 3, 4, 4), dtype=complex))
+    assert np.array_equal(got, np.broadcast_to(np.eye(4), got.shape))

@@ -1,7 +1,7 @@
 """The package's public surface: every exported name exists, every
 module of the package is used by the package itself, every module-level
-private name is used somewhere in it, and importing it does not load
-scipy.optimize."""
+private name is used somewhere in it, and neither importing it nor
+running its CLI needs scipy."""
 
 import ast
 import subprocess
@@ -69,12 +69,26 @@ def test_every_private_name_is_used_in_the_package():
     assert orphans == []
 
 
-def test_import_does_not_load_scipy_optimize():
-    # the gate model solves by bisection; scipy.optimize costs a third of
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; importing scipy.linalg cost half of
     # the package's import time
-    probe = ("import sys, paritysim, paritysim.cli; "
-             "print('scipy.optimize' in sys.modules)")
+    probe = ("import sys, paritysim, paritysim.cli; print(sorted("
+             "name for name in sys.modules if name.startswith('scipy')))")
     loaded = subprocess.run([sys.executable, "-c", probe], check=True,
                             capture_output=True, text=True,
                             cwd=Path(paritysim.__file__).parent.parent).stdout
-    assert loaded.strip() == "False"
+    assert loaded.strip() == "[]"
+
+
+def test_trajectory_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail, so a
+    # lazy import inside a function would fail this run too
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from paritysim.cli import main; "
+             "main(['trajectory', '--steps', '200', '--out', sys.argv[1]])")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                          capture_output=True, text=True,
+                          cwd=Path(paritysim.__file__).parent.parent)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "trajectory.csv").is_file()
+    assert (tmp_path / "trajectory_summary.json").is_file()

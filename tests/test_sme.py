@@ -1549,6 +1549,20 @@ class TestSimulateBatch:
                 config, AmplitudeTable(built.times, alpha, output, classes),
                 "an output per column")
 
+    def test_table_nodes_must_match_times(self, config):
+        # the solvers take the step count from times, so a 200-step table
+        # with the times of its first 100 steps would be solved as 100
+        # steps over the first half of the pulse
+        built = sme.build_table(config, default_pulse(), 200)
+        for times, alpha, output in (
+                (built.times[:101], built.alpha, built.output),
+                (built.times, built.alpha[:101], built.output),
+                (built.times, built.alpha, built.output[:101])):
+            assert_table_rejected(
+                config,
+                AmplitudeTable(times, alpha, output, built.classes),
+                "need a node per time")
+
     def test_classes_across_coupling_classes_rejected(self, config):
         # state 3 of the default design is named to the column of states 1,
         # 2 and 4, whose signed chi sums differ from its own, so the
