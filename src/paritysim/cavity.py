@@ -128,8 +128,19 @@ def _resolvent(config: model.ReadoutConfig, s=0.0) -> np.ndarray:
 
 
 def require_bounded(alpha):
-    """alpha, if every |alpha|^2 is finite; ConfigError otherwise."""
-    largest = float(np.abs(alpha).max()) if np.size(alpha) else 0.0
+    """alpha, if every |alpha|^2 is finite; ConfigError otherwise.
+
+    |alpha| is at most sqrt(2) times its larger part, so alpha whose real
+    and imaginary parts all lie within _MAX_AMPLITUDE / 1.5 passes without
+    forming |alpha|. That array is half the size of alpha; allocated next
+    to the table and its output, it makes every build of the default
+    8001-node table fault in about 470 fresh pages.
+    """
+    parts = np.ravel(np.asarray(alpha, dtype=complex)).view(float)
+    if not np.size(parts) or 1.5 * max(parts.max(), -parts.min()) \
+            <= _MAX_AMPLITUDE:
+        return alpha
+    largest = float(np.abs(alpha).max())
     if not largest <= _MAX_AMPLITUDE:
         raise ConfigError(f"the drive takes a mode amplitude to |alpha| = "
                           f"{largest:.3g}, whose square is not finite")
@@ -252,10 +263,13 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     k of a piece from a is expm(M_j (t_lo - a)) expm(M_j h)^k z(a), with the
     powers formed once; nothing is diagonalized, so a defective A_j is exact.
     Every propagator comes from one batched [13/13] Pade call (_expm;
-    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)). One state per
-    coupling class is integrated, and the table holds its column for the
-    class (AmplitudeTable.classes). Raises ConfigError if an amplitude's
-    |alpha|^2 is not finite.
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)). The alpha rows of
+    the first _BLOCK_NODES powers are stacked class by class, so a block of
+    nodes is one batched product with the state at its first node, and the
+    output sum_k sqrt(kappa_k) alpha_k is summed in mode order as the block
+    is written. One state per coupling class is integrated, and the table
+    holds its column for the class (AmplitudeTable.classes). Raises
+    ConfigError if an amplitude's |alpha|^2 is not finite.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times) if times.ndim == 1 else 0
@@ -297,30 +311,35 @@ def integrate_amplitudes(config: model.ReadoutConfig, drive,
     power, advance = props[0], props[1]
     to_node, across = props[2:2 + n_pieces], props[2 + n_pieces:]
 
-    # rows[b, k, a, j] = (expm(M_j h)^k)[a, b] for alpha rows a < m and
-    # class j, filled by doubling; a block of nodes contracts straight into
-    # the table
-    rows = np.empty((m + 3, n_block, m, n_classes), dtype=complex)
-    rows[:, 0] = np.eye(m + 3, m)[:, :, None]
+    # rows[j, k m + a] is row a of expm(M_j h)^k for alpha rows a < m and
+    # class j, filled by doubling; a block of nodes is one batched product
+    rows = np.empty((n_classes, n_block * m, m + 3), dtype=complex)
+    rows[:, :m] = np.eye(m, m + 3)
     n = 1                                 # power = expm(M h)^n
     while n < n_block:
         k = min(n, n_block - n)
-        rows[:, n:n + k] = np.einsum("bkaj,jbc->ckaj", rows[:, :k], power)
+        rows[:, n * m:(n + k) * m] = rows[:, :k * m] @ power
         power, n = power @ power, n + k
 
     alpha = np.empty((n_t, m, n_classes), dtype=complex)
-    z = np.zeros((n_classes, m + 3), dtype=complex)
+    output = np.empty((n_t, n_classes), dtype=complex)
+    sqrt_kappa = np.sqrt(config.kappa)
+    z = np.zeros((n_classes, m + 3, 1), dtype=complex)
     z[:, m] = eps0
     for i in range(n_pieces):
         z[:, m + 2] = curvature[i]
-        node = np.einsum("jab,jb->ja", to_node[i], z)
+        node = to_node[i] @ z
         for lo in range(int(first[i]), int(first[i + 1]), n_block):
             hi = min(lo + n_block, int(first[i + 1]))
-            np.einsum("bkaj,jb->kaj", rows[:, :hi - lo], node,
-                      out=alpha[lo:hi])
-            node = np.einsum("jab,jb->ja", advance, node)
-        z = np.einsum("jab,jb->ja", across[i], z)
+            block = alpha[lo:hi]
+            block[...] = (rows[:, :(hi - lo) * m] @ node).reshape(
+                n_classes, hi - lo, m).transpose(1, 2, 0)
+            # the output line, its modes added in order
+            out = np.multiply(block[:, 0], sqrt_kappa[0], out=output[lo:hi])
+            for k in range(1, m):
+                out += block[:, k] * sqrt_kappa[k]
+            node = advance @ node
+        z = across[i] @ z
 
     require_bounded(alpha)
-    output = np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
     return AmplitudeTable(times, alpha, output, classes)

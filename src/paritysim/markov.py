@@ -25,7 +25,7 @@ Two tools:
   without intrinsic dephasing that block is fixed by the exponent on the
   coupling classes (equal signed chi sums), which the scan integrates,
   reads the block off, weights by the class sizes and reduces to
-  distances a block of nodes at a time.
+  distances a bounded chunk of nodes at a time.
 """
 
 import functools
@@ -36,7 +36,7 @@ import numpy as np
 from . import model
 from .errors import ConfigError, require_int
 from .pulse import PulseSpec, default_pulse
-from .sme import _deterministic_exponents, build_table
+from .sme import _PASS_ENTRIES, _deterministic_exponents, build_table
 # witness_scan no longer evolves the whole state, but perfbench's tracer
 # test patches this lookup site by name, so the name stays importable from
 # here (ROADMAP, item 1)
@@ -144,6 +144,19 @@ def increasing_intervals(times, values) -> list:
             for a, b in zip(edges[::2], edges[1::2])]
 
 
+def _chunk_distances(chunk, weight) -> np.ndarray:
+    """The witness at the nodes of a chunk of F's (even, odd) blocks.
+
+    D is the trace norm, twice trace_distance(B, 0): B goes through
+    trace_distance, the function perfbench times. Every step acts on each
+    node alone, so a node's distance does not depend on its chunk.
+    """
+    b = np.concatenate(chunk)
+    np.exp(b, out=b)
+    b *= weight
+    return 2.0 * trace_distance(b, 0.0)
+
+
 def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
                  n_steps: int = 4000) -> WitnessResult:
     """Trace-distance witness between the cross-parity superposition pair.
@@ -170,12 +183,14 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
     the class sizes within each parity. F is the coupling part of E and
     leaves the gamma part out (sme._deterministic_exponents), so it is E
     at gamma_z = 0 whatever the config's gamma_z. The scan takes the (even,
-    odd) block of F on each block of nodes and reduces it to its distances
-    through trace_distance as it comes, and no (steps, d, d) array is
-    formed. On the default design that is a 2 x 2 matrix per node instead
-    of 8 x 8. The reporting window is [t_off - sigma/2, tau]: the pulse
-    turn-off, where amplitude information stored in the modes flows back
-    into the register.
+    odd) block of F on each block of nodes, gathers consecutive blocks into
+    chunks of at most sme._PASS_ENTRIES numbers (at least one block each)
+    and reduces each chunk to its distances through trace_distance at
+    once; a node's distance is the same bits whatever its chunk, and no
+    (steps, d, d) array is formed. On the default design that is a 2 x 2
+    matrix per node instead of 8 x 8. The reporting window is [t_off -
+    sigma/2, tau]: the pulse turn-off, where amplitude information stored
+    in the modes flows back into the register.
     """
     n_steps = require_int("n_steps", n_steps, 1)
     if pulse is None:
@@ -189,11 +204,17 @@ def witness_scan(config: model.ReadoutConfig, pulse: PulseSpec = None,
                                      for n in sizes]
     weight = (2.0 / config.dim) * np.sqrt(np.multiply.outer(n_even, n_odd))
     times, blocks = _deterministic_exponents(config, table)
-    # D is the trace norm, twice trace_distance(B, 0): B goes through
-    # trace_distance, the function perfbench times
-    dist = np.concatenate([
-        2.0 * trace_distance(weight * np.exp(f[:, rows[:, None], cols]), 0.0)
-        for f in blocks])
+    # the blocks of F's (even, odd) block, gathered into chunks of at most
+    # _PASS_ENTRIES numbers (at least one block each)
+    chunks, chunk, held = [], [], 0
+    for f in blocks:
+        block = f[:, rows[:, None], cols]
+        if chunk and held + block.size > _PASS_ENTRIES:
+            chunks.append(_chunk_distances(chunk, weight))
+            chunk, held = [], 0
+        chunk.append(block)
+        held += block.size
+    dist = np.concatenate(chunks + [_chunk_distances(chunk, weight)])
     intervals = increasing_intervals(times, dist)
     window = (pulse.t_off - pulse.sigma / 2.0, pulse.tau)
     return WitnessResult(times=times, distance=dist,

@@ -1,6 +1,7 @@
 """Pointer-mode dynamics: state space, transfer functions, steady states,
 the kappa design scan, transient integration against closed forms, the
-table of one column per coupling class against the per-state one, and
+table of one column per coupling class against the per-state one, the
+batched block products against the einsum contraction they replaced, and
 the batched matrix exponential against scipy's."""
 
 import warnings
@@ -8,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from paritysim import cavity, model
 from paritysim.errors import ConfigError, ResonanceError
-from paritysim.pulse import PulseSpec, default_pulse
+from paritysim.pulse import PulseSpec, default_pulse, pieces as pulse_pieces
 
 from test_sme import reference_designs
 
@@ -380,12 +381,21 @@ class TestIntegrateAmplitudes:
             assert err < 1e-7
 
     def test_output_is_weighted_amplitude_sum(self):
-        cfg = model.default_config()
-        times = cavity.time_grid(3.0, 60)
-        table = cavity.integrate_amplitudes(cfg, default_pulse(), times)
-        u = np.sqrt(cfg.kappa)
-        manual = np.einsum("tkj,k->tj", table.alpha, u)
-        assert np.allclose(table.output, manual)
+        # the stored alpha's modes added in order, bit for bit
+        rng = np.random.default_rng(3)
+        for n_modes in (1, 2, 3):
+            cfg = model.ReadoutConfig(
+                n_qubits=3, n_modes=n_modes,
+                chi=rng.uniform(0.2, 0.8, (n_modes, 3)),
+                kappa=rng.uniform(0.5, 3.0, n_modes),
+                delta=rng.uniform(-3.0, 3.0, n_modes), gamma_z=np.zeros(3))
+            times = cavity.time_grid(3.0, 600)
+            table = cavity.integrate_amplitudes(cfg, default_pulse(), times)
+            u = np.sqrt(cfg.kappa)
+            manual = table.alpha[:, 0] * u[0]
+            for k in range(1, n_modes):
+                manual += table.alpha[:, k] * u[k]
+            assert np.array_equal(table.output, manual)
 
     def test_ring_down_after_pulse(self):
         # every system eigenvalue has damping rate kappa/2 = 1, so the 3.5
@@ -448,6 +458,22 @@ class TestIntegrateAmplitudes:
             cavity.integrate_amplitudes(config, drive, times)
         cavity.integrate_amplitudes(config, 1e150, times)
 
+    @pytest.mark.parametrize("scale", [0.5, 1 / 1.45, 1 / 1.4, 1 / 1.2,
+                                       1.0, 1.0 + 1e-15, np.inf, np.nan])
+    def test_bound_is_the_largest_modulus(self, scale):
+        # the parts' shortcut and the exact |alpha| give one verdict: the
+        # largest |alpha| against sqrt(float max), on each axis and the
+        # diagonal of the complex plane
+        big = cavity._MAX_AMPLITUDE * scale
+        for value in (big, -1j * big, big * (1 + 1j) / np.sqrt(2.0),
+                      big * (1 - 1j)):
+            alpha = np.array([[0.3, value], [1j, 0.0]])
+            if np.abs(alpha).max() <= cavity._MAX_AMPLITUDE:
+                assert cavity.require_bounded(alpha) is alpha
+            else:
+                with pytest.raises(ConfigError, match="not finite"):
+                    cavity.require_bounded(alpha)
+
     def test_numpy_integer_drive_accepted(self):
         # a numpy integer is a real number; numpy's bool is not
         cfg, times = single_mode_config(), cavity.time_grid(1.0, 10)
@@ -504,6 +530,96 @@ def test_class_table_is_the_per_state_table(name, n_steps, monkeypatch):
             table.classes,
             model.distinct_rows(table.output[:, table.classes].T)[1])
         assert np.array_equal(alone.classes, np.arange(config.dim))
+
+
+def einsum_table(config, drive, times):
+    """(alpha, output) filled as integrate_amplitudes once filled them: the
+    same propagators, the powers held as rows[b, k, a, j] = (expm(M_j
+    h)^k)[a, b], each block of nodes contracted into the table by einsum and
+    the output by one einsum over the whole table."""
+    n_t, h = len(times), times[1]
+    m, block = config.n_modes, cavity._BLOCK_NODES
+    if isinstance(drive, PulseSpec):
+        (starts, curvature), eps0 = pulse_pieces(drive), 0.0
+    else:
+        starts, curvature, eps0 = [0.0], [0.0], float(drive)
+    reps, _ = model.distinct_rows(model.signed_chi_sums(config).T)
+    gen = np.zeros((len(reps), m + 3, m + 3), dtype=complex)
+    for c, j in enumerate(reps):
+        gen[c, :m, :m], gen[c, :m, m], _, _ = cavity.state_space(config, j)
+    gen[:, m, m + 1] = gen[:, m + 1, m + 2] = 1.0
+    first = np.append(np.ceil(np.divide(starts, h)), n_t).clip(0, n_t)
+    n_pieces = int(np.count_nonzero(first[:-1] < n_t))
+    stops = np.append(starts[1:], times[-1])[:n_pieces]
+    starts = starts[:n_pieces]
+    n_block = min(block, n_t)
+    props = cavity._expm(gen * np.concatenate(
+        [[h, n_block * h], first[:n_pieces] * h - starts,
+         stops - starts])[:, None, None, None])
+    power, advance = props[0], props[1]
+    rows = np.empty((m + 3, n_block, m, len(reps)), dtype=complex)
+    rows[:, 0] = np.eye(m + 3, m)[:, :, None]
+    n = 1
+    while n < n_block:
+        k = min(n, n_block - n)
+        rows[:, n:n + k] = np.einsum("bkaj,jbc->ckaj", rows[:, :k], power)
+        power, n = power @ power, n + k
+    alpha = np.empty((n_t, m, len(reps)), dtype=complex)
+    z = np.zeros((len(reps), m + 3), dtype=complex)
+    z[:, m] = eps0
+    for i in range(n_pieces):
+        z[:, m + 2] = curvature[i]
+        node = np.einsum("jab,jb->ja", props[2 + i], z)
+        for lo in range(int(first[i]), int(first[i + 1]), n_block):
+            hi = min(lo + n_block, int(first[i + 1]))
+            np.einsum("bkaj,jb->kaj", rows[:, :hi - lo], node,
+                      out=alpha[lo:hi])
+            node = np.einsum("jab,jb->ja", advance, node)
+        z = np.einsum("jab,jb->ja", props[2 + n_pieces + i], z)
+    return alpha, np.einsum("tkj,k->tj", alpha, np.sqrt(config.kappa))
+
+
+#: the table's rows are summed in another order than einsum's, so each
+#: entry may move by a few roundings of the largest one
+TABLE_RTOL = 2e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_qubits=st.integers(1, 6),
+       n_modes=st.integers(1, 3), chi_ones=st.booleans(),
+       constant=st.booleans(),
+       # node counts on both sides of _BLOCK_NODES and its multiples;
+       # 13.5 / 27 k puts every piece start of the default pulse on a node
+       n_steps=st.sampled_from([1, 2, 254, 255, 256, 257, 270, 511, 512,
+                                513, 1234, 2700]))
+@example(seed=1, n_qubits=6, n_modes=2, chi_ones=True, constant=False,
+         n_steps=2700)
+@example(seed=2, n_qubits=6, n_modes=3, chi_ones=False, constant=False,
+         n_steps=513)
+@example(seed=3, n_qubits=6, n_modes=1, chi_ones=False, constant=True,
+         n_steps=256)
+def test_block_products_match_the_einsum_contraction(
+        seed, n_qubits, n_modes, chi_ones, constant, n_steps):
+    # one batched product per block of nodes against the einsum it
+    # replaced, on the same propagators; chi all ones puts several states
+    # in a class, and distinct chi at 6 qubits makes 64 classes
+    rng = np.random.default_rng(seed)
+    config = model.ReadoutConfig(
+        n_qubits=n_qubits, n_modes=n_modes,
+        chi=(np.ones((n_modes, n_qubits)) if chi_ones
+             else rng.uniform(0.5, 1.5, (n_modes, n_qubits))),
+        kappa=rng.uniform(0.5, 4.0, n_modes),
+        delta=rng.uniform(-3.0, 3.0, n_modes), gamma_z=np.zeros(n_qubits))
+    pulse = default_pulse()
+    drive = rng.uniform(-1.0, 1.0) if constant else pulse
+    times = cavity.time_grid(pulse.tau, n_steps)
+    table = cavity.integrate_amplitudes(config, drive, times)
+    alpha, output = einsum_table(config, drive, times)
+    assert table.alpha.shape == alpha.shape
+    assert np.abs(table.alpha - alpha).max() <= \
+        TABLE_RTOL * np.abs(alpha).max()
+    assert np.abs(table.output - output).max() <= \
+        TABLE_RTOL * np.abs(output).max()
 
 
 class TestAgainstAdaptiveReference:

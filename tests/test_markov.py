@@ -9,7 +9,8 @@ increasing-interval extraction, and the trace-distance witness between
 the parity reference states (its (even, odd) block against the full
 trace distance on 1-3 qubits; its class-weighted block against two
 dense evolutions over 1-4 qubits, 1-3 modes and coupling classes that
-span both parities, and at the register cap; its memory there).
+span both parities, and at the register cap; its memory there and at 64
+classes; its chunked reduction against one block at a time, bit for bit).
 """
 
 import tracemalloc
@@ -512,3 +513,66 @@ def test_witness_holds_no_evolution_at_the_register_cap(config, pulse):
         tracemalloc.stop()
     assert res.distance.shape == (4001,)
     assert peak < 8 * 2 ** 20
+
+
+def per_block_distances(config, n_steps):
+    """The scan's distances reduced one block of nodes at a time: F's
+    (even, odd) block of classes at each block of _deterministic_exponents,
+    weighted by the class sizes and put through trace_distance alone."""
+    table = sme.build_table(config, None, 2 * n_steps)
+    odd = model.popcounts(config.n_qubits) % 2
+    sizes = [np.bincount(table.classes, w) for w in (1 - odd, odd)]
+    (rows, n_even), (cols, n_odd) = [(np.flatnonzero(n), n[n > 0])
+                                     for n in sizes]
+    weight = (2.0 / config.dim) * np.sqrt(np.multiply.outer(n_even, n_odd))
+    _, blocks = sme._deterministic_exponents(config, table)
+    return [2.0 * markov.trace_distance(
+        weight * np.exp(f[:, rows[:, None], cols]), 0.0) for f in blocks]
+
+
+@pytest.mark.parametrize("name", ["default", "6q_ones"])
+@pytest.mark.parametrize("n_steps", [1, 300, 4000])
+def test_chunked_witness_is_the_per_block_reduction(name, n_steps,
+                                                    monkeypatch):
+    # consecutive blocks are reduced together, and every node's distance
+    # is the same bits as the block's alone. The default design's 4000
+    # steps are one chunk of 32 blocks; at 6 qubits (a 4 x 3 block) they
+    # are two chunks. No chunk holds more than _PASS_ENTRIES numbers
+    config = (model.default_config() if name == "default"
+              else witness_designs()["6q_2m_ones"])
+    blocks = per_block_distances(config, n_steps)
+    chunks, reduce = [], markov.trace_distance
+
+    def recorded(rho_a, rho_b):
+        chunks.append(np.size(rho_a))
+        return reduce(rho_a, rho_b)
+
+    monkeypatch.setattr(markov, "trace_distance", recorded)
+    res = markov.witness_scan(config, n_steps=n_steps)
+    assert np.array_equal(res.distance, np.concatenate(blocks))
+    assert max(chunks) <= sme._PASS_ENTRIES
+    if n_steps == 4000:
+        assert len(blocks) == 32
+        assert len(chunks) == (1 if name == "default" else 2)
+
+
+def test_witness_holds_no_block_per_step_at_64_classes(pulse):
+    # distinct chi at 6 qubits: every state is a class of its own and the
+    # (even, odd) block is 32 x 32, so a (4001, 32, 32) array of it would
+    # take 62.5 MiB on top of the 23.4 MiB table of 64 classes. The scan
+    # peaked at 60.2 MiB: the table, F on 64 x 64 classes for one block of
+    # nodes and one chunk, which at this size is one block
+    n = model.MAX_QUBITS
+    config = model.default_config().replace(
+        n_qubits=n, chi=np.random.default_rng(0).uniform(0.5, 1.5, (2, n)),
+        gamma_z=np.full(n, 0.01))
+    tracemalloc.start()
+    try:
+        res = markov.witness_scan(config, pulse, n_steps=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    classes = sme.build_table(config, pulse, 1).classes
+    assert classes.max() + 1 == config.dim
+    assert res.distance.shape == (4001,)
+    assert peak < 72 * 2 ** 20
